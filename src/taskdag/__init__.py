@@ -52,7 +52,6 @@ from .processes import (
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
-    SamplingSemantics,
     combined_process,
     edge_addition_process,
     edge_removal_process,
@@ -75,7 +74,6 @@ __all__ = [
     "ProcessConfig",
     "ProcessKind",
     "ProcessOutcome",
-    "SamplingSemantics",
     "StructureCase",
     "StructureLabel",
     "TaskDagError",

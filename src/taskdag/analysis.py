@@ -229,7 +229,7 @@ def classify_extremal(g: OrderedDag, x: int, y: int) -> StructureCase:
     """
     prof = g.profile()
     if not prof.matches(x, y):
-        raise ValueError(f"graph profile {prof.counts} does not match the requested ({x}, {y})")
+        raise DomainError(f"graph profile {prof.counts} does not match the requested ({x}, {y})")
     target = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, x, y, g.n)
     not_extremal = StructureCase(StructureLabel.NOT_EXTREMAL)
     if g.edge_count != target or not is_minimal_xy(g):

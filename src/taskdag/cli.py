@@ -15,15 +15,9 @@ import sys
 from . import analysis, families, harness, oracle
 from .errors import TaskDagError
 from .graph import OrderedDag
-from .processes import (
-    ProcessConfig,
-    ProcessKind,
-    SamplingSemantics,
-    run_process,
-)
+from .processes import ProcessConfig, ProcessKind, run_process
 
 _PROCESS_TOKENS = {kind.value: kind for kind in ProcessKind}
-_SEMANTICS_TOKENS = {sem.value: sem for sem in SamplingSemantics}
 _ORACLE_KINDS = {kind.value: kind for kind in analysis.ExtremalKind}
 
 
@@ -35,9 +29,6 @@ def _add_process_args(p: argparse.ArgumentParser, with_m: bool = True) -> None:
     if with_m:
         p.add_argument("--m", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--semantics", choices=sorted(_SEMANTICS_TOKENS), default=SamplingSemantics.PERMUTATION_ORDER.value
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +96,6 @@ def _config(args: argparse.Namespace) -> ProcessConfig:
         kind=_PROCESS_TOKENS[args.process],
         seed=args.seed,
         m=getattr(args, "m", None),
-        semantics=_SEMANTICS_TOKENS[args.semantics],
     )
 
 
@@ -173,8 +163,12 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input, "r", encoding="ascii").read()
-    g = OrderedDag.from_json(text)
+    if args.input == "-":
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()  # bytes, or text if stdin has no buffer
+    else:
+        with open(args.input, "rb") as f:
+            data = f.read()
+    g = OrderedDag.from_json(data)
     prof = g.profile()
     record: dict[str, object] = {
         "n": g.n,

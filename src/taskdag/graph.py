@@ -40,6 +40,11 @@ class VertexProfile:
         return len(self.initial) == x and len(self.terminal) == y
 
 
+def _check_order(n: object) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+
+
 @lru_cache(maxsize=None)
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All candidate edges (a, b) with 1 <= a < b <= n, in lexicographic order."""
@@ -57,12 +62,24 @@ class OrderedDag:
     __slots__ = ("n", "_edges", "_indeg", "_outdeg")
 
     def __init__(self, n: int) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+        _check_order(n)
         self.n = n
         self._edges: set[tuple[int, int]] = set()
         self._indeg = [0] * (n + 1)
         self._outdeg = [0] * (n + 1)
+
+    @classmethod
+    def _adopt(
+        cls, n: int, edges: set[tuple[int, int]], indeg: list[int], outdeg: list[int]
+    ) -> OrderedDag:
+        """Trusted constructor: take ownership of an edge set and the degree
+        arrays that match it, without checking either."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._edges = edges
+        g._indeg = indeg
+        g._outdeg = outdeg
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> OrderedDag:
@@ -72,11 +89,7 @@ class OrderedDag:
         return g
 
     def copy(self) -> OrderedDag:
-        g = OrderedDag(self.n)
-        g._edges = set(self._edges)
-        g._indeg = list(self._indeg)
-        g._outdeg = list(self._outdeg)
-        return g
+        return OrderedDag._adopt(self.n, set(self._edges), list(self._indeg), list(self._outdeg))
 
     # -- edge bookkeeping ---------------------------------------------------
 
@@ -238,8 +251,13 @@ class OrderedDag:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> OrderedDag:
+        """Parse the ``to_json`` format; bytes must be ASCII."""
         try:
+            if isinstance(text, bytes):
+                text = text.decode("ascii")
             payload = json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"graph JSON must be ASCII: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
@@ -287,9 +305,6 @@ def empty_graph(n: int) -> OrderedDag:
 
 def complete_graph(n: int) -> OrderedDag:
     """The transitive tournament: all binom(n, 2) edges (a, b) with a < b."""
-    g = OrderedDag(n)
-    for a, b in ordered_pairs(n):
-        g._edges.add((a, b))
-        g._outdeg[a] += 1
-        g._indeg[b] += 1
-    return g
+    _check_order(n)
+    # vertex v has v - 1 predecessors and n - v successors
+    return OrderedDag._adopt(n, set(ordered_pairs(n)), [0, *range(n)], [0, *range(n - 1, -1, -1)])

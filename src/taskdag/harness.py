@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import OrderedDag
-from .processes import ProcessConfig, ProcessKind, SamplingSemantics, run_process
+from .processes import ProcessConfig, ProcessKind, check_seed, run_process
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 
@@ -37,7 +37,6 @@ class TrialSummary:
     y: int
     n: int
     m: int | None
-    semantics: SamplingSemantics
     trials: int
     master_seed: int
     success_ratio: float
@@ -53,7 +52,6 @@ class TrialSummary:
             "y": self.y,
             "n": self.n,
             "m": self.m,
-            "semantics": self.semantics.value,
             "trials": self.trials,
             "master_seed": self.master_seed,
             "success_ratio": self.success_ratio,
@@ -95,8 +93,11 @@ def run_trials(
     ``cfg.seed`` is ignored: trial i runs with a stream derived from
     (master_seed, i).  The result does not depend on ``parallelism``.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if type(parallelism) is not int or parallelism < 1:
+        raise ConfigError(f"parallelism must be a positive integer, got {parallelism!r}")
+    check_seed(master_seed, "master_seed")
     replace(cfg, seed=0).validate()
     blocks = [
         (cfg, master_seed, start, min(start + _CHUNK, trials), keep_per_trial)
@@ -120,7 +121,6 @@ def run_trials(
         y=cfg.y,
         n=cfg.n,
         m=cfg.m,
-        semantics=cfg.semantics,
         trials=trials,
         master_seed=master_seed,
         success_ratio=totals[0] / trials,
@@ -138,7 +138,6 @@ def table_experiment(
     trials: int,
     master_seed: int,
     parallelism: int = 1,
-    semantics: SamplingSemantics = SamplingSemantics.PERMUTATION_ORDER,
 ) -> str:
     """Success-ratio grid as CSV with header ``pair,n,ratio``.
 
@@ -146,11 +145,12 @@ def table_experiment(
     fractional digits.  Each cell gets its own seed stream derived from
     (master_seed, x, y, n).
     """
+    check_seed(master_seed, "master_seed")
     n_values = list(n_values)
     lines = ["pair,n,ratio"]
     for x, y in pairs:
         for n in n_values:
-            cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0, semantics=semantics)
+            cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0)
             summary = run_trials(
                 cfg, trials, derive_seed(master_seed, x, y, n), parallelism=parallelism
             )
@@ -166,15 +166,15 @@ def growth_experiment(
     trials: int,
     master_seed: int,
     parallelism: int = 1,
-    semantics: SamplingSemantics = SamplingSemantics.PERMUTATION_ORDER,
 ) -> str:
     """Raw per-n averages as CSV ``n,mean_edges,mean_longest_path,mean_isolated``.
 
     No curve fitting happens here; downstream tools consume the series.
     """
+    check_seed(master_seed, "master_seed")
     lines = ["n,mean_edges,mean_longest_path,mean_isolated"]
     for n in list(n_values):
-        cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0, semantics=semantics)
+        cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0)
         summary = run_trials(
             cfg, trials, derive_seed(master_seed, x, y, n), parallelism=parallelism
         )

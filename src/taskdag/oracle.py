@@ -10,7 +10,6 @@ enumeration only while binom(n, 2) <= 10.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,7 @@ from typing import Iterator
 from .analysis import ExtremalKind
 from .errors import CapacityError, DomainError
 from .graph import OrderedDag, ordered_pairs
-from .processes import ProcessKind
+from .processes import ProcessKind, _State
 
 DEFAULT_ENUMERATION_CAP = 6
 GATED_ENUMERATION_CAP = 7
@@ -65,16 +64,18 @@ def enumerate_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
 
 
 def _graph_from_mask(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> OrderedDag:
-    g = OrderedDag(n)
+    edges = set()
+    indeg = [0] * (n + 1)
+    outdeg = [0] * (n + 1)
     m = mask
     while m:
         bit = m & -m
         a, b = pairs[bit.bit_length() - 1]
-        g._edges.add((a, b))
-        g._indeg[b] += 1
-        g._outdeg[a] += 1
+        edges.add((a, b))
+        indeg[b] += 1
+        outdeg[a] += 1
         m ^= bit
-    return g
+    return OrderedDag._adopt(n, edges, indeg, outdeg)
 
 
 def oracle_is_minimal(g: OrderedDag, x: int, y: int) -> bool:
@@ -191,40 +192,30 @@ def oracle_extremal(
 @lru_cache(maxsize=64)
 def _max_addition_result_edges(x: int, y: int, n: int) -> int:
     """Largest halt-state edge count of the (x, y) addition process, by
-    breadth-first search over every reachable state."""
-    pairs = ordered_pairs(n)
-    n_pairs = len(pairs)
+    depth-first search over every reachable state.  An edge is a move from a
+    state when a one-edge addition pass from that state accepts it."""
+    n_pairs = len(ordered_pairs(n))
     seen = bytearray(1 << n_pairs)
-    queue = deque([0])
     seen[0] = 1
+    stack = [(0, _State(n, complete=False))]
     best = -1
-    while queue:
-        mask = queue.popleft()
-        indeg = [0] * (n + 1)
-        outdeg = [0] * (n + 1)
-        m = mask
-        while m:
-            bit = m & -m
-            a, b = pairs[bit.bit_length() - 1]
-            indeg[b] += 1
-            outdeg[a] += 1
-            m ^= bit
-        sources = sum(1 for v in range(1, n + 1) if indeg[v] == 0)
-        sinks = sum(1 for v in range(1, n + 1) if outdeg[v] == 0)
-        if (sources, sinks) == (x, y):  # the process halts here
-            best = max(best, bin(mask).count("1"))
+    while stack:
+        mask, state = stack.pop()
+        if (state.sources, state.sinks) == (x, y):  # the process halts here
+            best = max(best, state.edge_total)
             continue
+        child = None
         for i in range(n_pairs):
-            bit = 1 << i
-            if mask & bit:
+            child_mask = mask | 1 << i
+            if seen[child_mask]:  # also skips the edges already present
                 continue
-            a, b = pairs[i]
-            if (indeg[b] == 0 and sources <= x) or (outdeg[a] == 0 and sinks <= y):
-                continue
-            child = mask | bit
-            if not seen[child]:
-                seen[child] = 1
-                queue.append(child)
+            if child is None:
+                child = state.copy()
+            child.addition_pass((i,), x, y)
+            if child.edge_total > state.edge_total:
+                seen[child_mask] = 1
+                stack.append((child_mask, child))
+                child = None  # a cancelled addition leaves the copy unchanged
     if best < 0:
         raise DomainError(
             f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph"
@@ -256,14 +247,16 @@ def exact_process_distribution(
             f"got binom({n}, 2) = {len(pairs)}"
         )
     if kind is ProcessKind.REMOVAL:
-        runner = _run_removal_order
+        complete, run = True, _State.removal_pass
     elif kind is ProcessKind.ADDITION:
-        runner = _run_addition_order
+        complete, run = False, _State.addition_pass
     else:
         raise DomainError(f"exact distributions cover removal and addition only, got {kind!r}")
     tally: dict[tuple[int, int, int], int] = {}
     for order in permutations(range(len(pairs))):
-        key = runner(n, x, y, pairs, order)
+        state = _State(n, complete)
+        run(state, order, x, y)
+        key = (state.sources, state.sinks, state.edge_total)
         tally[key] = tally.get(key, 0) + 1
     total = factorial(len(pairs))
     outcomes = {key: Fraction(count, total) for key, count in sorted(tally.items())}
@@ -271,45 +264,3 @@ def exact_process_distribution(
         (Fraction(key[2] * count, total) for key, count in tally.items()), Fraction(0)
     )
     return ExactDistribution(outcomes=outcomes, expected_edges=expected)
-
-
-def _run_removal_order(n, x, y, pairs, order):
-    indeg = [0] * (n + 1)
-    outdeg = [0] * (n + 1)
-    for a, b in pairs:
-        indeg[b] += 1
-        outdeg[a] += 1
-    sources = sum(1 for v in range(1, n + 1) if indeg[v] == 0)
-    sinks = sum(1 for v in range(1, n + 1) if outdeg[v] == 0)
-    edges = len(pairs)
-    for i in order:
-        a, b = pairs[i]
-        if (indeg[b] == 1 and sources >= x) or (outdeg[a] == 1 and sinks >= y):
-            continue
-        indeg[b] -= 1
-        outdeg[a] -= 1
-        sources += indeg[b] == 0
-        sinks += outdeg[a] == 0
-        edges -= 1
-    return (sources, sinks, edges)
-
-
-def _run_addition_order(n, x, y, pairs, order):
-    indeg = [0] * (n + 1)
-    outdeg = [0] * (n + 1)
-    sources = sinks = n
-    edges = 0
-    if (sources, sinks) == (x, y):
-        return (sources, sinks, edges)
-    for i in order:
-        a, b = pairs[i]
-        if (indeg[b] == 0 and sources <= x) or (outdeg[a] == 0 and sinks <= y):
-            continue
-        sources -= indeg[b] == 0
-        sinks -= outdeg[a] == 0
-        indeg[b] += 1
-        outdeg[a] += 1
-        edges += 1
-        if sources == x and sinks == y:
-            break
-    return (sources, sinks, edges)

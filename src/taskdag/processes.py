@@ -1,31 +1,26 @@
 """Seeded randomized processes for generating ordered task-dependency graphs.
 
-Randomness comes from numpy's PCG64 generator; a run is fully determined by
-its ProcessConfig (seed and sampling semantics included).  The default
-permutation-order semantics draws one uniform permutation of all candidate
-edges and makes a single pass: a proposal blocked once stays blocked forever
-(blocking requires a source/sink count already at its cap, and caps are
-absorbing), so one pass ends exactly when no move remains and the outcome
-distribution matches unbounded rejection sampling.
+A run is fully determined by its ProcessConfig.  Each phase makes one pass over
+a uniform permutation (numpy PCG64) of the candidate edges.  A proposal blocked
+once stays blocked, since blocking needs a source/sink count already at its
+absorbing cap, so the outcome law equals that of rejection sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Callable
+from itertools import compress
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, GraphError
+from .analysis import ExtremalKind, extremal_value
+from .errors import ConfigError, GraphError, TaskDagError
 from .graph import OrderedDag, ordered_pairs
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
 # trace arguments: round index, "add"/"remove", a, b, source count, sink count
-
-MAX_SEED = 2**64 - 1
-
 
 class ProcessKind(str, Enum):
     REMOVAL = "removal"
@@ -34,24 +29,22 @@ class ProcessKind(str, Enum):
     RANDOM_TREE = "tree"
 
 
-class SamplingSemantics(str, Enum):
-    PERMUTATION_ORDER = "permutation"
-    REJECTION_SAMPLING = "rejection"
-
-
 class HaltReason(str, Enum):
     EXACT_TARGET_REACHED = "exact-target-reached"
     NO_MOVE_AVAILABLE = "no-move-available"
     EDGE_BUDGET_REACHED = "edge-budget-reached"
 
 
+def check_seed(seed: object, name: str = "seed") -> None:
+    """Raise ConfigError unless ``seed`` is an integer in [0, 2^64)."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Parameters of one process run.
-
-    ``m`` is only meaningful for the combined process; the random tree ignores
-    x, y and m entirely.
-    """
+    """Parameters of one process run.  ``m`` is only meaningful for the
+    combined process; the random tree ignores x, y and m entirely."""
 
     x: int
     y: int
@@ -59,16 +52,14 @@ class ProcessConfig:
     kind: ProcessKind
     seed: int
     m: int | None = None
-    semantics: SamplingSemantics = SamplingSemantics.PERMUTATION_ORDER
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        check_seed(self.seed)
+        if type(self.n) is not int or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if self.kind is ProcessKind.RANDOM_TREE:
             return
-        if not (isinstance(self.x, int) and isinstance(self.y, int) and self.x >= 1 and self.y >= 1):
+        if not (type(self.x) is int and type(self.y) is int and self.x >= 1 and self.y >= 1):
             raise ConfigError(f"requires x, y >= 1, got ({self.x!r}, {self.y!r})")
         if self.n < max(self.x, self.y):
             raise ConfigError(f"requires n >= max(x, y) = {max(self.x, self.y)}, got n = {self.n}")
@@ -76,13 +67,10 @@ class ProcessConfig:
             if self.m is None:
                 raise ConfigError("combined process requires a target edge count m")
             if self.n <= max(self.x, self.y) + 1:
-                raise ConfigError(
-                    f"combined process requires n > max(x, y) + 1, got n = {self.n}"
-                )
-            lo = 2 * self.n - self.x - self.y - 2
-            k = max(0, self.x + self.y - self.n)
-            hi = comb(self.n - k, 2) - comb(self.x - k, 2) - comb(self.y - k, 2)
-            if not (isinstance(self.m, int) and lo <= self.m <= hi):
+                raise ConfigError(f"combined process requires n > max(x, y) + 1, got n = {self.n}")
+            lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, self.x, self.y, self.n)
+            hi = extremal_value(ExtremalKind.MAX_EDGES, self.x, self.y, self.n)
+            if not (type(self.m) is int and lo <= self.m <= hi):
                 raise ConfigError(f"m must lie in [{lo}, {hi}], got {self.m!r}")
         elif self.m is not None:
             raise ConfigError("m is only meaningful for the combined process")
@@ -90,12 +78,10 @@ class ProcessConfig:
 
 @dataclass(frozen=True)
 class ProcessOutcome:
-    """Final graph plus bookkeeping; ``attempts`` counts proposals including
-    cancelled ones and is reported only under rejection sampling."""
+    """Final graph plus bookkeeping."""
 
     graph: OrderedDag
     rounds: int
-    attempts: int | None
     halt_reason: HaltReason
     is_target_xy: bool
 
@@ -104,273 +90,142 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _check_kind(cfg: ProcessConfig, expected: ProcessKind) -> None:
-    if cfg.kind is not expected:
-        raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {expected.value!r}")
-
-
 class _State:
-    """Mutable edge/degree bookkeeping shared by the process inner loops."""
+    """Edge/degree bookkeeping of one run, started from the complete or the
+    empty graph, and the two passes that move it.  Candidate edges are
+    indexed by their position in ``ordered_pairs(n)``."""
 
     __slots__ = ("n", "pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
-    def __init__(self, n: int, complete: bool, trace: TraceFn | None) -> None:
-        self.n = n
-        self.pairs = ordered_pairs(n)
-        self.indeg = [0] * (n + 1)
-        self.outdeg = [0] * (n + 1)
+    def __init__(self, n: int, complete: bool, trace: TraceFn | None = None) -> None:
+        # the exact oracle builds one state per edge order, so this stays cheap
+        self.n, self.pairs, self.rounds, self.trace = n, ordered_pairs(n), 0, trace
         self.present = [complete] * len(self.pairs)
-        if complete:
-            for a, b in self.pairs:
-                self.indeg[b] += 1
-                self.outdeg[a] += 1
-        self.sources = sum(1 for v in range(1, n + 1) if self.indeg[v] == 0)
-        self.sinks = sum(1 for v in range(1, n + 1) if self.outdeg[v] == 0)
-        self.edge_total = len(self.pairs) if complete else 0
-        self.rounds = 0
-        self.trace = trace
+        if complete:  # vertex v has v - 1 predecessors and n - v successors
+            self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
+            self.sources = self.sinks = 1
+            self.edge_total = len(self.pairs)
+        else:
+            self.indeg, self.outdeg = [0] * (n + 1), [0] * (n + 1)
+            self.sources = self.sinks = n
+            self.edge_total = 0
 
-    def removal_blocked(self, idx: int, x: int, y: int) -> bool:
-        a, b = self.pairs[idx]
-        return (self.indeg[b] == 1 and self.sources >= x) or (
-            self.outdeg[a] == 1 and self.sinks >= y
-        )
+    def copy(self) -> _State:
+        state = _State.__new__(_State)
+        state.n, state.pairs, state.trace, state.rounds = self.n, self.pairs, self.trace, self.rounds
+        state.present, state.indeg, state.outdeg = self.present[:], self.indeg[:], self.outdeg[:]
+        state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
+        return state
 
-    def remove(self, idx: int) -> None:
-        a, b = self.pairs[idx]
-        self.present[idx] = False
-        self.indeg[b] -= 1
-        self.outdeg[a] -= 1
-        self.sources += self.indeg[b] == 0
-        self.sinks += self.outdeg[a] == 0
-        self.edge_total -= 1
-        self.rounds += 1
-        if self.trace is not None:
-            self.trace(self.rounds, "remove", a, b, self.sources, self.sinks)
+    def removal_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
+        """Remove each present edge of ``order`` unless that would raise the
+        sources above x or the sinks above y.  With a budget, halt at
+        ``budget`` edges; return whether the budget was reached."""
+        pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
+        sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
+        if edges != budget:
+            for idx in order:
+                if not present[idx]:
+                    continue
+                a, b = pairs[idx]
+                if (indeg[b] == 1 and sources >= x) or (outdeg[a] == 1 and sinks >= y):
+                    continue
+                present[idx] = False
+                indeg[b] -= 1
+                outdeg[a] -= 1
+                sources += indeg[b] == 0
+                sinks += outdeg[a] == 0
+                edges -= 1
+                rounds += 1
+                if trace is not None:
+                    trace(rounds, "remove", a, b, sources, sinks)
+                if edges == budget:
+                    break
+        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
+        return edges == budget
 
-    def addition_blocked(self, idx: int, x: int, y: int) -> bool:
-        a, b = self.pairs[idx]
-        return (self.indeg[b] == 0 and self.sources <= x) or (
-            self.outdeg[a] == 0 and self.sinks <= y
-        )
+    def addition_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
+        """Add each absent edge of ``order`` unless that would drop the
+        sources below x or the sinks below y.  Halt at the exact (x, y)
+        profile, or with a budget at ``budget`` edges; return whether the
+        pass halted.  From an exact (x, y) profile this rule admits exactly
+        the neutral additions, which keep every vertex's source/sink status."""
+        pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
+        sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
+        if budget is None:  # halt at the exact profile, never at an edge count
+            tx, ty, budget = x, y, -1
+        else:  # halt at the edge count only
+            tx = ty = -1
+        if not ((sources == tx and sinks == ty) or edges == budget):
+            for idx in order:
+                if present[idx]:
+                    continue
+                a, b = pairs[idx]
+                if (indeg[b] == 0 and sources <= x) or (outdeg[a] == 0 and sinks <= y):
+                    continue
+                present[idx] = True
+                sources -= indeg[b] == 0
+                sinks -= outdeg[a] == 0
+                indeg[b] += 1
+                outdeg[a] += 1
+                edges += 1
+                rounds += 1
+                if trace is not None:
+                    trace(rounds, "add", a, b, sources, sinks)
+                if (sources == tx and sinks == ty) or edges == budget:
+                    break
+        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
+        return (sources == tx and sinks == ty) or edges == budget
 
-    def add(self, idx: int) -> None:
-        a, b = self.pairs[idx]
-        self.present[idx] = True
-        self.sources -= self.indeg[b] == 0
-        self.sinks -= self.outdeg[a] == 0
-        self.indeg[b] += 1
-        self.outdeg[a] += 1
-        self.edge_total += 1
-        self.rounds += 1
-        if self.trace is not None:
-            self.trace(self.rounds, "add", a, b, self.sources, self.sinks)
+    def outcome(self, halt_reason: HaltReason, x: int, y: int) -> ProcessOutcome:
+        edges = set(compress(self.pairs, self.present))
+        graph = OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
+        return ProcessOutcome(graph, self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
 
-    def addition_neutral(self, idx: int) -> bool:
-        a, b = self.pairs[idx]
-        return self.indeg[b] > 0 and self.outdeg[a] > 0
 
-    def graph(self) -> OrderedDag:
-        g = OrderedDag(self.n)
-        for idx, kept in enumerate(self.present):
-            if kept:
-                a, b = self.pairs[idx]
-                g._edges.add((a, b))
-        g._indeg = list(self.indeg)
-        g._outdeg = list(self.outdeg)
-        return g
+def _begin(cfg: ProcessConfig, kind: ProcessKind, complete: bool, trace: TraceFn | None):
+    if cfg.kind is not kind:
+        raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
+    cfg.validate()
+    return _rng(cfg.seed), _State(cfg.n, complete, trace)
 
 
 def edge_removal_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Strip the complete graph down, never letting the source count exceed x
     or the sink count exceed y; halts when no edge can be removed."""
-    _check_kind(cfg, ProcessKind.REMOVAL)
-    cfg.validate()
-    rng = _rng(cfg.seed)
-    state = _State(cfg.n, complete=True, trace=trace)
-    x, y = cfg.x, cfg.y
-    attempts: int | None = None
-    if cfg.semantics is SamplingSemantics.PERMUTATION_ORDER:
-        for idx in rng.permutation(len(state.pairs)).tolist():
-            if not state.removal_blocked(idx, x, y):
-                state.remove(idx)
-    else:
-        attempts = 0
-        alive = list(range(len(state.pairs)))
-        while any(not state.removal_blocked(i, x, y) for i in alive):
-            pos = int(rng.integers(0, len(alive)))
-            idx = alive[pos]
-            attempts += 1
-            if state.removal_blocked(idx, x, y):
-                continue
-            alive[pos] = alive[-1]
-            alive.pop()
-            state.remove(idx)
-    return ProcessOutcome(
-        graph=state.graph(),
-        rounds=state.rounds,
-        attempts=attempts,
-        halt_reason=HaltReason.NO_MOVE_AVAILABLE,
-        is_target_xy=(state.sources, state.sinks) == (x, y),
-    )
+    rng, state = _begin(cfg, ProcessKind.REMOVAL, True, trace)
+    state.removal_pass(rng.permutation(len(state.pairs)).tolist(), cfg.x, cfg.y)
+    return state.outcome(HaltReason.NO_MOVE_AVAILABLE, cfg.x, cfg.y)
 
 
 def edge_addition_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Grow the empty graph, never letting the source count drop below x or
     the sink count below y; halts the moment the profile is exactly (x, y) or
     when no edge can be added."""
-    _check_kind(cfg, ProcessKind.ADDITION)
-    cfg.validate()
-    rng = _rng(cfg.seed)
-    state = _State(cfg.n, complete=False, trace=trace)
-    x, y = cfg.x, cfg.y
-    attempts: int | None = None
-    halt = HaltReason.NO_MOVE_AVAILABLE
-    if (state.sources, state.sinks) == (x, y):  # only possible when x = y = n
-        halt = HaltReason.EXACT_TARGET_REACHED
-    elif cfg.semantics is SamplingSemantics.PERMUTATION_ORDER:
-        for idx in rng.permutation(len(state.pairs)).tolist():
-            if state.addition_blocked(idx, x, y):
-                continue
-            state.add(idx)
-            if state.sources == x and state.sinks == y:
-                halt = HaltReason.EXACT_TARGET_REACHED
-                break
-    else:
-        attempts = 0
-        absent = list(range(len(state.pairs)))
-        while True:
-            if not any(not state.addition_blocked(i, x, y) for i in absent):
-                break
-            pos = int(rng.integers(0, len(absent)))
-            idx = absent[pos]
-            attempts += 1
-            if state.addition_blocked(idx, x, y):
-                continue
-            absent[pos] = absent[-1]
-            absent.pop()
-            state.add(idx)
-            if state.sources == x and state.sinks == y:
-                halt = HaltReason.EXACT_TARGET_REACHED
-                break
-    return ProcessOutcome(
-        graph=state.graph(),
-        rounds=state.rounds,
-        attempts=attempts,
-        halt_reason=halt,
-        is_target_xy=(state.sources, state.sinks) == (x, y),
-    )
+    rng, state = _begin(cfg, ProcessKind.ADDITION, False, trace)
+    hit = state.addition_pass(rng.permutation(len(state.pairs)).tolist(), cfg.x, cfg.y)
+    halt = HaltReason.EXACT_TARGET_REACHED if hit else HaltReason.NO_MOVE_AVAILABLE
+    return state.outcome(halt, cfg.x, cfg.y)
 
 
 def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Addition to termination, then random neutral additions or capped
-    removals until exactly m edges remain.
-
-    The adjustment phases keep the profile pinned at (x, y); if the addition
-    phase misses the target (possible when x != y) the run stops there with
-    is_target_xy False.
-    """
-    _check_kind(cfg, ProcessKind.COMBINED)
-    cfg.validate()
-    rng = _rng(cfg.seed)
-    state = _State(cfg.n, complete=False, trace=trace)
+    removals until exactly m edges remain.  The adjustment keeps the profile
+    at (x, y); if the addition phase misses it (possible when x != y) the run
+    stops there with is_target_xy False."""
+    rng, state = _begin(cfg, ProcessKind.COMBINED, False, trace)
     x, y, m = cfg.x, cfg.y, cfg.m
-    rejection = cfg.semantics is SamplingSemantics.REJECTION_SAMPLING
-    attempts = 0 if rejection else None
-
-    # phase 1: the plain addition process
-    if (state.sources, state.sinks) != (x, y):
-        if not rejection:
-            for idx in rng.permutation(len(state.pairs)).tolist():
-                if state.addition_blocked(idx, x, y):
-                    continue
-                state.add(idx)
-                if state.sources == x and state.sinks == y:
-                    break
-        else:
-            absent = list(range(len(state.pairs)))
-            while True:
-                if not any(not state.addition_blocked(i, x, y) for i in absent):
-                    break
-                pos = int(rng.integers(0, len(absent)))
-                idx = absent[pos]
-                attempts += 1
-                if state.addition_blocked(idx, x, y):
-                    continue
-                absent[pos] = absent[-1]
-                absent.pop()
-                state.add(idx)
-                if state.sources == x and state.sinks == y:
-                    break
-    if (state.sources, state.sinks) != (x, y):
-        return ProcessOutcome(
-            graph=state.graph(),
-            rounds=state.rounds,
-            attempts=attempts,
-            halt_reason=HaltReason.NO_MOVE_AVAILABLE,
-            is_target_xy=False,
-        )
-
-    # phase 2: adjust the edge count to exactly m
-    halt = HaltReason.EDGE_BUDGET_REACHED
-    if state.edge_total < m:
-        # neutral additions leave every vertex's source/sink status unchanged
-        if not rejection:
-            for idx in rng.permutation(len(state.pairs)).tolist():
-                if state.edge_total == m:
-                    break
-                if state.present[idx] or not state.addition_neutral(idx):
-                    continue
-                state.add(idx)
-            if state.edge_total != m:
-                halt = HaltReason.NO_MOVE_AVAILABLE
-        else:
-            absent = [i for i in range(len(state.pairs)) if not state.present[i]]
-            while state.edge_total < m:
-                if not any(state.addition_neutral(i) for i in absent):
-                    halt = HaltReason.NO_MOVE_AVAILABLE
-                    break
-                pos = int(rng.integers(0, len(absent)))
-                idx = absent[pos]
-                attempts += 1
-                if not state.addition_neutral(idx):
-                    continue
-                absent[pos] = absent[-1]
-                absent.pop()
-                state.add(idx)
-    elif state.edge_total > m:
+    if not state.addition_pass(rng.permutation(len(state.pairs)).tolist(), x, y):
+        return state.outcome(HaltReason.NO_MOVE_AVAILABLE, x, y)
+    fill = state.edge_total < m
+    adjust = state.addition_pass if fill else state.removal_pass
+    if adjust(rng.permutation(len(state.pairs)).tolist(), x, y, budget=m):
+        return state.outcome(HaltReason.EDGE_BUDGET_REACHED, x, y)
+    if not fill:
         # capped removals from an exact (x, y) graph keep the profile exact,
-        # and a minimal graph has at most 2n - x - y - 2 <= m edges, so the
-        # sweep always reaches m
-        if not rejection:
-            for idx in rng.permutation(len(state.pairs)).tolist():
-                if state.edge_total == m:
-                    break
-                if not state.present[idx] or state.removal_blocked(idx, x, y):
-                    continue
-                state.remove(idx)
-        else:
-            alive = [i for i in range(len(state.pairs)) if state.present[i]]
-            while state.edge_total > m:
-                if not any(not state.removal_blocked(i, x, y) for i in alive):
-                    break
-                pos = int(rng.integers(0, len(alive)))
-                idx = alive[pos]
-                attempts += 1
-                if state.removal_blocked(idx, x, y):
-                    continue
-                alive[pos] = alive[-1]
-                alive.pop()
-                state.remove(idx)
-        if state.edge_total != m:
-            raise AssertionError("removal adjustment failed to reach the edge budget")
-    return ProcessOutcome(
-        graph=state.graph(),
-        rounds=state.rounds,
-        attempts=attempts,
-        halt_reason=halt,
-        is_target_xy=(state.sources, state.sinks) == (x, y),
-    )
+        # and a minimal graph has at most 2n - x - y - 2 <= m edges
+        raise TaskDagError(f"removal adjustment stopped at {state.edge_total} edges, above m = {m}")
+    return state.outcome(HaltReason.NO_MOVE_AVAILABLE, x, y)
 
 
 def random_directed_tree(n: int, seed: int) -> OrderedDag:
@@ -379,13 +234,10 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     The result has exactly n - 1 edges, its underlying graph is a tree, and
     vertex 1 is the unique source.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    check_seed(seed)
     g = OrderedDag(n)
-    if n == 1:
-        return g
     draws = _rng(seed).random(n - 1)
     for s in range(1, n):
         parent = int(draws[s - 1] * s) + 1  # uniform on 1..s
@@ -404,11 +256,5 @@ def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutc
     if cfg.kind is ProcessKind.RANDOM_TREE:
         cfg.validate()
         g = random_directed_tree(cfg.n, cfg.seed)
-        return ProcessOutcome(
-            graph=g,
-            rounds=g.edge_count,
-            attempts=None,
-            halt_reason=HaltReason.NO_MOVE_AVAILABLE,
-            is_target_xy=g.profile().matches(cfg.x, cfg.y),
-        )
+        return ProcessOutcome(g, g.edge_count, HaltReason.NO_MOVE_AVAILABLE, g.profile().matches(cfg.x, cfg.y))
     raise ConfigError(f"unknown process kind {cfg.kind!r}")

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -78,6 +79,18 @@ class TestTrials:
         assert code == 0
         assert json.loads(out)["mean_edges"] == 8.0
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--jobs", "0")])
+    def test_bad_seed_or_jobs_is_json_error(self, capsys, flag, value):
+        argv = {"--seed": "2", "--jobs": "1", flag: value}
+        code, out, err = run_cli(
+            capsys, "trials", "--process", "removal", "--n", "4", "--trials", "10",
+            "--seed", argv["--seed"], "--jobs", argv["--jobs"],
+        )
+        assert code == 2 and out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
 
 class TestTableAndGrowth:
     def test_table_csv(self, capsys):
@@ -97,6 +110,17 @@ class TestTableAndGrowth:
         )
         assert code == 2
         assert json.loads(err)["error"] == "TaskDagError"
+
+    @pytest.mark.parametrize("command,extra", [
+        ("table", ["--pairs", "1-2", "--n-min", "4", "--n-max", "4"]),
+        ("growth", ["--x", "1", "--y", "1", "--n-list", "4"]),
+    ])
+    def test_negative_seed_is_json_error(self, capsys, command, extra):
+        code, out, err = run_cli(
+            capsys, command, "--process", "removal", *extra, "--trials", "5", "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ConfigError"
 
     def test_growth_csv(self, capsys):
         code, out, _ = run_cli(
@@ -127,6 +151,32 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--input", str(path))
         assert code == 2
         assert json.loads(err)["error"] == "GraphError"
+
+    def test_non_ascii_input(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes('{"n":3,"edges":[]} \u00e9'.encode("utf-8"))
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "GraphError"
+
+    def test_stdin_input(self, capsys, monkeypatch):
+        for stdin in (
+            io.TextIOWrapper(io.BytesIO(b'{"n":2,"edges":[[1,2]]}')),
+            io.StringIO('{"n":2,"edges":[[1,2]]}'),
+        ):
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, _ = run_cli(capsys, "analyze", "--input", "-")
+            assert code == 0 and json.loads(out)["edges"] == 1
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff")))
+        code, _, err = run_cli(capsys, "analyze", "--input", "-")
+        assert code == 2 and json.loads(err)["error"] == "GraphError"
+
+    def test_profile_mismatch(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n":3,"edges":[[1,2],[2,3]]}')
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--x", "2", "--y", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.json"))

@@ -30,6 +30,25 @@ class TestConstructors:
         assert complete_graph(4).edge_count == 6
         assert complete_graph(2).edges() == [(1, 2)]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_degrees_match_edge_by_edge_build(self, n):
+        g = complete_graph(n)
+        ref = OrderedDag.from_edges(n, ordered_pairs(n))
+        for h in (g, g.copy()):
+            assert h == ref
+            assert [h.in_degree(v) for v in range(1, n + 1)] == [ref.in_degree(v) for v in range(1, n + 1)]
+            assert [h.out_degree(v) for v in range(1, n + 1)] == [ref.out_degree(v) for v in range(1, n + 1)]
+
+    def test_complete_bad_order_rejected(self):
+        with pytest.raises(GraphError):
+            complete_graph(True)
+
+    def test_copy_is_independent(self):
+        g = complete_graph(3)
+        h = g.copy()
+        h.remove_edge(1, 3)
+        assert g.has_edge(1, 3) and g.out_degree(1) == 2 and h.out_degree(1) == 1
+
     def test_complete_profile(self):
         prof = complete_graph(5).profile()
         assert prof.initial == {1}
@@ -158,6 +177,10 @@ class TestSerialization:
     def test_json_rejects_garbage(self):
         with pytest.raises(GraphError, match="invalid graph JSON"):
             OrderedDag.from_json("{")
+
+    def test_json_rejects_non_ascii_bytes(self):
+        with pytest.raises(GraphError, match="ASCII"):
+            OrderedDag.from_json('{"n":2,"edges":[]}\u00e9'.encode("utf-8"))
 
     def test_json_rejects_extra_fields(self):
         with pytest.raises(GraphError, match="exactly the fields"):

@@ -35,6 +35,21 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="trials"):
             run_trials(_cfg(1, 1, 4), 0, master_seed=1)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"trials": True}, "trials"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"master_seed": 2**64}, "master_seed"),
+            ({"master_seed": True}, "master_seed"),
+            ({"parallelism": 0}, "parallelism"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, match):
+        args = {"trials": 10, "master_seed": 1, "parallelism": 1, **kwargs}
+        with pytest.raises(ConfigError, match=match):
+            run_trials(_cfg(1, 1, 4), **args)
+
     def test_propagates_config_errors(self):
         with pytest.raises(ConfigError):
             run_trials(_cfg(3, 1, 2), 10, master_seed=1)
@@ -74,7 +89,6 @@ class TestRunTrials:
             "y",
             "n",
             "m",
-            "semantics",
             "trials",
             "master_seed",
             "success_ratio",

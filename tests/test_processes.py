@@ -7,14 +7,13 @@ import pytest
 
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
 from taskdag.errors import ConfigError
-from taskdag.graph import ordered_pairs
+from taskdag.graph import OrderedDag, ordered_pairs
 from taskdag.oracle import exact_process_distribution
 from taskdag.processes import (
     HaltReason,
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
-    SamplingSemantics,
     combined_process,
     edge_addition_process,
     edge_removal_process,
@@ -120,6 +119,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             edge_removal_process(cfg)
 
+    def test_combined_m_range_when_profiles_overlap(self):
+        # x + y > n: the ceiling subtracts the k = x + y - n forced isolated vertices
+        cfg = ProcessConfig(3, 3, 5, ProcessKind.COMBINED, seed=0, m=5)
+        with pytest.raises(ConfigError, match=r"m must lie in \[2, 4\]"):
+            combined_process(cfg)
+
+    @pytest.mark.parametrize("field", ["x", "y", "n", "m", "seed"])
+    def test_bool_fields_rejected(self, field):
+        values = {"x": 1, "y": 1, "n": 6, "kind": ProcessKind.COMBINED, "seed": 1, "m": 8}
+        values[field] = True
+        with pytest.raises(ConfigError):
+            combined_process(ProcessConfig(**values))
+
+    def test_bool_tree_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            run_process(ProcessConfig(1, 1, 5, ProcessKind.RANDOM_TREE, seed=True))
+
 
 class TestRemovalProcess:
     def test_1_1_3_always_the_path(self):
@@ -129,7 +145,6 @@ class TestRemovalProcess:
             assert out.is_target_xy
             assert out.halt_reason is HaltReason.NO_MOVE_AVAILABLE
             assert out.rounds == 1
-            assert out.attempts is None
 
     def test_2_1_3_hits_target_half_the_time(self):
         dist = exact_process_distribution(ProcessKind.REMOVAL, 2, 1, 3)
@@ -168,13 +183,6 @@ class TestRemovalProcess:
         sinks = [ev[5] for ev in events]
         assert sources == sorted(sources) and max(sources) <= 2
         assert sinks == sorted(sinks) and max(sinks) <= 3
-
-    def test_rejection_counts_attempts(self):
-        cfg = ProcessConfig(
-            1, 1, 5, ProcessKind.REMOVAL, 3, semantics=SamplingSemantics.REJECTION_SAMPLING
-        )
-        out = edge_removal_process(cfg)
-        assert out.attempts is not None and out.attempts >= out.rounds
 
 
 class TestAdditionProcess:
@@ -233,14 +241,13 @@ class TestSemanticsEquivalence:
         )
 
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
-    @pytest.mark.parametrize("semantics", list(SamplingSemantics))
-    def test_monte_carlo_matches_exact_law(self, kind, semantics):
+    def test_monte_carlo_matches_exact_law(self, kind):
         x, y, n, trials = 2, 1, 4, 20_000
         exact = exact_process_distribution(kind, x, y, n).outcomes
         runner = edge_removal_process if kind is ProcessKind.REMOVAL else edge_addition_process
         seen = defaultdict(int)
         for seed in range(trials):
-            out = runner(ProcessConfig(x, y, n, kind, seed, semantics=semantics))
+            out = runner(ProcessConfig(x, y, n, kind, seed))
             prof = out.graph.profile().counts
             seen[(prof[0], prof[1], out.graph.edge_count)] += 1
         assert set(seen) <= set(exact)
@@ -255,9 +262,6 @@ class TestDeterminism:
         [
             ProcessConfig(1, 2, 9, ProcessKind.REMOVAL, 424242),
             ProcessConfig(2, 1, 9, ProcessKind.ADDITION, 424242),
-            ProcessConfig(
-                1, 1, 8, ProcessKind.REMOVAL, 7, semantics=SamplingSemantics.REJECTION_SAMPLING
-            ),
             ProcessConfig(1, 1, 8, ProcessKind.COMBINED, 99, m=14),
         ],
     )
@@ -265,9 +269,8 @@ class TestDeterminism:
         a = run_process(cfg)
         b = run_process(cfg)
         assert a.graph.to_json() == b.graph.to_json()
-        assert (a.rounds, a.attempts, a.halt_reason, a.is_target_xy) == (
+        assert (a.rounds, a.halt_reason, a.is_target_xy) == (
             b.rounds,
-            b.attempts,
             b.halt_reason,
             b.is_target_xy,
         )
@@ -295,6 +298,23 @@ class TestOutcomeInvariants:
             if out.halt_reason is HaltReason.EXACT_TARGET_REACHED:
                 assert out.is_target_xy
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ProcessConfig(2, 3, 8, ProcessKind.REMOVAL, 0),
+            ProcessConfig(2, 1, 8, ProcessKind.ADDITION, 0),
+            ProcessConfig(1, 1, 8, ProcessKind.COMBINED, 0, m=20),
+            ProcessConfig(1, 1, 8, ProcessKind.COMBINED, 0, m=12),
+        ],
+    )
+    def test_outcome_degrees_match_rebuilt_graph(self, cfg):
+        for seed in range(10):
+            g = run_process(ProcessConfig(cfg.x, cfg.y, cfg.n, cfg.kind, seed, m=cfg.m)).graph
+            ref = OrderedDag.from_edges(g.n, g.edges())
+            vertices = range(1, g.n + 1)
+            assert [g.in_degree(v) for v in vertices] == [ref.in_degree(v) for v in vertices]
+            assert [g.out_degree(v) for v in vertices] == [ref.out_degree(v) for v in vertices]
+
 
 class TestCombinedProcess:
     def test_exact_budget_and_profile(self):
@@ -321,14 +341,6 @@ class TestCombinedProcess:
             out = combined_process(ProcessConfig(1, 1, 7, ProcessKind.COMBINED, seed, m=19))
             assert out.graph.edge_count == 19
             assert out.graph.profile().counts == (1, 1)
-
-    def test_rejection_semantics_also_exact(self):
-        cfg = ProcessConfig(
-            1, 1, 7, ProcessKind.COMBINED, 5, m=12, semantics=SamplingSemantics.REJECTION_SAMPLING
-        )
-        out = combined_process(cfg)
-        assert out.graph.edge_count == 12 and out.is_target_xy
-        assert out.attempts is not None
 
     def test_miss_reported_honestly(self):
         # x != y additions can stall off-target; when they do the outcome says so
