@@ -1,15 +1,20 @@
-"""Golden outputs: the seeded processes must keep producing the same bytes.
+"""Golden outputs: the seeded processes and the harness must keep producing the same bytes.
 
-Each digest is the sha256 over seeds 0..199 of one line per run holding the
-graph JSON, the round count, the halt reason and the target flag.  A change
-to any process kernel that alters a single edge, round count or halt reason
-of any of these runs changes the digest.
+Each process digest is the sha256 over seeds 0..199 of one line per run
+holding the graph JSON, the round count, the halt reason and the target flag.
+A change to any process kernel that alters a single edge, round count or halt
+reason of any of these runs changes the digest.
+
+Each harness digest is the sha256 of one experiment's output text: a
+``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
+success-ratio table and a growth series.
 """
 
 import hashlib
 
 import pytest
 
+from taskdag.harness import growth_experiment, run_trials, table_experiment
 from taskdag.processes import ProcessConfig, ProcessKind, run_process
 
 SEEDS = range(200)
@@ -55,3 +60,57 @@ def outcome_digest(cfg: ProcessConfig) -> str:
 @pytest.mark.parametrize("cfg,digest", [(c, d) for _, c, d in GOLDEN], ids=[g[0] for g in GOLDEN])
 def test_outputs_match_golden_digest(cfg, digest):
     assert outcome_digest(cfg) == digest
+
+
+HARNESS_TRIALS = [
+    (
+        "removal-1-3-8",
+        ProcessConfig(1, 3, 8, ProcessKind.REMOVAL, 0),
+        "db4d7e5bc09d99fab30baf652c41c592692e33a5dc7aeeab77b5ce6a4027410c",
+    ),
+    (
+        "addition-2-1-7",
+        ProcessConfig(2, 1, 7, ProcessKind.ADDITION, 0),
+        "af29fe43cabf202f7236587116e839ec9cb4dfa0a54f2ebb7ed39ac7d1b3c55f",
+    ),
+    (
+        "combined-1-1-7-m10",
+        ProcessConfig(1, 1, 7, ProcessKind.COMBINED, 0, m=10),
+        "220a48af438a369b0aa688969ec941c46df388e7a8290e00953c94b7e25333c2",
+    ),
+    (
+        "tree-12",
+        ProcessConfig(1, 1, 12, ProcessKind.RANDOM_TREE, 0),
+        "862f7fe7d8e7c92d57d46f8fdfd2bc6fc8b2bcbf027d1521ee233e74ef3d7f94",
+    ),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "cfg,digest", [(c, d) for _, c, d in HARNESS_TRIALS], ids=[t[0] for t in HARNESS_TRIALS]
+)
+def test_run_trials_match_golden_digest(cfg, digest, parallelism):
+    summary = run_trials(cfg, 1100, master_seed=42, parallelism=parallelism)
+    assert _sha(summary.to_json()) == digest
+
+
+def test_table_matches_golden_digest():
+    csv = table_experiment(
+        ProcessKind.ADDITION,
+        [(1, 2), (2, 2)],
+        (n for n in (5, 6, 7)),
+        300,
+        master_seed=9,
+        parallelism=2,
+    )
+    assert _sha(csv) == "612346dfdb8b22a237103ddde3299875247b28b2ed82e9013eefadc434cef730"
+
+
+def test_growth_matches_golden_digest():
+    csv = growth_experiment(ProcessKind.REMOVAL, 1, 2, [6, 9], 200, master_seed=4)
+    assert _sha(csv) == "5ecf0d08a3dd7612a1e8a7f0217263d697fcbeda9432d40d04f6c7dcddd61ce1"
