@@ -21,13 +21,12 @@ _PROCESS_TOKENS = {kind.value: kind for kind in ProcessKind}
 _ORACLE_KINDS = {kind.value: kind for kind in analysis.ExtremalKind}
 
 
-def _add_process_args(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_process_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--process", required=True, choices=sorted(_PROCESS_TOKENS))
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--y", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
-    if with_m:
-        p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
 
 
@@ -95,7 +94,7 @@ def _config(args: argparse.Namespace) -> ProcessConfig:
         n=args.n,
         kind=_PROCESS_TOKENS[args.process],
         seed=args.seed,
-        m=getattr(args, "m", None),
+        m=args.m,
     )
 
 

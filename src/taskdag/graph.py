@@ -54,8 +54,10 @@ def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
 class OrderedDag:
     """Labeled DAG on vertices 1..n whose edges all respect the index order.
 
-    Degree tallies are stored alongside the edge set rather than recomputed,
-    since the generation processes poll source/sink counts on every round.
+    Degree tallies are stored alongside the edge set, so degrees and profiles
+    are read without a pass over the edges.  The generation processes keep
+    their own tallies in ``processes._State`` and hand them over through
+    ``_adopt`` when a run ends.
     A graph value is single-owner: share by copying, not by aliasing.
     """
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,22 +43,9 @@ class TrialSummary:
     mean_edges: float
     mean_longest_path: float
     mean_isolated: float
-    per_trial: tuple[tuple[int, int, int, int], ...] | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind.value,
-            "x": self.x,
-            "y": self.y,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "success_ratio": self.success_ratio,
-            "mean_edges": self.mean_edges,
-            "mean_longest_path": self.mean_longest_path,
-            "mean_isolated": self.mean_isolated,
-        }
+        payload = {**asdict(self), "kind": self.kind.value}
         return json.dumps(payload, separators=(",", ":"))
 
 
@@ -74,61 +61,55 @@ def _trial_stats(cfg: ProcessConfig, master_seed: int, index: int) -> tuple[int,
     )
 
 
-def _block_sums(args: tuple[ProcessConfig, int, int, int, bool]):
-    cfg, master_seed, start, stop, keep = args
+def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
+    """Column sums of trials ``start..stop-1`` of one cell: the unit of work."""
+    cfg, master_seed, start, stop = args
     rows = [_trial_stats(cfg, master_seed, i) for i in range(start, stop)]
-    sums = tuple(sum(col) for col in zip(*rows))
-    return (sums, rows if keep else None)
+    return tuple(sum(col) for col in zip(*rows))
+
+
+def _run_cells(
+    cells: Sequence[tuple[ProcessConfig, int]], trials: int, parallelism: int
+) -> list[tuple[int, ...]]:
+    """Run ``trials`` seeded trials of each (config, master seed) cell and return
+    its column totals.  All input is validated before any trial runs; every cell
+    is cut into fixed blocks, and all blocks run serially or in one pool.
+    """
+    if type(trials) is not int or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if type(parallelism) is not int or parallelism < 1:
+        raise ConfigError(f"parallelism must be a positive integer, got {parallelism!r}")
+    if not cells:
+        raise ConfigError("an experiment needs at least one cell, got none")
+    for cfg, master_seed in cells:
+        check_seed(master_seed, "master_seed")
+        replace(cfg, seed=0).validate()
+    blocks = [
+        (cfg, master_seed, start, min(start + _CHUNK, trials))
+        for cfg, master_seed in cells
+        for start in range(0, trials, _CHUNK)
+    ]
+    if parallelism > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            sums = list(pool.map(_block_sums, blocks))
+    else:
+        sums = [_block_sums(block) for block in blocks]
+    per_cell = len(blocks) // len(cells)
+    by_cell = (sums[i : i + per_cell] for i in range(0, len(sums), per_cell))
+    return [tuple(sum(col) for col in zip(*cell_sums)) for cell_sums in by_cell]
 
 
 def run_trials(
-    cfg: ProcessConfig,
-    trials: int,
-    master_seed: int,
-    parallelism: int = 1,
-    keep_per_trial: bool = False,
+    cfg: ProcessConfig, trials: int, master_seed: int, parallelism: int = 1
 ) -> TrialSummary:
     """Run ``trials`` independent seeded instances of ``cfg`` and aggregate.
 
     ``cfg.seed`` is ignored: trial i runs with a stream derived from
     (master_seed, i).  The result does not depend on ``parallelism``.
     """
-    if type(trials) is not int or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    if type(parallelism) is not int or parallelism < 1:
-        raise ConfigError(f"parallelism must be a positive integer, got {parallelism!r}")
-    check_seed(master_seed, "master_seed")
-    replace(cfg, seed=0).validate()
-    blocks = [
-        (cfg, master_seed, start, min(start + _CHUNK, trials), keep_per_trial)
-        for start in range(0, trials, _CHUNK)
-    ]
-    if parallelism > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_block_sums, blocks))
-    else:
-        results = [_block_sums(block) for block in blocks]
-    totals = [0, 0, 0, 0]
-    per_trial: list[tuple[int, int, int, int]] = []
-    for sums, rows in results:
-        for i, v in enumerate(sums):
-            totals[i] += v
-        if keep_per_trial and rows is not None:
-            per_trial.extend(rows)
-    return TrialSummary(
-        kind=cfg.kind,
-        x=cfg.x,
-        y=cfg.y,
-        n=cfg.n,
-        m=cfg.m,
-        trials=trials,
-        master_seed=master_seed,
-        success_ratio=totals[0] / trials,
-        mean_edges=totals[1] / trials,
-        mean_longest_path=totals[2] / trials,
-        mean_isolated=totals[3] / trials,
-        per_trial=tuple(per_trial) if keep_per_trial else None,
-    )
+    (totals,) = _run_cells([(cfg, master_seed)], trials, parallelism)
+    means = (total / trials for total in totals)  # in field order, success_ratio first
+    return TrialSummary(cfg.kind, cfg.x, cfg.y, cfg.n, cfg.m, trials, master_seed, *means)
 
 
 def table_experiment(
@@ -146,15 +127,16 @@ def table_experiment(
     (master_seed, x, y, n).
     """
     check_seed(master_seed, "master_seed")
-    n_values = list(n_values)
+    n_values = list(n_values)  # read once: it may be a one-shot iterator
+    cells = [
+        (ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0), derive_seed(master_seed, x, y, n))
+        for x, y in pairs
+        for n in n_values
+    ]
+    totals = _run_cells(cells, trials, parallelism)
     lines = ["pair,n,ratio"]
-    for x, y in pairs:
-        for n in n_values:
-            cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0)
-            summary = run_trials(
-                cfg, trials, derive_seed(master_seed, x, y, n), parallelism=parallelism
-            )
-            lines.append(f"{x}-{y},{n},{summary.success_ratio:.4f}")
+    for (cfg, _), (success, *_) in zip(cells, totals):
+        lines.append(f"{cfg.x}-{cfg.y},{cfg.n},{success / trials:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -172,16 +154,14 @@ def growth_experiment(
     No curve fitting happens here; downstream tools consume the series.
     """
     check_seed(master_seed, "master_seed")
+    cells = [
+        (ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0), derive_seed(master_seed, x, y, n))
+        for n in n_values
+    ]
+    totals = _run_cells(cells, trials, parallelism)
     lines = ["n,mean_edges,mean_longest_path,mean_isolated"]
-    for n in list(n_values):
-        cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0)
-        summary = run_trials(
-            cfg, trials, derive_seed(master_seed, x, y, n), parallelism=parallelism
-        )
-        lines.append(
-            f"{n},{summary.mean_edges:.4f},{summary.mean_longest_path:.4f},"
-            f"{summary.mean_isolated:.4f}"
-        )
+    for (cfg, _), (_, *sums) in zip(cells, totals):
+        lines.append(",".join([str(cfg.n), *(f"{total / trials:.4f}" for total in sums)]))
     return "\n".join(lines) + "\n"
 
 

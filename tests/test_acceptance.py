@@ -8,6 +8,7 @@ import functools
 import math
 import time
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -39,6 +40,7 @@ from taskdag.processes import (
     combined_process,
     edge_removal_process,
     random_directed_tree,
+    run_process,
 )
 
 BASE_SEED = 20260809
@@ -236,10 +238,10 @@ def test_criterion_10_micro_distributions():
     ]
     for kind, x, y, exact, tag in configs:
         cfg = ProcessConfig(x, y, 3, kind, seed=0)
-        summary = run_trials(cfg, trials, derive_seed(BASE_SEED, tag), keep_per_trial=True)
+        master = derive_seed(BASE_SEED, tag)
         seen = defaultdict(int)
-        for success, edges, _, _ in summary.per_trial:
-            seen[edges] += 1
+        for i in range(trials):
+            seen[run_process(replace(cfg, seed=derive_seed(master, i))).graph.edge_count] += 1
         by_edges = defaultdict(Fraction)
         for (r, s, edges), p in exact.items():
             by_edges[edges] += p

@@ -122,6 +122,15 @@ class TestTableAndGrowth:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ConfigError"
 
+    def test_empty_n_range_is_json_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--process", "removal", "--pairs", "1-2",
+            "--n-min", "6", "--n-max", "5", "--trials", "10", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_growth_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "growth", "--process", "addition", "--x", "1", "--y", "1",

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from taskdag import harness
 from taskdag.errors import ConfigError
 from taskdag.graph import OrderedDag, empty_graph
 from taskdag.harness import (
@@ -11,7 +13,7 @@ from taskdag.harness import (
     run_trials,
     table_experiment,
 )
-from taskdag.processes import ProcessConfig, ProcessKind
+from taskdag.processes import ProcessConfig, ProcessKind, run_process
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
@@ -59,10 +61,21 @@ class TestRunTrials:
         b = run_trials(_cfg(1, 3, 6), 400, master_seed=2)
         assert (a.success_ratio, a.mean_edges) != (b.success_ratio, b.mean_edges)
 
-    def test_per_trial_records(self):
-        summary = run_trials(_cfg(1, 1, 5), 50, master_seed=3, keep_per_trial=True)
-        assert summary.per_trial is not None and len(summary.per_trial) == 50
-        assert summary.success_ratio == sum(r[0] for r in summary.per_trial) / 50
+    def test_means_equal_direct_loop_over_trial_seeds(self):
+        # trial i runs with seed derive_seed(master, i), and the column sums of
+        # its three blocks reduce to the means of one direct loop
+        cfg, trials, master = _cfg(2, 1, 7, kind=ProcessKind.ADDITION), 1100, 3
+        rows = []
+        for i in range(trials):
+            out = run_process(replace(cfg, seed=derive_seed(master, i)))
+            g = out.graph
+            rows.append(
+                (out.is_target_xy, g.edge_count, g.longest_path_length(), len(g.profile().isolated))
+            )
+        s = run_trials(cfg, trials, master_seed=master, parallelism=2)
+        expected = tuple(sum(col) / trials for col in zip(*rows))
+        assert (s.success_ratio, s.mean_edges, s.mean_longest_path, s.mean_isolated) == expected
+        assert s.mean_isolated > 0  # every column is exercised
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)
@@ -128,6 +141,27 @@ class TestTableExperiment:
         csv = table_experiment(ProcessKind.REMOVAL, [(2, 2)], [5, 6], 150, master_seed=1)
         for line in csv.strip().split("\n")[1:]:
             assert line.endswith(",1.0000")
+
+    def test_one_pool_per_experiment(self, monkeypatch):
+        # six one-block cells at parallelism 2 share one pool
+        pools, real_pool = [], harness.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+        csv = table_experiment(
+            ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, master_seed=4, parallelism=2
+        )
+        assert pools == [{"max_workers": 2}]
+        serial = table_experiment(ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, 4)
+        assert csv == serial and len(pools) == 1
+
+    @pytest.mark.parametrize("pairs,n_values", [([], [5, 6]), ([(1, 2)], range(6, 5))])
+    def test_empty_grid_is_config_error(self, pairs, n_values):
+        with pytest.raises(ConfigError, match="at least one cell"):
+            table_experiment(ProcessKind.REMOVAL, pairs, n_values, 10, master_seed=1)
 
     def test_ratio_formatting(self):
         csv = table_experiment(ProcessKind.ADDITION, [(1, 3)], [5], 40, master_seed=8)
