@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, GraphError, check_int
 from .graph import OrderedDag, VertexProfile
 
 __all__ = [
@@ -43,20 +43,13 @@ class ExtremalKind(str, Enum):
     MAX_ORDERINGS = "max-orderings"
 
 
-def _check_xy(x: int, y: int) -> None:
-    if not (isinstance(x, int) and isinstance(y, int) and x >= 1 and y >= 1):
-        raise DomainError(f"requires integer x, y >= 1, got ({x!r}, {y!r})")
-
-
 def extremal_value(kind: ExtremalKind, x: int, y: int, n: int) -> int:
     """Evaluate the closed form for ``kind`` at (x, y, n).
 
     All forms are symmetric under swapping x and y; parameters outside the
     stated domain raise DomainError naming the missing case.
     """
-    _check_xy(x, y)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"requires integer n >= 1, got {n!r}")
+    check_int(DomainError, x=x, y=y, n=n)
     hi, lo = max(x, y), min(x, y)
 
     if kind is ExtremalKind.MAX_MINIMAL_EDGES:
@@ -175,21 +168,21 @@ def remove_removable_path(g: OrderedDag, path: Sequence[int]) -> OrderedDag:
     """Delete a removable path's edges and interior vertices, relabeling 1..n'.
 
     Remaining vertices keep their relative order, so edges still satisfy
-    a < b.  Raises ValueError if ``path`` is not removable in ``g``.
+    a < b.  Raises GraphError if ``path`` is not removable in ``g``.
     """
     path = tuple(path)
     if len(path) < 3:
-        raise ValueError(f"a removable path needs at least 3 vertices, got {len(path)}")
+        raise GraphError(f"a removable path needs at least 3 vertices, got {len(path)}")
     for a, b in zip(path, path[1:]):
         if not g.has_edge(a, b):
-            raise ValueError(f"path edge ({a}, {b}) is not in the graph")
+            raise GraphError(f"path edge ({a}, {b}) is not in the graph")
     for v in path[1:-1]:
         if g.in_degree(v) != 1 or g.out_degree(v) != 1:
-            raise ValueError(f"interior path vertex {v} must have in- and out-degree 1")
+            raise GraphError(f"interior path vertex {v} must have in- and out-degree 1")
     if g.out_degree(path[0]) <= 1:
-        raise ValueError(f"path start {path[0]} must have out-degree > 1")
+        raise GraphError(f"path start {path[0]} must have out-degree > 1")
     if g.in_degree(path[-1]) <= 1:
-        raise ValueError(f"path end {path[-1]} must have in-degree > 1")
+        raise GraphError(f"path end {path[-1]} must have in-degree > 1")
 
     dropped = set(path[1:-1])
     path_edges = set(zip(path, path[1:]))
@@ -356,8 +349,7 @@ def retention_probability_bound(r: int, s: int, n: int) -> Fraction:
     Exact rational 1/(s-1) + 1/(n-r) - 1/(n-2+s-r); always within [0, 1] on
     the valid range 1 <= r < s <= n with n >= 3.
     """
-    if not (isinstance(r, int) and isinstance(s, int) and isinstance(n, int)):
-        raise DomainError(f"requires integers, got ({r!r}, {s!r}, {n!r})")
+    check_int(DomainError, r=r, s=s, n=n)
     if not (n >= 3 and 1 <= r < s <= n):
         raise DomainError(f"requires 1 <= r < s <= n and n >= 3, got ({r}, {s}, {n})")
     return Fraction(1, s - 1) + Fraction(1, n - r) - Fraction(1, n - 2 + s - r)
@@ -368,8 +360,7 @@ def expected_tree_path_length(k: int) -> Fraction:
 
     Equals the harmonic number 1 + 1/2 + ... + 1/(k-1); zero for k = 1.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"requires integer k >= 1, got {k!r}")
+    check_int(DomainError, k=k)
     return sum((Fraction(1, i) for i in range(1, k)), Fraction(0))
 
 

@@ -9,7 +9,7 @@ the middle for the same reason).
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .graph import OrderedDag
 
 
@@ -20,7 +20,8 @@ def densest_minimal_graph(x: int, y: int, n: int) -> OrderedDag:
     feed one shared sink, the remaining sources attach directly to that sink,
     and y - 1 vertices stay isolated.  Requires x >= y >= 1 and n >= x + 2.
     """
-    if not (isinstance(x, int) and isinstance(y, int) and x >= y >= 1):
+    check_int(DomainError, x=x, y=y, n=n)
+    if x < y:
         raise DomainError(f"requires x >= y >= 1, got ({x}, {y})")
     if n < x + 2:
         raise DomainError(f"requires n >= x + 2 = {x + 2}, got n = {n}")
@@ -45,8 +46,7 @@ def densest_connected_minimal_graph(x: int, y: int, n: int) -> OrderedDag:
     boundary case n = x + y is admitted only when min(x, y) = 1, where the
     graph degenerates to a star with max(x, y) edges.
     """
-    if not (isinstance(x, int) and isinstance(y, int) and x >= 1 and y >= 1):
-        raise DomainError(f"requires x, y >= 1, got ({x}, {y})")
+    check_int(DomainError, x=x, y=y, n=n)
     if n == x + y and min(x, y) == 1:
         g = OrderedDag(n)
         if y == 1:
@@ -81,8 +81,7 @@ def densest_graph(x: int, y: int, n: int) -> OrderedDag:
     inside the sink block.  Requires n >= max(x, y), and x = y when equality
     holds (no (x, y) graph of order max(x, y) exists otherwise).
     """
-    if not (isinstance(x, int) and isinstance(y, int) and x >= 1 and y >= 1):
-        raise DomainError(f"requires x, y >= 1, got ({x}, {y})")
+    check_int(DomainError, x=x, y=y, n=n)
     if n < max(x, y):
         raise DomainError(f"requires n >= max(x, y) = {max(x, y)}, got n = {n}")
     if n == max(x, y) and x != y:
@@ -106,8 +105,7 @@ def removal_trap(y: int, n: int) -> OrderedDag:
     A directed path on 1..n-y+1 plus y - 1 isolated vertices: removing any
     edge splits the path and yields y + 1 sinks.  Requires n >= y + 1.
     """
-    if not (isinstance(y, int) and y >= 1):
-        raise DomainError(f"requires y >= 1, got {y}")
+    check_int(DomainError, y=y, n=n)
     if n < y + 1:
         raise DomainError(f"requires n >= y + 1 = {y + 1}, got n = {n}")
     g = OrderedDag(n)
@@ -123,7 +121,8 @@ def addition_trap(x: int, y: int, n: int) -> OrderedDag:
     the whole block, and y vertices stay isolated; any further edge addition
     would drop the source count below x.  Requires x > y >= 1 and n > x.
     """
-    if not (isinstance(x, int) and isinstance(y, int) and x > y >= 1):
+    check_int(DomainError, x=x, y=y, n=n)
+    if x <= y:
         raise DomainError(f"requires x > y >= 1, got ({x}, {y})")
     if n <= x:
         raise DomainError(f"requires n > x = {x}, got n = {n}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import CapacityError, GraphError
+from .errors import CapacityError, GraphError, check_int
 
 LINEAR_EXTENSION_CAP = 20
 
@@ -40,11 +40,6 @@ class VertexProfile:
         return len(self.initial) == x and len(self.terminal) == y
 
 
-def _check_order(n: object) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-
-
 @lru_cache(maxsize=None)
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All candidate edges (a, b) with 1 <= a < b <= n, in lexicographic order."""
@@ -64,7 +59,7 @@ class OrderedDag:
     __slots__ = ("n", "_edges", "_indeg", "_outdeg")
 
     def __init__(self, n: int) -> None:
-        _check_order(n)
+        check_int(GraphError, n=n)
         self.n = n
         self._edges: set[tuple[int, int]] = set()
         self._indeg = [0] * (n + 1)
@@ -187,15 +182,16 @@ class OrderedDag:
                 best = dist[b]
         return best
 
-    def count_linear_extensions(self, cap: int = LINEAR_EXTENSION_CAP) -> int:
+    def count_linear_extensions(self) -> int:
         """Exact number of total orders extending the edge relation.
 
-        Subset dynamic program over 2^n states; refuses n above ``cap``
-        (default 20) because the state space is exponential.
+        Subset dynamic program over 2^n states; refuses n above
+        ``LINEAR_EXTENSION_CAP`` (20) because the state space is exponential.
         """
-        if self.n > cap:
+        if self.n > LINEAR_EXTENSION_CAP:
             raise CapacityError(
-                f"linear-extension counting is capped at n <= {cap}, got n = {self.n}"
+                f"linear-extension counting is capped at n <= {LINEAR_EXTENSION_CAP}, "
+                f"got n = {self.n}"
             )
         n = self.n
         pred_mask = [0] * n
@@ -266,17 +262,11 @@ class OrderedDag:
             raise GraphError("graph JSON must be an object with exactly the fields 'n' and 'edges'")
         n = payload["n"]
         edges = payload["edges"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise GraphError(f"field 'n' must be an integer, got {n!r}")
         if not isinstance(edges, list):
             raise GraphError("field 'edges' must be an array of [a, b] pairs")
         pairs: list[tuple[int, int]] = []
         for item in edges:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
-            ):
+            if not isinstance(item, list) or len(item) != 2:
                 raise GraphError(f"edge entry {item!r} is not a 2-element integer array")
             pairs.append((item[0], item[1]))
         return cls.from_edges(n, pairs)
@@ -307,6 +297,6 @@ def empty_graph(n: int) -> OrderedDag:
 
 def complete_graph(n: int) -> OrderedDag:
     """The transitive tournament: all binom(n, 2) edges (a, b) with a < b."""
-    _check_order(n)
+    check_int(GraphError, n=n)
     # vertex v has v - 1 predecessors and n - v successors
     return OrderedDag._adopt(n, set(ordered_pairs(n)), [0, *range(n)], [0, *range(n - 1, -1, -1)])

@@ -15,15 +15,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GraphError, check_int
 from .graph import OrderedDag
-from .processes import ProcessConfig, ProcessKind, check_seed, run_process
+from .processes import SEED_MAX, ProcessConfig, ProcessKind, run_process
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 
 
 def derive_seed(*parts: int) -> int:
     """Collapse nonnegative integer key parts into one 64-bit stream seed."""
+    for part in parts:
+        check_int(ConfigError, 0, key_part=part)
     seq = np.random.SeedSequence(entropy=list(parts))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -75,14 +77,11 @@ def _run_cells(
     its column totals.  All input is validated before any trial runs; every cell
     is cut into fixed blocks, and all blocks run serially or in one pool.
     """
-    if type(trials) is not int or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    if type(parallelism) is not int or parallelism < 1:
-        raise ConfigError(f"parallelism must be a positive integer, got {parallelism!r}")
+    check_int(ConfigError, trials=trials, parallelism=parallelism)
     if not cells:
         raise ConfigError("an experiment needs at least one cell, got none")
     for cfg, master_seed in cells:
-        check_seed(master_seed, "master_seed")
+        check_int(ConfigError, 0, SEED_MAX, master_seed=master_seed)
         replace(cfg, seed=0).validate()
     blocks = [
         (cfg, master_seed, start, min(start + _CHUNK, trials))
@@ -112,6 +111,20 @@ def run_trials(
     return TrialSummary(cfg.kind, cfg.x, cfg.y, cfg.n, cfg.m, trials, master_seed, *means)
 
 
+def _grid_cells(
+    kind: ProcessKind, master_seed: int, keys: Iterable[tuple[int, int, int]]
+) -> list[tuple[ProcessConfig, int]]:
+    """One cell per (x, y, n) key, seeded by derive_seed(master_seed, x, y, n).
+    Each config is validated before its key is hashed, so a bad n is named."""
+    check_int(ConfigError, 0, SEED_MAX, master_seed=master_seed)
+    cells = []
+    for x, y, n in keys:
+        cfg = ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0)
+        cfg.validate()
+        cells.append((cfg, derive_seed(master_seed, x, y, n)))
+    return cells
+
+
 def table_experiment(
     kind: ProcessKind,
     pairs: Sequence[tuple[int, int]],
@@ -126,13 +139,8 @@ def table_experiment(
     fractional digits.  Each cell gets its own seed stream derived from
     (master_seed, x, y, n).
     """
-    check_seed(master_seed, "master_seed")
     n_values = list(n_values)  # read once: it may be a one-shot iterator
-    cells = [
-        (ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0), derive_seed(master_seed, x, y, n))
-        for x, y in pairs
-        for n in n_values
-    ]
+    cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in pairs for n in n_values))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["pair,n,ratio"]
     for (cfg, _), (success, *_) in zip(cells, totals):
@@ -153,11 +161,7 @@ def growth_experiment(
 
     No curve fitting happens here; downstream tools consume the series.
     """
-    check_seed(master_seed, "master_seed")
-    cells = [
-        (ProcessConfig(x=x, y=y, n=n, kind=kind, seed=0), derive_seed(master_seed, x, y, n))
-        for n in n_values
-    ]
+    cells = _grid_cells(kind, master_seed, ((x, y, n) for n in n_values))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["n,mean_edges,mean_longest_path,mean_isolated"]
     for (cfg, _), (_, *sums) in zip(cells, totals):
@@ -171,4 +175,4 @@ def export(g: OrderedDag, format: str) -> bytes:
         return g.to_json().encode("ascii")
     if format == "dot":
         return g.to_dot().encode("ascii")
-    raise ValueError(f"unknown export format {format!r}; expected 'json' or 'dot'")
+    raise GraphError(f"unknown export format {format!r}; expected 'json' or 'dot'")

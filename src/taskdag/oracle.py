@@ -18,7 +18,7 @@ from math import factorial
 from typing import Iterator
 
 from .analysis import ExtremalKind
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_int
 from .graph import OrderedDag, ordered_pairs
 from .processes import ProcessKind, _State
 
@@ -39,8 +39,7 @@ class EnumerationScope:
 
     def validate(self) -> None:
         cap = GATED_ENUMERATION_CAP if self.allow_gated else DEFAULT_ENUMERATION_CAP
-        if not isinstance(self.n, int) or self.n < 1:
-            raise CapacityError(f"n must be a positive integer, got {self.n!r}")
+        check_int(DomainError, n=self.n)
         if self.n > cap:
             raise CapacityError(
                 f"enumeration is capped at n <= {DEFAULT_ENUMERATION_CAP} "
@@ -154,6 +153,7 @@ def oracle_extremal(
 ) -> int:
     """Recompute an extremal value by exhaustive search over all graphs."""
     EnumerationScope(n=n, allow_gated=allow_gated).validate()
+    check_int(DomainError, x=x, y=y)
     if kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
         return _max_addition_result_edges(x, y, n)
     if kind is ExtremalKind.MAX_ORDERINGS:
@@ -236,10 +236,9 @@ def exact_process_distribution(
 ) -> ExactDistribution:
     """Run the permutation-order process on every one of binom(n, 2)! edge
     permutations and tally the exact outcome probabilities."""
-    if not (isinstance(x, int) and isinstance(y, int) and x >= 1 and y >= 1):
-        raise DomainError(f"requires x, y >= 1, got ({x!r}, {y!r})")
-    if not isinstance(n, int) or n < max(x, y):
-        raise DomainError(f"requires n >= max(x, y), got n = {n!r}")
+    check_int(DomainError, x=x, y=y, n=n)
+    if n < max(x, y):
+        raise DomainError(f"requires n >= max(x, y), got n = {n}")
     pairs = ordered_pairs(n)
     if len(pairs) > PERMUTATION_EDGE_CAP:
         raise CapacityError(

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .analysis import ExtremalKind, extremal_value
-from .errors import ConfigError, GraphError, TaskDagError
+from .errors import ConfigError, TaskDagError, check_int
 from .graph import OrderedDag, ordered_pairs
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
@@ -35,10 +35,7 @@ class HaltReason(str, Enum):
     EDGE_BUDGET_REACHED = "edge-budget-reached"
 
 
-def check_seed(seed: object, name: str = "seed") -> None:
-    """Raise ConfigError unless ``seed`` is an integer in [0, 2^64)."""
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+SEED_MAX = 2**64 - 1  # seeds are integers in [0, SEED_MAX]
 
 
 @dataclass(frozen=True)
@@ -54,13 +51,11 @@ class ProcessConfig:
     m: int | None = None
 
     def validate(self) -> None:
-        check_seed(self.seed)
-        if type(self.n) is not int or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+        check_int(ConfigError, 0, SEED_MAX, seed=self.seed)
+        check_int(ConfigError, n=self.n)
         if self.kind is ProcessKind.RANDOM_TREE:
             return
-        if not (type(self.x) is int and type(self.y) is int and self.x >= 1 and self.y >= 1):
-            raise ConfigError(f"requires x, y >= 1, got ({self.x!r}, {self.y!r})")
+        check_int(ConfigError, x=self.x, y=self.y)
         if self.n < max(self.x, self.y):
             raise ConfigError(f"requires n >= max(x, y) = {max(self.x, self.y)}, got n = {self.n}")
         if self.kind is ProcessKind.COMBINED:
@@ -70,8 +65,7 @@ class ProcessConfig:
                 raise ConfigError(f"combined process requires n > max(x, y) + 1, got n = {self.n}")
             lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, self.x, self.y, self.n)
             hi = extremal_value(ExtremalKind.MAX_EDGES, self.x, self.y, self.n)
-            if not (type(self.m) is int and lo <= self.m <= hi):
-                raise ConfigError(f"m must lie in [{lo}, {hi}], got {self.m!r}")
+            check_int(ConfigError, lo, hi, m=self.m)
         elif self.m is not None:
             raise ConfigError("m is only meaningful for the combined process")
 
@@ -234,9 +228,7 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     The result has exactly n - 1 edges, its underlying graph is a tree, and
     vertex 1 is the unique source.
     """
-    if type(n) is not int or n < 1:
-        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    check_seed(seed)
+    check_int(ConfigError, 0, SEED_MAX, seed=seed)
     g = OrderedDag(n)
     draws = _rng(seed).random(n - 1)
     for s in range(1, n):

@@ -131,6 +131,20 @@ class TestTableAndGrowth:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command,extra,named", [
+        ("table", ["--process", "removal", "--pairs", "1-2", "--n-min", "-3", "--n-max", "2"], "n"),
+        ("growth", ["--process", "removal", "--x", "1", "--y", "1", "--n-list", "-3"], "n"),
+        ("growth", ["--process", "tree", "--x", "-1", "--y", "1", "--n-list", "3"], "key_part"),
+    ])
+    def test_negative_integer_is_json_error(self, capsys, command, extra, named):
+        # checked before the cell key (master seed, x, y, n) is hashed
+        code, out, err = run_cli(capsys, command, *extra, "--trials", "5", "--seed", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"{named} must")
+
     def test_growth_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "growth", "--process", "addition", "--x", "1", "--y", "1",

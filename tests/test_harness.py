@@ -122,6 +122,11 @@ class TestDerivedSeeds:
     def test_order_sensitive(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
 
+    @pytest.mark.parametrize("part", [-1, True, 1.5])
+    def test_rejects_bad_key_part(self, part):
+        with pytest.raises(ConfigError, match="key_part"):
+            derive_seed(part)
+
 
 class TestTableExperiment:
     def test_schema_and_determinism(self):

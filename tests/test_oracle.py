@@ -174,7 +174,7 @@ class TestMonteCarloAgainstExactLaw:
         trials = 100_000
         exact = exact_process_distribution(kind, x, y, n).outcomes
         runner = edge_removal_process if kind is ProcessKind.REMOVAL else edge_addition_process
-        master = derive_seed(404, kind is ProcessKind.REMOVAL, x, y, n)
+        master = derive_seed(404, int(kind is ProcessKind.REMOVAL), x, y, n)
         seen = defaultdict(int)
         for i in range(trials):
             out = runner(ProcessConfig(x, y, n, kind, seed=derive_seed(master, i)))
