@@ -8,6 +8,10 @@ reason of any of these runs changes the digest.
 Each harness digest is the sha256 of one experiment's output text: a
 ``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
 success-ratio table and a growth series.
+
+The exact-law digest is the sha256 over every removal and addition law
+``exact_process_distribution(kind, x, y, n)`` with x, y <= n <= 4, one line
+per law holding its outcomes and its expected edge count.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import hashlib
 import pytest
 
 from taskdag.harness import growth_experiment, run_trials, table_experiment
+from taskdag.oracle import exact_process_distribution
 from taskdag.processes import ProcessConfig, ProcessKind, run_process
 
 SEEDS = range(200)
@@ -114,3 +119,15 @@ def test_table_matches_golden_digest():
 def test_growth_matches_golden_digest():
     csv = growth_experiment(ProcessKind.REMOVAL, 1, 2, [6, 9], 200, master_seed=4)
     assert _sha(csv) == "5ecf0d08a3dd7612a1e8a7f0217263d697fcbeda9432d40d04f6c7dcddd61ce1"
+
+
+def test_exact_laws_match_golden_digest():
+    h = hashlib.sha256()
+    for kind in (ProcessKind.REMOVAL, ProcessKind.ADDITION):
+        for n in range(1, 5):
+            for x in range(1, n + 1):
+                for y in range(1, n + 1):
+                    dist = exact_process_distribution(kind, x, y, n)
+                    line = f"{kind.value}|{x}|{y}|{n}|{dist.outcomes!r}|{dist.expected_edges!r}\n"
+                    h.update(line.encode("ascii"))
+    assert h.hexdigest() == "e1b1c9de6e930e22d8b251ed1c4921ec9a5be9ecce30bb02bf43bdc370c2b40e"
