@@ -2,8 +2,8 @@
 
 Subcommands: generate, trials, table, growth, analyze, families, oracle.
 Every randomized command requires an explicit --seed.  Graphs and records go
-to stdout; domain errors are reported as one JSON object on stderr with a
-nonzero exit code.
+to stdout; bad arguments and domain errors are reported as one JSON object on
+stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -11,14 +11,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import analysis, families, harness, oracle
-from .errors import TaskDagError
+from .errors import ConfigError, TaskDagError
 from .graph import OrderedDag
 from .processes import ProcessConfig, ProcessKind, run_process
 
 _PROCESS_TOKENS = {kind.value: kind for kind in ProcessKind}
 _ORACLE_KINDS = {kind.value: kind for kind in analysis.ExtremalKind}
+
+
+def _report(error: str, message: str) -> None:
+    print(json.dumps({"error": error, "message": message}, separators=(",", ":")), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, whose usage errors follow the
+    one-JSON-line contract instead of printing usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        _report(ConfigError.__name__, f"{self.prog}: {message}")
+        raise SystemExit(2)
 
 
 def _add_process_args(p: argparse.ArgumentParser) -> None:
@@ -31,7 +45,7 @@ def _add_process_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taskdag",
         description="Generate and analyze ordered task-dependency graphs with "
         "prescribed source and sink counts.",
@@ -230,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (TaskDagError, OSError) as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(error, separators=(",", ":")), file=sys.stderr)
+        _report(type(exc).__name__, str(exc))
         return 2
 
 

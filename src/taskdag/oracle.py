@@ -1,11 +1,11 @@
 """Brute-force ground truth at desk scale.
 
 Everything here recomputes results from first principles (exhaustive subset
-enumeration, per-edge removal by definition, permutation filtering, full
-permutation enumeration of process runs) so the closed forms and the fast
-routines have an independent check.  Caps keep the exponential searches
-bounded: n <= 6 by default, n = 7 behind an explicit flag, and permutation
-enumeration only while binom(n, 2) <= 10.
+enumeration, per-edge removal by definition, permutation filtering, exact
+probability flow of process runs over edge sets) so the closed forms and the
+fast routines have an independent check.  Caps keep the exponential searches
+bounded: n <= 6 by default and n = 7 behind an explicit flag for enumeration;
+exact process distributions stop at n <= 6.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import lcm
 from typing import Iterator
 
 from .analysis import ExtremalKind
@@ -24,7 +24,6 @@ from .processes import ProcessKind, _State
 
 DEFAULT_ENUMERATION_CAP = 6
 GATED_ENUMERATION_CAP = 7
-PERMUTATION_EDGE_CAP = 10
 EXTENSION_FILTER_CAP = 8
 
 
@@ -234,16 +233,16 @@ class ExactDistribution:
 def exact_process_distribution(
     kind: ProcessKind, x: int, y: int, n: int
 ) -> ExactDistribution:
-    """Run the permutation-order process on every one of binom(n, 2)! edge
-    permutations and tally the exact outcome probabilities."""
+    """Exact outcome law by probability flow over edge sets.  A proposal
+    blocked once stays blocked, so each accepted move is uniform over the
+    moves legal at that state: the one-edge passes that change it.  Mass
+    flows one edge count at a time and settles where no move is left."""
     check_int(DomainError, x=x, y=y, n=n)
     if n < max(x, y):
         raise DomainError(f"requires n >= max(x, y), got n = {n}")
-    pairs = ordered_pairs(n)
-    if len(pairs) > PERMUTATION_EDGE_CAP:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"exact distributions are capped at binom(n, 2) <= {PERMUTATION_EDGE_CAP}, "
-            f"got binom({n}, 2) = {len(pairs)}"
+            f"exact distributions are capped at n <= {DEFAULT_ENUMERATION_CAP}, got n = {n}"
         )
     if kind is ProcessKind.REMOVAL:
         complete, run = True, _State.removal_pass
@@ -251,15 +250,27 @@ def exact_process_distribution(
         complete, run = False, _State.addition_pass
     else:
         raise DomainError(f"exact distributions cover removal and addition only, got {kind!r}")
-    tally: dict[tuple[int, int, int], int] = {}
-    for order in permutations(range(len(pairs))):
-        state = _State(n, complete)
-        run(state, order, x, y)
-        key = (state.sources, state.sinks, state.edge_total)
-        tally[key] = tally.get(key, 0) + 1
-    total = factorial(len(pairs))
-    outcomes = {key: Fraction(count, total) for key, count in sorted(tally.items())}
-    expected = sum(
-        (Fraction(key[2] * count, total) for key, count in tally.items()), Fraction(0)
-    )
-    return ExactDistribution(outcomes=outcomes, expected_edges=expected)
+    n_pairs = len(ordered_pairs(n))
+    scale = lcm(*range(1, n_pairs + 1))  # every move count divides it
+    start = (1 << n_pairs) - 1 if complete else 0
+    level, denom = {start: [_State(n, complete), 1]}, 1  # integer weights over denom
+    outcomes: dict[tuple[int, int, int], Fraction] = {}
+    while level:
+        nxt: dict[int, list] = {}
+        for mask, (state, weight) in level.items():
+            moves, child = [], state.copy()
+            for i in range(n_pairs):
+                run(child, (i,), x, y)  # an addition at exactly (x, y) halts
+                if child.edge_total != state.edge_total:
+                    moves.append((mask ^ 1 << i, child))
+                    child = state.copy()  # a cancelled move leaves the copy unchanged
+            if not moves:
+                key = (state.sources, state.sinks, state.edge_total)
+                outcomes[key] = outcomes.get(key, 0) + Fraction(weight, denom)
+                continue
+            share = weight * (scale // len(moves))
+            for child_mask, child in moves:  # the first state reaching a mask stands for it
+                nxt.setdefault(child_mask, [child, 0])[1] += share
+        level, denom = nxt, denom * scale
+    expected = sum((key[2] * p for key, p in outcomes.items()), Fraction(0))
+    return ExactDistribution(outcomes=dict(sorted(outcomes.items())), expected_edges=expected)

@@ -92,7 +92,6 @@ class _State:
     __slots__ = ("n", "pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
     def __init__(self, n: int, complete: bool, trace: TraceFn | None = None) -> None:
-        # the exact oracle builds one state per edge order, so this stays cheap
         self.n, self.pairs, self.rounds, self.trace = n, ordered_pairs(n), 0, trace
         self.present = [complete] * len(self.pairs)
         if complete:  # vertex v has v - 1 predecessors and n - v successors

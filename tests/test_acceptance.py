@@ -193,6 +193,18 @@ def test_criterion_07_addition_table(addition_grid):
             assert abs(grid[(x, y, n)] - ref) <= 0.04, ((x, y, n), grid[(x, y, n)], ref)
 
 
+@pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+def test_grids_within_four_sigma_of_exact_success_ratio(kind, removal_grid, addition_grid):
+    # the criterion 6/7 cells at n = 5 and 6 against exact laws, on top of the table checks
+    grid, _ = removal_grid if kind is ProcessKind.REMOVAL else addition_grid
+    trials = 10_000
+    for (x, y), n in product(TABLE_PAIRS, (5, 6)):
+        outcomes = exact_process_distribution(kind, x, y, n).outcomes
+        p = float(sum(q for (r, s, _), q in outcomes.items() if (r, s) == (x, y)))
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(grid[(x, y, n)] - p) <= 4 * sigma + 1e-12, ((x, y, n), grid[(x, y, n)], p)
+
+
 @criterion(8, "growth references at n = 40 match the fitted curves")
 def test_criterion_08_growth_references():
     removal = growth_experiment(

@@ -244,3 +244,33 @@ class TestOracleCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,named", [
+        (["trials", "--process", "removal", "--n", "abc", "--seed", "1", "--trials", "3"], "--n"),
+        (["oracle", "--kind", "nope", "--x", "1", "--y", "1", "--n", "3"], "--kind"),
+        (["table", "--process", "removal", "--pairs", "1-2", "--n-min", "5",
+          "--trials", "3", "--seed", "1"], "--n-max"),
+        (["families", "--kind", "S", "--n", "2.5"], "--n"),
+        (["growth", "--process", "nope", "--x", "1", "--y", "1", "--n-list", "4",
+          "--trials", "3", "--seed", "1"], "--process"),
+        (["analyze"], "--input"),
+        (["bogus"], "command"),
+        ([], "command"),
+    ])
+    def test_one_json_line_and_exit_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ConfigError"
+        assert named in payload["message"]
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: taskdag trials")

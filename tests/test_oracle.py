@@ -152,8 +152,13 @@ class TestExactDistributions:
                 assert sum(dist.outcomes.values()) == 1
 
     def test_cap(self):
-        with pytest.raises(CapacityError, match="binom"):
-            exact_process_distribution(ProcessKind.REMOVAL, 1, 1, 6)
+        with pytest.raises(CapacityError, match="n <= 6"):
+            exact_process_distribution(ProcessKind.REMOVAL, 1, 1, 7)
+
+    def test_n6_law(self):
+        dist = exact_process_distribution(ProcessKind.REMOVAL, 1, 1, 6)
+        assert sum(dist.outcomes.values()) == 1
+        assert all(key[:2] == (1, 1) for key in dist.outcomes)
 
     def test_unsupported_kind(self):
         with pytest.raises(DomainError, match="removal and addition"):

@@ -1,7 +1,7 @@
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
+    _State,
     combined_process,
     edge_addition_process,
     edge_removal_process,
@@ -81,6 +82,20 @@ def jump_chain_distribution(kind, x, y, n):
             for child in children:
                 levels[nxt][child] = levels[nxt].get(child, Fraction(0)) + share
     return final
+
+
+def permutation_enumeration_distribution(kind, x, y, n):
+    """Exact halt-state law of the permutation-order process: one `_State`
+    pass over every one of the binom(n, 2)! edge orders."""
+    complete = kind is ProcessKind.REMOVAL
+    run = _State.removal_pass if complete else _State.addition_pass
+    tally = defaultdict(int)
+    for order in permutations(range(len(ordered_pairs(n)))):
+        state = _State(n, complete)
+        run(state, order, x, y)
+        tally[(state.sources, state.sinks, state.edge_total)] += 1
+    total = sum(tally.values())
+    return {key: Fraction(count, total) for key, count in tally.items()}
 
 
 class TestConfigValidation:
@@ -234,6 +249,16 @@ class TestSemanticsEquivalence:
     @pytest.mark.parametrize("x,y", [(1, 1), (2, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("n", [3, 4])
     def test_permutation_enumeration_equals_jump_chain(self, kind, x, y, n):
+        if n < max(x, y):
+            pytest.skip("n below max(x, y)")
+        assert permutation_enumeration_distribution(kind, x, y, n) == jump_chain_distribution(
+            kind, x, y, n
+        )
+
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    @pytest.mark.parametrize("x,y", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_flow_equals_jump_chain(self, kind, x, y, n):
         if n < max(x, y):
             pytest.skip("n below max(x, y)")
         assert exact_process_distribution(kind, x, y, n).outcomes == jump_chain_distribution(
