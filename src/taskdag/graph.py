@@ -40,9 +40,10 @@ class VertexProfile:
         return len(self.initial) == x and len(self.terminal) == y
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All candidate edges (a, b) with 1 <= a < b <= n, in lexicographic order."""
+    """All candidate edges (a, b) with 1 <= a < b <= n, in lexicographic order.
+    The 32 most recent orders stay cached, so memory stays bounded."""
     return tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
 
 

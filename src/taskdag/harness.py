@@ -1,9 +1,11 @@
 """Seeded, parallel Monte-Carlo experiment runner and export helpers.
 
-Per-trial generator streams are derived deterministically from the master
-seed and the trial index (plus the cell coordinates for grid experiments),
-and every aggregate is reduced from integer sums, so results are identical
-bytes for any parallelism level and any trial execution order.
+Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
+has one generator, keyed by (master seed, k), and the trials of the block take
+their draws from it in trial order; grid experiments give each cell the master
+seed derive_seed(master_seed, x, y, n).  Each trial runs the processes' own
+``_State`` passes, and every aggregate is reduced from integer sums, so results
+are identical bytes for any parallelism level and any block execution order.
 """
 
 from __future__ import annotations
@@ -11,15 +13,17 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GraphError, check_int
 from .graph import OrderedDag
-from .processes import SEED_MAX, ProcessConfig, ProcessKind, run_process
+from .processes import SEED_MAX, ProcessConfig, ProcessKind, _finish, _State
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
+_DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
 
 
 def derive_seed(*parts: int) -> int:
@@ -51,23 +55,62 @@ class TrialSummary:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _trial_stats(cfg: ProcessConfig, master_seed: int, index: int) -> tuple[int, int, int, int]:
-    outcome = run_process(replace(cfg, seed=derive_seed(master_seed, index)))
-    g = outcome.graph
-    success = outcome.is_target_xy and (cfg.m is None or g.edge_count == cfg.m)
-    return (
-        1 if success else 0,
-        g.edge_count,
-        g.longest_path_length(),
-        len(g.profile().isolated),
-    )
+def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, count: int) -> Iterator[list]:
+    """Yield ``count`` rows of draws: rows of n - 1 uniforms for the tree, else
+    permutations of the C(n, 2) candidate-edge indices.  Row i equals the
+    i-th ``random(n - 1)`` / ``permutation(C(n, 2))`` call on ``rng``.  Rows are
+    drawn in sub-batches of at most ``_DRAW_CAP`` entries (one row if a row is
+    longer), which changes no row, and become lists one row at a time."""
+    width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
+    step = max(1, _DRAW_CAP // max(width, 1))
+    for done in range(0, count, step):
+        shape = (min(step, count - done), width)
+        if kind is ProcessKind.RANDOM_TREE:
+            batch = rng.random(shape)
+        else:
+            batch = rng.permuted(np.broadcast_to(np.arange(width), shape), axis=1)
+        for row in batch:
+            yield row.tolist()
+
+
+def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -> Iterator[_State]:
+    """Final states of trials ``start..stop-1`` of one cell, where ``start``
+    opens block ``start // _CHUNK``.  The block has one generator, keyed
+    (master_seed, block index), and each trial takes its next rows in order:
+    two for the combined process, whether or not its second phase runs."""
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
+    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    rows = _draw_rows(rng, cfg.kind, cfg.n, (stop - start) * per_trial)
+    complete = cfg.kind is ProcessKind.REMOVAL
+    for _ in range(start, stop):
+        state = _State(cfg.n, complete)
+        _finish(cfg, state, iter([next(rows) for _ in range(per_trial)]).__next__)
+        yield state
+
+
+def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:
+    """Final states of trials ``0..trials-1`` of one cell, block after block."""
+    for start in range(0, trials, _CHUNK):
+        yield from _block_states(cfg, master_seed, start, min(start + _CHUNK, trials))
 
 
 def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
-    """Column sums of trials ``start..stop-1`` of one cell: the unit of work."""
+    """Column sums of trials ``start..stop-1`` of one cell: the unit of work.
+    Per trial: success, edges, longest path, isolated vertices."""
     cfg, master_seed, start, stop = args
-    rows = [_trial_stats(cfg, master_seed, i) for i in range(start, stop)]
-    return tuple(sum(col) for col in zip(*rows))
+    target, n, m = (cfg.x, cfg.y), cfg.n, cfg.m
+    success = edges = longest = isolated = 0
+    for state in _block_states(cfg, master_seed, start, stop):
+        success += (state.sources, state.sinks) == target and (m is None or state.edge_total == m)
+        edges += state.edge_total
+        dist = [0] * (n + 1)
+        for a, b in compress(state.pairs, state.present):  # lexicographic order is topological
+            if dist[a] >= dist[b]:
+                dist[b] = dist[a] + 1
+        longest += max(dist)
+        # index 0 of the degree lists is no vertex, but reads as isolated
+        isolated += sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
+    return success, edges, longest, isolated
 
 
 def _run_cells(

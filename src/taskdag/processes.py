@@ -176,29 +176,56 @@ class _State:
         return ProcessOutcome(graph, self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
 
 
-def _begin(cfg: ProcessConfig, kind: ProcessKind, complete: bool, trace: TraceFn | None):
+def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> HaltReason:
+    """Run the phases of ``cfg`` on a fresh ``state`` and return why it halted.
+    Each phase takes its edge order from ``draw()``, a permutation of the
+    candidate-edge indices (a tree takes its n - 1 uniform draws instead)."""
+    x, y = cfg.x, cfg.y
+    if cfg.kind is ProcessKind.RANDOM_TREE:
+        # (a, b) sits at base[a] + b in ordered_pairs(n); caps of zero never
+        # bind, so the pass adds every edge of the order
+        base = [0, *((a - 1) * (2 * cfg.n - a) // 2 - a - 1 for a in range(1, cfg.n + 1))]
+        state.addition_pass([base[a] + b for a, b in _tree_edges(draw())], 0, 0)
+        return HaltReason.NO_MOVE_AVAILABLE
+    if cfg.kind is ProcessKind.REMOVAL:
+        state.removal_pass(draw(), x, y)
+        return HaltReason.NO_MOVE_AVAILABLE
+    if not state.addition_pass(draw(), x, y):
+        return HaltReason.NO_MOVE_AVAILABLE
+    if cfg.kind is ProcessKind.ADDITION:
+        return HaltReason.EXACT_TARGET_REACHED
+    m = cfg.m
+    fill = state.edge_total < m
+    adjust = state.addition_pass if fill else state.removal_pass
+    if adjust(draw(), x, y, budget=m):
+        return HaltReason.EDGE_BUDGET_REACHED
+    if not fill:
+        # capped removals from an exact (x, y) graph keep the profile exact,
+        # and a minimal graph has at most 2n - x - y - 2 <= m edges
+        raise TaskDagError(f"removal adjustment stopped at {state.edge_total} edges, above m = {m}")
+    return HaltReason.NO_MOVE_AVAILABLE
+
+
+def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
     if cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
     cfg.validate()
-    return _rng(cfg.seed), _State(cfg.n, complete, trace)
+    rng, state = _rng(cfg.seed), _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
+    halt = _finish(cfg, state, lambda: rng.permutation(len(state.pairs)).tolist())
+    return state.outcome(halt, cfg.x, cfg.y)
 
 
 def edge_removal_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Strip the complete graph down, never letting the source count exceed x
     or the sink count exceed y; halts when no edge can be removed."""
-    rng, state = _begin(cfg, ProcessKind.REMOVAL, True, trace)
-    state.removal_pass(rng.permutation(len(state.pairs)).tolist(), cfg.x, cfg.y)
-    return state.outcome(HaltReason.NO_MOVE_AVAILABLE, cfg.x, cfg.y)
+    return _run(cfg, ProcessKind.REMOVAL, trace)
 
 
 def edge_addition_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Grow the empty graph, never letting the source count drop below x or
     the sink count below y; halts the moment the profile is exactly (x, y) or
     when no edge can be added."""
-    rng, state = _begin(cfg, ProcessKind.ADDITION, False, trace)
-    hit = state.addition_pass(rng.permutation(len(state.pairs)).tolist(), cfg.x, cfg.y)
-    halt = HaltReason.EXACT_TARGET_REACHED if hit else HaltReason.NO_MOVE_AVAILABLE
-    return state.outcome(halt, cfg.x, cfg.y)
+    return _run(cfg, ProcessKind.ADDITION, trace)
 
 
 def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
@@ -206,19 +233,12 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     removals until exactly m edges remain.  The adjustment keeps the profile
     at (x, y); if the addition phase misses it (possible when x != y) the run
     stops there with is_target_xy False."""
-    rng, state = _begin(cfg, ProcessKind.COMBINED, False, trace)
-    x, y, m = cfg.x, cfg.y, cfg.m
-    if not state.addition_pass(rng.permutation(len(state.pairs)).tolist(), x, y):
-        return state.outcome(HaltReason.NO_MOVE_AVAILABLE, x, y)
-    fill = state.edge_total < m
-    adjust = state.addition_pass if fill else state.removal_pass
-    if adjust(rng.permutation(len(state.pairs)).tolist(), x, y, budget=m):
-        return state.outcome(HaltReason.EDGE_BUDGET_REACHED, x, y)
-    if not fill:
-        # capped removals from an exact (x, y) graph keep the profile exact,
-        # and a minimal graph has at most 2n - x - y - 2 <= m edges
-        raise TaskDagError(f"removal adjustment stopped at {state.edge_total} edges, above m = {m}")
-    return state.outcome(HaltReason.NO_MOVE_AVAILABLE, x, y)
+    return _run(cfg, ProcessKind.COMBINED, trace)
+
+
+def _tree_edges(draws: Iterable[float]) -> list[tuple[int, int]]:
+    """Edge (parent, s + 1) for the s-th draw u, with parent uniform on 1..s."""
+    return [(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)]
 
 
 def random_directed_tree(n: int, seed: int) -> OrderedDag:
@@ -229,10 +249,8 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     """
     check_int(ConfigError, 0, SEED_MAX, seed=seed)
     g = OrderedDag(n)
-    draws = _rng(seed).random(n - 1)
-    for s in range(1, n):
-        parent = int(draws[s - 1] * s) + 1  # uniform on 1..s
-        g.add_edge(parent, s + 1)
+    for parent, child in _tree_edges(_rng(seed).random(n - 1).tolist()):
+        g.add_edge(parent, child)
     return g
 
 

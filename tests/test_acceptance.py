@@ -7,8 +7,7 @@ tolerance is pinned here, not deferred to later calibration.
 import functools
 import math
 import time
-from collections import defaultdict
-from dataclasses import replace
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +25,13 @@ from taskdag.analysis import (
 )
 from taskdag.errors import DomainError
 from taskdag.graph import ordered_pairs
-from taskdag.harness import derive_seed, growth_experiment, run_trials, table_experiment
+from taskdag.harness import (
+    _trial_states,
+    derive_seed,
+    growth_experiment,
+    run_trials,
+    table_experiment,
+)
 from taskdag.oracle import (
     EnumerationScope,
     enumerate_graphs,
@@ -38,9 +43,7 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     combined_process,
-    edge_removal_process,
     random_directed_tree,
-    run_process,
 )
 
 BASE_SEED = 20260809
@@ -260,10 +263,8 @@ def test_criterion_10_micro_distributions():
     ]
     for kind, x, y, exact, tag in configs:
         cfg = ProcessConfig(x, y, 3, kind, seed=0)
-        master = derive_seed(BASE_SEED, tag)
-        seen = defaultdict(int)
-        for i in range(trials):
-            seen[run_process(replace(cfg, seed=derive_seed(master, i))).graph.edge_count] += 1
+        states = _trial_states(cfg, derive_seed(BASE_SEED, tag), trials)
+        seen = Counter(state.edge_total for state in states)
         by_edges = defaultdict(Fraction)
         for (r, s, edges), p in exact.items():
             by_edges[edges] += p
@@ -277,14 +278,10 @@ def test_criterion_10_micro_distributions():
 def test_criterion_11_retention_bound():
     n, trials = 8, 100_000
     pairs = ordered_pairs(n)
-    master = derive_seed(BASE_SEED, 11)
+    cfg = ProcessConfig(1, 1, n, ProcessKind.REMOVAL, seed=0)
     survivals = [0] * len(pairs)
-    for i in range(trials):
-        cfg = ProcessConfig(1, 1, n, ProcessKind.REMOVAL, seed=derive_seed(master, i))
-        out = edge_removal_process(cfg)
-        for j, pair in enumerate(pairs):
-            if out.graph.has_edge(*pair):
-                survivals[j] += 1
+    for state in _trial_states(cfg, derive_seed(BASE_SEED, 11), trials):
+        survivals = [count + present for count, present in zip(survivals, state.present)]
     for j, (r, s) in enumerate(pairs):
         bound = float(retention_probability_bound(r, s, n))
         sigma = math.sqrt(bound * (1 - bound) / trials)

@@ -39,6 +39,10 @@ class TestConstructors:
             assert [h.in_degree(v) for v in range(1, n + 1)] == [ref.in_degree(v) for v in range(1, n + 1)]
             assert [h.out_degree(v) for v in range(1, n + 1)] == [ref.out_degree(v) for v in range(1, n + 1)]
 
+    def test_ordered_pairs_cache_is_bounded(self):
+        assert ordered_pairs.cache_info().maxsize == 32
+        assert ordered_pairs(40)[:2] == ((1, 2), (1, 3)) and len(ordered_pairs(40)) == 780
+
     def test_complete_bad_order_rejected(self):
         with pytest.raises(GraphError):
             complete_graph(True)

@@ -1,6 +1,7 @@
 import json
-from dataclasses import replace
+import math
 
+import numpy as np
 import pytest
 
 from taskdag import harness
@@ -13,7 +14,7 @@ from taskdag.harness import (
     run_trials,
     table_experiment,
 )
-from taskdag.processes import ProcessConfig, ProcessKind, run_process
+from taskdag.processes import ProcessConfig, ProcessKind, _finish, _State
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
@@ -61,21 +62,79 @@ class TestRunTrials:
         b = run_trials(_cfg(1, 3, 6), 400, master_seed=2)
         assert (a.success_ratio, a.mean_edges) != (b.success_ratio, b.mean_edges)
 
-    def test_means_equal_direct_loop_over_trial_seeds(self):
-        # trial i runs with seed derive_seed(master, i), and the column sums of
-        # its three blocks reduce to the means of one direct loop
-        cfg, trials, master = _cfg(2, 1, 7, kind=ProcessKind.ADDITION), 1100, 3
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _cfg(1, 3, 7),
+            _cfg(2, 1, 7, kind=ProcessKind.ADDITION),
+            _cfg(1, 1, 7, kind=ProcessKind.COMBINED, m=10),
+            _cfg(1, 1, 9, kind=ProcessKind.RANDOM_TREE),
+        ],
+        ids=lambda cfg: cfg.kind.value,
+    )
+    def test_means_equal_block_generator_replay(self, cfg):
+        # trial t of block k takes its draws, in order, from the generator keyed
+        # (master, k): one permutation(C(n, 2)) per phase (always two for the
+        # combined process) or one random(n - 1) for the tree; the statistics
+        # are taken from an OrderedDag here, not from the harness's own loop
+        trials, master = 1100, 3
         rows = []
-        for i in range(trials):
-            out = run_process(replace(cfg, seed=derive_seed(master, i)))
-            g = out.graph
-            rows.append(
-                (out.is_target_xy, g.edge_count, g.longest_path_length(), len(g.profile().isolated))
-            )
+        for start in range(0, trials, harness._CHUNK):
+            rng = np.random.default_rng(np.random.SeedSequence([master, start // harness._CHUNK]))
+            for _ in range(start, min(start + harness._CHUNK, trials)):
+                if cfg.kind is ProcessKind.RANDOM_TREE:
+                    tree = rng.random(cfg.n - 1)
+                    g = OrderedDag.from_edges(
+                        cfg.n, [(int(u * s) + 1, s + 1) for s, u in enumerate(tree, 1)]
+                    )
+                    hit = g.profile().matches(cfg.x, cfg.y)
+                else:
+                    size = math.comb(cfg.n, 2)
+                    draws = 2 if cfg.kind is ProcessKind.COMBINED else 1
+                    orders = [rng.permutation(size).tolist() for _ in range(draws)]
+                    state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
+                    halt = _finish(cfg, state, iter(orders).__next__)
+                    out = state.outcome(halt, cfg.x, cfg.y)
+                    g, hit = out.graph, out.is_target_xy
+                success = hit and (cfg.m is None or g.edge_count == cfg.m)
+                rows.append(
+                    (success, g.edge_count, g.longest_path_length(), len(g.profile().isolated))
+                )
         s = run_trials(cfg, trials, master_seed=master, parallelism=2)
         expected = tuple(sum(col) / trials for col in zip(*rows))
         assert (s.success_ratio, s.mean_edges, s.mean_longest_path, s.mean_isolated) == expected
-        assert s.mean_isolated > 0  # every column is exercised
+
+    def test_block_states_are_independent_of_block_order(self):
+        # a block's generator depends only on its key, not on earlier blocks
+        cfg = _cfg(1, 2, 6, kind=ProcessKind.ADDITION)
+        whole = [st.present for st in harness._trial_states(cfg, 8, 1100)]
+        last = [st.present for st in harness._block_states(cfg, 8, 1024, 1100)]
+        assert whole[1024:] == last
+
+    @pytest.mark.parametrize("kind,n", [(ProcessKind.REMOVAL, 50), (ProcessKind.RANDOM_TREE, 300)])
+    def test_draw_split_at_cap_keeps_rows(self, kind, n):
+        # 512 rows of C(50, 2) = 1225 entries (or 299 for the tree) exceed the
+        # cap, so the draw is split, and every row still equals one unsplit call
+        class Spy:
+            def __init__(self, seed):
+                self.rng, self.sizes = np.random.default_rng(seed), []
+
+            def permuted(self, x, axis):
+                self.sizes.append(x.size)
+                return self.rng.permuted(x, axis=axis)
+
+            def random(self, shape):
+                self.sizes.append(math.prod(shape))
+                return self.rng.random(shape)
+
+        spy, ref = Spy(5), np.random.default_rng(5)
+        rows = list(harness._draw_rows(spy, kind, n, 512))
+        if kind is ProcessKind.RANDOM_TREE:
+            expected = [ref.random(n - 1).tolist() for _ in range(512)]
+        else:
+            expected = [ref.permutation(math.comb(n, 2)).tolist() for _ in range(512)]
+        assert rows == expected
+        assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**16
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)

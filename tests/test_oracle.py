@@ -171,20 +171,17 @@ class TestMonteCarloAgainstExactLaw:
     @pytest.mark.parametrize("n", [3, 4])
     def test_marginals_within_four_sigma(self, kind, x, y, n):
         import math
-        from collections import defaultdict
+        from collections import Counter
 
-        from taskdag.harness import derive_seed
-        from taskdag.processes import ProcessConfig, edge_addition_process, edge_removal_process
+        from taskdag.harness import _trial_states, derive_seed
+        from taskdag.processes import ProcessConfig
 
+        # final states of the harness's own per-block trial streams
         trials = 100_000
         exact = exact_process_distribution(kind, x, y, n).outcomes
-        runner = edge_removal_process if kind is ProcessKind.REMOVAL else edge_addition_process
         master = derive_seed(404, int(kind is ProcessKind.REMOVAL), x, y, n)
-        seen = defaultdict(int)
-        for i in range(trials):
-            out = runner(ProcessConfig(x, y, n, kind, seed=derive_seed(master, i)))
-            r, s = out.graph.profile().counts
-            seen[(r, s, out.graph.edge_count)] += 1
+        states = _trial_states(ProcessConfig(x, y, n, kind, seed=0), master, trials)
+        seen = Counter((st.sources, st.sinks, st.edge_total) for st in states)
         assert set(seen) <= set(exact)
         for key, p in exact.items():
             sigma = math.sqrt(float(p) * (1 - float(p)) / trials)
