@@ -104,13 +104,6 @@ class TestRunTrials:
         expected = tuple(sum(col) / trials for col in zip(*rows))
         assert (s.success_ratio, s.mean_edges, s.mean_longest_path, s.mean_isolated) == expected
 
-    def test_block_states_are_independent_of_block_order(self):
-        # a block's generator depends only on its key, not on earlier blocks
-        cfg = _cfg(1, 2, 6, kind=ProcessKind.ADDITION)
-        whole = [st.present for st in harness._trial_states(cfg, 8, 1100)]
-        last = [st.present for st in harness._block_states(cfg, 8, 1024, 1100)]
-        assert whole[1024:] == last
-
     @pytest.mark.parametrize("kind,n", [(ProcessKind.REMOVAL, 50), (ProcessKind.RANDOM_TREE, 300)])
     def test_draw_split_at_cap_keeps_rows(self, kind, n):
         # 512 rows of C(50, 2) = 1225 entries (or 299 for the tree) exceed the
