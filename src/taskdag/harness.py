@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GraphError, check_int
 from .graph import OrderedDag
-from .processes import SEED_MAX, ProcessConfig, ProcessKind, _finish, _State
+from .processes import SEED_MAX, ProcessConfig, ProcessKind, _finish, _State, _tree_state
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
@@ -83,9 +83,12 @@ def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -
     rows = _draw_rows(rng, cfg.kind, cfg.n, (stop - start) * per_trial)
     complete = cfg.kind is ProcessKind.REMOVAL
     for _ in range(start, stop):
-        state = _State(cfg.n, complete)
-        _finish(cfg, state, iter([next(rows) for _ in range(per_trial)]).__next__)
-        yield state
+        if cfg.kind is ProcessKind.RANDOM_TREE:
+            yield _tree_state(cfg.n, next(rows))
+        else:
+            state = _State(cfg.n, complete)
+            _finish(cfg, state, iter([next(rows) for _ in range(per_trial)]).__next__)
+            yield state
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:
@@ -104,7 +107,7 @@ def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
         success += (state.sources, state.sinks) == target and (m is None or state.edge_total == m)
         edges += state.edge_total
         dist = [0] * (n + 1)
-        for a, b in compress(state.pairs, state.present):  # lexicographic order is topological
+        for a, b in compress(state.pairs, state.present):  # in topological order
             if dist[a] >= dist[b]:
                 dist[b] = dist[a] + 1
         longest += max(dist)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .analysis import ExtremalKind, extremal_value
-from .errors import ConfigError, TaskDagError, check_int
+from .errors import ConfigError, GraphError, TaskDagError, check_int
 from .graph import OrderedDag, ordered_pairs
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
@@ -87,12 +87,17 @@ def _rng(seed: int) -> np.random.Generator:
 class _State:
     """Edge/degree bookkeeping of one run, started from the complete or the
     empty graph, and the two passes that move it.  Candidate edges are
-    indexed by their position in ``ordered_pairs(n)``."""
+    indexed by their position in ``pairs``: ``ordered_pairs(n)``, or for an
+    empty start any given edge list.  Either order is topological: each edge
+    comes after every edge into its tail."""
 
     __slots__ = ("n", "pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
-    def __init__(self, n: int, complete: bool, trace: TraceFn | None = None) -> None:
-        self.n, self.pairs, self.rounds, self.trace = n, ordered_pairs(n), 0, trace
+    def __init__(
+        self, n: int, complete: bool, trace: TraceFn | None = None, pairs: list | None = None
+    ) -> None:
+        self.pairs = ordered_pairs(n) if pairs is None else pairs
+        self.n, self.rounds, self.trace = n, 0, trace
         self.present = [complete] * len(self.pairs)
         if complete:  # vertex v has v - 1 predecessors and n - v successors
             self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
@@ -170,23 +175,19 @@ class _State:
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return (sources == tx and sinks == ty) or edges == budget
 
-    def outcome(self, halt_reason: HaltReason, x: int, y: int) -> ProcessOutcome:
+    def graph(self) -> OrderedDag:
         edges = set(compress(self.pairs, self.present))
-        graph = OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
-        return ProcessOutcome(graph, self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
+        return OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
+
+    def outcome(self, halt_reason: HaltReason, x: int, y: int) -> ProcessOutcome:
+        return ProcessOutcome(self.graph(), self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
 
 
 def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> HaltReason:
     """Run the phases of ``cfg`` on a fresh ``state`` and return why it halted.
     Each phase takes its edge order from ``draw()``, a permutation of the
-    candidate-edge indices (a tree takes its n - 1 uniform draws instead)."""
+    candidate-edge indices."""
     x, y = cfg.x, cfg.y
-    if cfg.kind is ProcessKind.RANDOM_TREE:
-        # (a, b) sits at base[a] + b in ordered_pairs(n); caps of zero never
-        # bind, so the pass adds every edge of the order
-        base = [0, *((a - 1) * (2 * cfg.n - a) // 2 - a - 1 for a in range(1, cfg.n + 1))]
-        state.addition_pass([base[a] + b for a, b in _tree_edges(draw())], 0, 0)
-        return HaltReason.NO_MOVE_AVAILABLE
     if cfg.kind is ProcessKind.REMOVAL:
         state.removal_pass(draw(), x, y)
         return HaltReason.NO_MOVE_AVAILABLE
@@ -236,9 +237,14 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     return _run(cfg, ProcessKind.COMBINED, trace)
 
 
-def _tree_edges(draws: Iterable[float]) -> list[tuple[int, int]]:
-    """Edge (parent, s + 1) for the s-th draw u, with parent uniform on 1..s."""
-    return [(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)]
+def _tree_state(n: int, draws: list[float]) -> _State:
+    """The tree in which vertex s + 1 attaches to vertex int(u * s) + 1, uniform
+    on 1..s, for the s-th draw u.  Its n - 1 edges, in child order, are the
+    candidates of an empty state; caps of zero never bind, so one addition
+    pass adds them all."""
+    state = _State(n, False, pairs=[(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)])
+    state.addition_pass(range(n - 1), 0, 0)
+    return state
 
 
 def random_directed_tree(n: int, seed: int) -> OrderedDag:
@@ -248,10 +254,8 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     vertex 1 is the unique source.
     """
     check_int(ConfigError, 0, SEED_MAX, seed=seed)
-    g = OrderedDag(n)
-    for parent, child in _tree_edges(_rng(seed).random(n - 1).tolist()):
-        g.add_edge(parent, child)
-    return g
+    check_int(GraphError, n=n)
+    return _tree_state(n, _rng(seed).random(n - 1).tolist()).graph()
 
 
 def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
