@@ -13,14 +13,20 @@ of a cell draws from the generator keyed (master seed, k).
 The exact-law digest is the sha256 over every removal and addition law
 ``exact_process_distribution(kind, x, y, n)`` with x, y <= n <= 4, one line
 per law holding its outcomes and its expected edge count.
+
+The oracle digest is the sha256 over every ``oracle_extremal(kind, x, y, n)``
+with x, y <= 3 and n <= 5, one line per verdict holding its value, or the
+error class name when the oracle raises a ``TaskDagError``.
 """
 
 import hashlib
 
 import pytest
 
+from taskdag.analysis import ExtremalKind
+from taskdag.errors import TaskDagError
 from taskdag.harness import growth_experiment, run_trials, table_experiment
-from taskdag.oracle import exact_process_distribution
+from taskdag.oracle import exact_process_distribution, oracle_extremal
 from taskdag.processes import ProcessConfig, ProcessKind, run_process
 
 SEEDS = range(200)
@@ -132,3 +138,17 @@ def test_exact_laws_match_golden_digest():
                     line = f"{kind.value}|{x}|{y}|{n}|{dist.outcomes!r}|{dist.expected_edges!r}\n"
                     h.update(line.encode("ascii"))
     assert h.hexdigest() == "e1b1c9de6e930e22d8b251ed1c4921ec9a5be9ecce30bb02bf43bdc370c2b40e"
+
+
+def test_oracle_verdicts_match_golden_digest():
+    h = hashlib.sha256()
+    for kind in ExtremalKind:
+        for x in (1, 2, 3):
+            for y in (1, 2, 3):
+                for n in range(1, 6):
+                    try:
+                        value = oracle_extremal(kind, x, y, n)
+                    except TaskDagError as exc:
+                        value = type(exc).__name__
+                    h.update(f"{kind.value}|{x}|{y}|{n}|{value}\n".encode("ascii"))
+    assert h.hexdigest() == "4844286a33298f04e0f5816539fdf514c5c4ddf8649565cff4cd52b5f4c3eed7"
