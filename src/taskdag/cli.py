@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--allow-gated", action="store_true", help="permit the n = 7 enumeration")
     return parser
 
 
@@ -214,7 +213,7 @@ def _cmd_families(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     kind = _ORACLE_KINDS[args.kind]
     closed = analysis.extremal_value(kind, args.x, args.y, args.n)
-    brute = oracle.oracle_extremal(kind, args.x, args.y, args.n, allow_gated=args.allow_gated)
+    brute = oracle.oracle_extremal(kind, args.x, args.y, args.n)
     verdict = {
         "kind": kind.value,
         "x": args.x,

@@ -142,7 +142,7 @@ FAMILY_KINDS = ("S", "T", "Q", "removal-trap", "addition-trap")
 
 def build_family(kind: str, n: int, x: int | None = None, y: int | None = None) -> OrderedDag:
     """Dispatch on the family kind tokens used by the command-line interface."""
-    key = kind.strip().lower()
+    key = kind.strip().lower() if isinstance(kind, str) else None
     if key == "s":
         _require(kind, x=x, y=y)
         return densest_minimal_graph(x, y, n)

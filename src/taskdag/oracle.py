@@ -3,9 +3,10 @@
 Everything here recomputes results from first principles (exhaustive subset
 enumeration, per-edge removal by definition, permutation filtering, exact
 probability flow of process runs over edge sets) so the closed forms and the
-fast routines have an independent check.  Caps keep the exponential searches
-bounded: n <= 6 by default and n = 7 behind an explicit flag for enumeration;
-exact process distributions stop at n <= 6.
+fast routines have an independent check.  Every enumerated extremal verdict
+reads one cached table of per-graph facts per order.  Caps keep the
+exponential searches bounded: enumeration and exact process distributions stop
+at n <= 6.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .errors import CapacityError, DomainError, check_int
 from .graph import OrderedDag, ordered_pairs
 from .processes import ProcessKind, _State
 
-DEFAULT_ENUMERATION_CAP = 6
-GATED_ENUMERATION_CAP = 7
+ENUMERATION_CAP = 6
 EXTENSION_FILTER_CAP = 8
 
 
@@ -34,15 +34,12 @@ class EnumerationScope:
     n: int
     profile: tuple[int, int] | None = None
     minimal_only: bool = False
-    allow_gated: bool = False
 
     def validate(self) -> None:
-        cap = GATED_ENUMERATION_CAP if self.allow_gated else DEFAULT_ENUMERATION_CAP
         check_int(DomainError, n=self.n)
-        if self.n > cap:
+        if self.n > ENUMERATION_CAP:
             raise CapacityError(
-                f"enumeration is capped at n <= {DEFAULT_ENUMERATION_CAP} "
-                f"(n = {GATED_ENUMERATION_CAP} with allow_gated), got n = {self.n}"
+                f"enumeration is capped at n <= {ENUMERATION_CAP}, got n = {self.n}"
             )
 
 
@@ -127,50 +124,29 @@ def oracle_linear_extensions(g: OrderedDag) -> int:
 _Facts = tuple[int, int, int, bool, int]
 
 
-def _graph_facts(g: OrderedDag) -> _Facts:
-    sources, sinks = g.profile().counts
-    return (
-        g.edge_count,
-        sources,
-        sinks,
-        oracle_is_minimal(g, sources, sinks),
-        len(g.underlying_components()),
-    )
-
-
 @lru_cache(maxsize=8)
 def _facts_by_mask(n: int) -> list[_Facts]:
-    # cached for the default cap only; gated n = 7 streams instead
     pairs = ordered_pairs(n)
-    return [
-        _graph_facts(_graph_from_mask(n, pairs, mask)) for mask in range(1 << len(pairs))
-    ]
+    facts = []
+    for mask in range(1 << len(pairs)):
+        g = _graph_from_mask(n, pairs, mask)
+        sources, sinks = g.profile().counts
+        minimal = oracle_is_minimal(g, sources, sinks)
+        facts.append((g.edge_count, sources, sinks, minimal, len(g.underlying_components())))
+    return facts
 
 
-def oracle_extremal(
-    kind: ExtremalKind, x: int, y: int, n: int, allow_gated: bool = False
-) -> int:
+def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
     """Recompute an extremal value by exhaustive search over all graphs."""
-    EnumerationScope(n=n, allow_gated=allow_gated).validate()
+    EnumerationScope(n=n).validate()
     check_int(DomainError, x=x, y=y)
     if kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
         return _max_addition_result_edges(x, y, n)
-    if kind is ExtremalKind.MAX_ORDERINGS:
-        best = -1
-        scope = EnumerationScope(n=n, profile=(x, y), allow_gated=allow_gated)
-        for g in enumerate_graphs(scope):
-            best = max(best, oracle_linear_extensions(g))
-        if best < 0:
-            raise DomainError(f"no ({x}, {y}) graphs of order {n} exist")
-        return best
-
-    if n <= DEFAULT_ENUMERATION_CAP:
-        facts = _facts_by_mask(n)
-    else:
-        scope = EnumerationScope(n=n, allow_gated=allow_gated)
-        facts = (_graph_facts(g) for g in enumerate_graphs(scope))
+    pairs = ordered_pairs(n)
     values: list[int] = []
-    for edge_count, sources, sinks, minimal, component_count in facts:
+    for mask, (edge_count, sources, sinks, minimal, component_count) in enumerate(
+        _facts_by_mask(n)
+    ):
         if (sources, sinks) != (x, y):
             continue
         if kind is ExtremalKind.MAX_MINIMAL_EDGES:
@@ -181,6 +157,8 @@ def oracle_extremal(
         elif kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
             if minimal and component_count == 1:
                 values.append(edge_count)
+        elif kind is ExtremalKind.MAX_ORDERINGS:
+            values.append(oracle_linear_extensions(_graph_from_mask(n, pairs, mask)))
         else:
             raise DomainError(f"unknown extremal kind {kind!r}")
     if not values:
@@ -240,9 +218,9 @@ def exact_process_distribution(
     check_int(DomainError, x=x, y=y, n=n)
     if n < max(x, y):
         raise DomainError(f"requires n >= max(x, y), got n = {n}")
-    if n > DEFAULT_ENUMERATION_CAP:
+    if n > ENUMERATION_CAP:
         raise CapacityError(
-            f"exact distributions are capped at n <= {DEFAULT_ENUMERATION_CAP}, got n = {n}"
+            f"exact distributions are capped at n <= {ENUMERATION_CAP}, got n = {n}"
         )
     if kind is ProcessKind.REMOVAL:
         complete, run = True, _State.removal_pass

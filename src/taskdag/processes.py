@@ -51,6 +51,8 @@ class ProcessConfig:
     m: int | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.kind, ProcessKind):
+            raise ConfigError(f"unknown process kind {self.kind!r}")
         check_int(ConfigError, 0, SEED_MAX, seed=self.seed)
         check_int(ConfigError, n=self.n)
         if self.kind is ProcessKind.RANDOM_TREE:
@@ -208,9 +210,9 @@ def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> Halt
 
 
 def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
+    cfg.validate()
     if cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
-    cfg.validate()
     rng, state = _rng(cfg.seed), _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
     halt = _finish(cfg, state, lambda: rng.permutation(len(state.pairs)).tolist())
     return state.outcome(halt, cfg.x, cfg.y)
@@ -266,8 +268,6 @@ def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutc
         return edge_addition_process(cfg, trace)
     if cfg.kind is ProcessKind.COMBINED:
         return combined_process(cfg, trace)
-    if cfg.kind is ProcessKind.RANDOM_TREE:
-        cfg.validate()
-        g = random_directed_tree(cfg.n, cfg.seed)
-        return ProcessOutcome(g, g.edge_count, HaltReason.NO_MOVE_AVAILABLE, g.profile().matches(cfg.x, cfg.y))
-    raise ConfigError(f"unknown process kind {cfg.kind!r}")
+    cfg.validate()  # the random tree, or a kind that validation rejects
+    g = random_directed_tree(cfg.n, cfg.seed)
+    return ProcessOutcome(g, g.edge_count, HaltReason.NO_MOVE_AVAILABLE, g.profile().matches(cfg.x, cfg.y))

@@ -245,6 +245,25 @@ class TestOracleCommand:
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_n7_is_capacity_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--kind", "min-edges", "--x", "1", "--y", "1", "--n", "7",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CapacityError"
+        assert "n <= 6" in payload["message"]
+
+    def test_allow_gated_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--kind", "min-edges", "--x", "1", "--y", "1", "--n", "7",
+                  "--allow-gated"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,named", [

@@ -140,6 +140,23 @@ def test_enumeration_scope_type_error_is_not_a_capacity_error():
     assert not isinstance(excinfo.value, CapacityError)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_process(ProcessConfig(1, 1, 5, "removal", 0)),
+    lambda: run_trials(ProcessConfig(1, 1, 5, "removal", 0), 10, 1),
+    lambda: table_experiment("removal", [(1, 1)], [5], 10, 1),
+    lambda: growth_experiment("tree", 1, 1, [5], 10, 1),
+], ids=["run_process", "run_trials", "table_experiment", "growth_experiment"])
+def test_string_process_kind_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="unknown process kind"):
+        call()
+
+
+@pytest.mark.parametrize("kind", [None, 5])
+def test_non_string_family_kind_is_a_domain_error(kind):
+    with pytest.raises(DomainError, match="unknown family kind"):
+        families.build_family(kind, 5, x=1, y=1)
+
+
 def test_remaining_value_errors_are_typed():
     with pytest.raises(GraphError, match="unknown export format"):
         export(empty_graph(1), "yaml")

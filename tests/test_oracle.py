@@ -55,12 +55,6 @@ class TestEnumeration:
         with pytest.raises(CapacityError, match="capped at n <= 6"):
             next(enumerate_graphs(EnumerationScope(n=7)))
 
-    def test_gated_cap(self):
-        gen = enumerate_graphs(EnumerationScope(n=7, allow_gated=True))
-        assert next(gen).n == 7
-        with pytest.raises(CapacityError):
-            next(enumerate_graphs(EnumerationScope(n=8, allow_gated=True)))
-
 
 class TestDefinitionalMinimality:
     def test_path(self):
