@@ -11,7 +11,10 @@ are identical bytes for any parallelism level and any block execution order.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +27,21 @@ from .processes import SEED_MAX, ProcessConfig, ProcessKind, _finish, _State, _t
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
+
+# The process's one worker pool, as (workers, pool), and the lock a parallel
+# experiment holds while it uses it.  A forked child starts with neither: the
+# pool's workers belong to the parent, and the lock may be held there.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def derive_seed(*parts: int) -> int:
@@ -116,14 +134,36 @@ def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
     return success, edges, longest, isolated
 
 
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, built on first use and kept
+    for every later experiment with the same count; a pool of another count is
+    shut down first.  Call with ``_pool_lock`` held."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        _drop_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down and forget it.  Call with ``_pool_lock`` held."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+    _pool = None
+
+
 def _run_cells(
     cells: Sequence[tuple[ProcessConfig, int]], trials: int, parallelism: int
 ) -> list[tuple[int, ...]]:
     """Run ``trials`` seeded trials of each (config, master seed) cell and return
     its column totals.  All input is validated before any trial runs; every cell
-    is cut into fixed blocks, and all blocks run serially or in one pool.
+    is cut into fixed blocks, and all blocks run serially or in the process's
+    shared pool.  A call that finds the pool broken drops it and re-raises, so
+    the next call builds a fresh one.
     """
-    check_int(ConfigError, trials=trials, parallelism=parallelism)
+    check_int(ConfigError, trials=trials)
+    check_int(ConfigError, 1, 64, parallelism=parallelism)
     if not cells:
         raise ConfigError("an experiment needs at least one cell, got none")
     for cfg, master_seed in cells:
@@ -135,8 +175,13 @@ def _run_cells(
         for start in range(0, trials, _CHUNK)
     ]
     if parallelism > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            sums = list(pool.map(_block_sums, blocks))
+        with _pool_lock:
+            pool = _shared_pool(parallelism)
+            try:
+                sums = list(pool.map(_block_sums, blocks))
+            except BrokenProcessPool:
+                _drop_pool()
+                raise
     else:
         sums = [_block_sums(block) for block in blocks]
     per_cell = len(blocks) // len(cells)
@@ -149,8 +194,10 @@ def run_trials(
 ) -> TrialSummary:
     """Run ``trials`` independent seeded instances of ``cfg`` and aggregate.
 
-    ``cfg.seed`` is ignored: trial i runs with a stream derived from
-    (master_seed, i).  The result does not depend on ``parallelism``.
+    ``cfg.seed`` is ignored: trial i takes its draws from the stream of block
+    ``i // _CHUNK``, keyed (master_seed, block index), after those of the
+    trials before it in the block.  The result does not depend on
+    ``parallelism``.
     """
     (totals,) = _run_cells([(cfg, master_seed)], trials, parallelism)
     means = (total / trials for total in totals)  # in field order, success_ratio first

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from taskdag import harness
 from taskdag.cli import main
 
 
@@ -90,6 +91,22 @@ class TestTrials:
         lines = err.strip().split("\n")
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_jobs_above_cap_is_json_error_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(
+            capsys, "trials", "--process", "removal", "--n", "4", "--trials", "2000",
+            "--seed", "2", "--jobs", "65",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.strip().split("\n")
+        assert json.loads(line) == {
+            "error": "ConfigError",
+            "message": "parallelism must lie in [1, 64], got 65",
+        }
 
 
 class TestTableAndGrowth:

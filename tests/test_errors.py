@@ -64,11 +64,14 @@ CASES = [
     (lambda m: _process(kind=COMBINED, n=6, m=m), "m", 8, 15, "m"),
     (lambda **kw: _process(kind=TREE, **kw), "n", 1, None, "n"),
     (lambda **kw: _process(kind=TREE, **kw), "seed", 0, SEED_MAX, "seed"),
-    *[(_trials, p, 1, None, p) for p in ("x", "y", "n", "trials", "parallelism")],
+    *[(_trials, p, 1, None, p) for p in ("x", "y", "n", "trials")],
+    (_trials, "parallelism", 1, 64, "parallelism"),
     (_trials, "master_seed", 0, SEED_MAX, "master_seed"),
-    *[(_table, p, 1, None, p) for p in ("x", "y", "n", "trials", "parallelism")],
+    *[(_table, p, 1, None, p) for p in ("x", "y", "n", "trials")],
+    (_table, "parallelism", 1, 64, "parallelism"),
     (_table, "master_seed", 0, SEED_MAX, "master_seed"),
-    *[(_growth, p, 1, None, p) for p in ("x", "y", "n", "trials", "parallelism")],
+    *[(_growth, p, 1, None, p) for p in ("x", "y", "n", "trials")],
+    (_growth, "parallelism", 1, 64, "parallelism"),
     (_growth, "master_seed", 0, SEED_MAX, "master_seed"),
     (lambda part: derive_seed(1, part), "part", 0, None, "key_part"),
     (lambda n: OrderedDag(n), "n", 1, None, "n"),
@@ -129,7 +132,8 @@ BOUNDED = [(call, param, lo, hi) for call, param, lo, hi, _ in CASES if lo == 0 
 
 @pytest.mark.parametrize("call,param,lo,hi", BOUNDED, ids=[c[1] for c in BOUNDED])
 def test_boundary_values_pass(call, param, lo, hi):
-    # seeds span [0, 2^64 - 1], key parts start at 0, and m spans [8, 15] here
+    # seeds span [0, 2^64 - 1], key parts start at 0, m spans [8, 15] here, and
+    # parallelism spans [1, 64] (three trials make one block, so no pool starts)
     for value in (lo,) if hi is None else (lo, hi):
         call(**{param: value})
 

@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing.connection
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -46,9 +50,16 @@ class TestRunTrials:
             ({"master_seed": 2**64}, "master_seed"),
             ({"master_seed": True}, "master_seed"),
             ({"parallelism": 0}, "parallelism"),
+            ({"parallelism": 65, "trials": 2000}, "parallelism"),
+            ({"parallelism": 10**6, "trials": 2000}, "parallelism"),
         ],
     )
-    def test_rejects_bad_arguments(self, kwargs, match):
+    def test_rejects_bad_arguments(self, monkeypatch, kwargs, match):
+        # every argument is checked before a pool could be built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         args = {"trials": 10, "master_seed": 1, "parallelism": 1, **kwargs}
         with pytest.raises(ConfigError, match=match):
             run_trials(_cfg(1, 1, 4), **args)
@@ -134,6 +145,21 @@ class TestRunTrials:
         parallel = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=4)
         assert serial.to_json() == parallel.to_json()
 
+    def test_broken_pool_is_replaced(self):
+        cfg = _cfg(1, 2, 7)
+        run_trials(cfg, 1200, master_seed=5, parallelism=2)
+        broken = harness._pool[1]
+        worker = next(iter(broken._processes.values()))
+        os.kill(worker.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
+        serial = run_trials(cfg, 1200, master_seed=5, parallelism=1)
+        try:
+            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=2)
+        except BrokenProcessPool:  # the call that finds the pool broken may fail
+            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=2)
+        assert parallel.to_json() == serial.to_json()
+        assert harness._pool[1] is not broken
+
     def test_combined_success_requires_budget(self):
         cfg = _cfg(1, 1, 7, kind=ProcessKind.COMBINED, m=12)
         summary = run_trials(cfg, 100, master_seed=11)
@@ -200,7 +226,10 @@ class TestTableExperiment:
             assert line.endswith(",1.0000")
 
     def test_one_pool_per_experiment(self, monkeypatch):
-        # six one-block cells at parallelism 2 share one pool
+        # from no pool, a six-cell table and a run_trials at parallelism 2
+        # build one pool between them
+        with harness._pool_lock:
+            harness._drop_pool()
         pools, real_pool = [], harness.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
@@ -208,12 +237,13 @@ class TestTableExperiment:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
-        csv = table_experiment(
-            ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, master_seed=4, parallelism=2
-        )
+        grid = (ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, 4)
+        csv = table_experiment(*grid, parallelism=2)
+        summary = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=2)
         assert pools == [{"max_workers": 2}]
-        serial = table_experiment(ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, 4)
-        assert csv == serial and len(pools) == 1
+        assert csv == table_experiment(*grid, parallelism=1)
+        assert summary == run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)
+        assert len(pools) == 1
 
     @pytest.mark.parametrize("pairs,n_values", [([], [5, 6]), ([(1, 2)], range(6, 5))])
     def test_empty_grid_is_config_error(self, pairs, n_values):
