@@ -23,10 +23,20 @@ import numpy as np
 
 from .errors import ConfigError, GraphError, check_int
 from .graph import OrderedDag
-from .processes import SEED_MAX, ProcessConfig, ProcessKind, _finish, _State, _tree_state
+from .processes import (
+    SEED_MAX,
+    ProcessConfig,
+    ProcessKind,
+    _Batch,
+    _finish,
+    _finish_batch,
+    _State,
+    _tree_state,
+)
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
+_KERNEL_MIN = 128  # fewest trials per sub-batch that run in lockstep; see below
 
 # The process's one worker pool, as (workers, pool), and the lock a parallel
 # experiment holds while it uses it.  A forked child starts with neither: the
@@ -73,65 +83,93 @@ class TrialSummary:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, count: int) -> Iterator[list]:
-    """Yield ``count`` rows of draws: rows of n - 1 uniforms for the tree, else
-    permutations of the C(n, 2) candidate-edge indices.  Row i equals the
-    i-th ``random(n - 1)`` / ``permutation(C(n, 2))`` call on ``rng``.  Rows are
-    drawn in sub-batches of at most ``_DRAW_CAP`` entries (one row if a row is
-    longer), which changes no row, and become lists one row at a time."""
+def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int) -> Iterator[np.ndarray]:
+    """Yield the draws of ``trials`` trials as arrays of rows: rows of n - 1
+    uniforms for the tree, else permutations of the C(n, 2) candidate-edge
+    indices, one row per trial or two for the combined process.  Row i
+    equals the i-th ``random(n - 1)`` / ``permutation(C(n, 2))`` call on
+    ``rng``.  Each array holds whole trials and at most ``_DRAW_CAP`` entries
+    (one trial if its rows are longer), which changes no row."""
     width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
-    step = max(1, _DRAW_CAP // max(width, 1))
-    for done in range(0, count, step):
-        shape = (min(step, count - done), width)
+    per_trial = 2 if kind is ProcessKind.COMBINED else 1
+    step = max(1, _DRAW_CAP // max(width * per_trial, 1))
+    for done in range(0, trials, step):
+        shape = (min(step, trials - done) * per_trial, width)
         if kind is ProcessKind.RANDOM_TREE:
-            batch = rng.random(shape)
+            yield rng.random(shape)
         else:
-            batch = rng.permuted(np.broadcast_to(np.arange(width), shape), axis=1)
-        for row in batch:
-            yield row.tolist()
+            yield rng.permuted(np.broadcast_to(np.arange(width), shape), axis=1)
 
 
-def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -> Iterator[_State]:
-    """Final states of trials ``start..stop-1`` of one cell, where ``start``
-    opens block ``start // _CHUNK``.  The block has one generator, keyed
-    (master_seed, block index), and each trial takes its next rows in order:
-    two for the combined process, whether or not its second phase runs."""
+def _block_states(
+    cfg: ProcessConfig, master_seed: int, start: int, stop: int
+) -> Iterator[_State | _Batch]:
+    """Final states of trials ``start..stop-1`` of one cell, in trial order,
+    where ``start`` opens block ``start // _CHUNK``.  The block has one
+    generator, keyed (master_seed, block index), and each trial takes its next
+    rows in order: two for the combined process, whether or not its second
+    phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
+    removal, addition or combined trials runs in lockstep and comes as one
+    ``_Batch``; every other trial runs the ``_State`` passes and comes alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
-    rows = _draw_rows(rng, cfg.kind, cfg.n, (stop - start) * per_trial)
-    complete = cfg.kind is ProcessKind.REMOVAL
-    for _ in range(start, stop):
+    for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
         if cfg.kind is ProcessKind.RANDOM_TREE:
-            yield _tree_state(cfg.n, next(rows))
+            for row in rows:
+                yield _tree_state(cfg.n, row.tolist())
+        elif len(rows) >= _KERNEL_MIN * per_trial:
+            yield _finish_batch(cfg, rows)
         else:
-            state = _State(cfg.n, complete)
-            _finish(cfg, state, iter([next(rows) for _ in range(per_trial)]).__next__)
-            yield state
+            for i in range(0, len(rows), per_trial):
+                state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
+                _finish(cfg, state, iter(rows[i : i + per_trial].tolist()).__next__)
+                yield state
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:
     """Final states of trials ``0..trials-1`` of one cell, block after block."""
     for start in range(0, trials, _CHUNK):
-        yield from _block_states(cfg, master_seed, start, min(start + _CHUNK, trials))
+        for item in _block_states(cfg, master_seed, start, min(start + _CHUNK, trials)):
+            yield from item.states() if isinstance(item, _Batch) else (item,)
+
+
+def _state_sums(cfg: ProcessConfig, state: _State) -> tuple[int, ...]:
+    """The four statistics of one final state."""
+    n = state.n
+    success = (state.sources, state.sinks) == (cfg.x, cfg.y) and (cfg.m is None or state.edge_total == cfg.m)
+    dist = [0] * (n + 1)
+    for a, b in compress(state.pairs, state.present):  # in topological order
+        if dist[a] >= dist[b]:
+            dist[b] = dist[a] + 1
+    # index 0 of the degree lists is no vertex, but reads as isolated
+    isolated = sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
+    return success, state.edge_total, max(dist), isolated
+
+
+def _batch_sums(cfg: ProcessConfig, batch: _Batch) -> tuple[int, ...]:
+    """The four statistics summed over the rows of a batch, from its arrays."""
+    n, present = batch.n, batch.present
+    success = (batch.sources == cfg.x) & (batch.sinks == cfg.y)
+    if cfg.m is not None:
+        success &= batch.edge_total == cfg.m
+    column = np.zeros((n + 1, n + 1), np.intp)  # column[a, b]: index of edge (a, b)
+    column[batch.tails, batch.heads] = np.arange(present.shape[1])
+    dist = np.zeros((len(present), n + 1), np.int64)
+    for b in range(2, n + 1):  # vertex order is topological
+        dist[:, b] = ((dist[:, 1:b] + 1) * present[:, column[1:b, b]]).max(axis=1)
+    isolated = (batch.indeg[:, 1:] == 0) & (batch.outdeg[:, 1:] == 0)
+    return tuple(int(a.sum()) for a in (success, batch.edge_total, dist.max(axis=1), isolated))
 
 
 def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
     """Column sums of trials ``start..stop-1`` of one cell: the unit of work.
     Per trial: success, edges, longest path, isolated vertices."""
-    cfg, master_seed, start, stop = args
-    target, n, m = (cfg.x, cfg.y), cfg.n, cfg.m
-    success = edges = longest = isolated = 0
-    for state in _block_states(cfg, master_seed, start, stop):
-        success += (state.sources, state.sinks) == target and (m is None or state.edge_total == m)
-        edges += state.edge_total
-        dist = [0] * (n + 1)
-        for a, b in compress(state.pairs, state.present):  # in topological order
-            if dist[a] >= dist[b]:
-                dist[b] = dist[a] + 1
-        longest += max(dist)
-        # index 0 of the degree lists is no vertex, but reads as isolated
-        isolated += sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
-    return success, edges, longest, isolated
+    cfg = args[0]
+    parts = (
+        _batch_sums(cfg, item) if isinstance(item, _Batch) else _state_sums(cfg, item)
+        for item in _block_states(*args)
+    )
+    return tuple(sum(col) for col in zip(*parts))
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:

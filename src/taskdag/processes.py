@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .analysis import ExtremalKind, extremal_value
 from .errors import ConfigError, GraphError, TaskDagError, check_int
-from .graph import OrderedDag, ordered_pairs
+from .graph import MAX_ORDER, OrderedDag, ordered_pairs
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
 # trace arguments: round index, "add"/"remove", a, b, source count, sink count
@@ -54,7 +54,7 @@ class ProcessConfig:
         if not isinstance(self.kind, ProcessKind):
             raise ConfigError(f"unknown process kind {self.kind!r}")
         check_int(ConfigError, 0, SEED_MAX, seed=self.seed)
-        check_int(ConfigError, n=self.n)
+        check_int(ConfigError, 1, MAX_ORDER, n=self.n)
         if self.kind is ProcessKind.RANDOM_TREE:
             return
         check_int(ConfigError, x=self.x, y=self.y)
@@ -185,6 +185,107 @@ class _State:
         return ProcessOutcome(self.graph(), self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
 
 
+class _Batch:
+    """Runs of ``_State`` from the same start, one per row, moved in lockstep:
+    the same fields as arrays (``present`` is ``(B, C(n, 2))``, the degrees
+    ``(B, n + 1)``, the counts ``(B,)``), and the same two passes, which move
+    every row by one position of its own permutation per step.  The rows are
+    independent, so a step touches each row's own slots only.
+    ``_State.removal_pass`` and ``addition_pass`` are the reference: each
+    pass here applies the same cancel rule and halts where it does, row by
+    row, and the tests require equal fields for every row."""
+
+    __slots__ = ("n", "tails", "heads", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+
+    def __init__(self, n: int, complete: bool, count: int) -> None:
+        start = _State(n, complete)
+        tails, heads = np.triu_indices(n, 1)  # ordered_pairs(n), zero-based
+        self.n, self.tails, self.heads = n, tails + 1, heads + 1
+        self.present = np.full((count, len(tails)), complete)
+        self.indeg = np.tile(np.array(start.indeg, np.int64), (count, 1))
+        self.outdeg = np.tile(np.array(start.outdeg, np.int64), (count, 1))
+        self.sources = np.full(count, start.sources, np.int64)
+        self.sinks = np.full(count, start.sinks, np.int64)
+        self.edge_total = np.full(count, start.edge_total, np.int64)
+        self.rounds = np.zeros(count, np.int64)
+
+    def _steps(self, orders: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Per permutation position, each row's flat index of its candidate
+        edge in ``present`` and of that edge's head and tail in the degrees."""
+        count, width = self.present.shape
+        rows = np.arange(count)[:, None]
+        base = rows * (self.n + 1)
+        edge, head, tail = rows * width + orders, base + self.heads[orders], base + self.tails[orders]
+        return zip(*(np.ascontiguousarray(index.T) for index in (edge, head, tail)))
+
+    def removal_pass(
+        self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``_State.removal_pass`` on every row in ``active`` (all rows by
+        default), row i taking ``orders[i]``.  Return which rows are at the
+        budget."""
+        present, indeg, outdeg = self.present.reshape(-1), self.indeg.reshape(-1), self.outdeg.reshape(-1)
+        sources, sinks, edges = self.sources, self.sinks, self.edge_total
+        stop, before = -1 if budget is None else budget, edges.copy()
+        active = edges != stop if active is None else active & (edges != stop)
+        for edge, b, a in self._steps(orders):
+            held, inb, outa = present[edge], indeg[b], outdeg[a]
+            lone_in, lone_out = inb == 1, outa == 1
+            move = active & held & ~(lone_in & (sources >= x) | lone_out & (sinks >= y))
+            present[edge] = held ^ move
+            indeg[b] = inb - move
+            outdeg[a] = outa - move
+            sources += move & lone_in
+            sinks += move & lone_out
+            edges -= move
+            if budget is not None:
+                active &= edges != stop
+                if not active.any():
+                    break
+        self.rounds += before - edges
+        return edges == stop
+
+    def addition_pass(
+        self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``_State.addition_pass`` on every row in ``active`` (all rows by
+        default), row i taking ``orders[i]``.  Return which rows halted."""
+        present, indeg, outdeg = self.present.reshape(-1), self.indeg.reshape(-1), self.outdeg.reshape(-1)
+        sources, sinks, edges = self.sources, self.sinks, self.edge_total
+        before = edges.copy()
+
+        def halted() -> np.ndarray:  # at the exact profile, or with a budget at the edge count
+            return (sources == x) & (sinks == y) if budget is None else edges == budget
+
+        active = ~halted() if active is None else active & ~halted()
+        for edge, b, a in self._steps(orders):
+            if not active.any():
+                break
+            held, inb, outa = present[edge], indeg[b], outdeg[a]
+            lone_in, lone_out = inb == 0, outa == 0
+            move = active & ~held & ~(lone_in & (sources <= x) | lone_out & (sinks <= y))
+            present[edge] = held | move
+            indeg[b] = inb + move
+            outdeg[a] = outa + move
+            sources -= move & lone_in
+            sinks -= move & lone_out
+            edges += move
+            active &= ~halted()
+        self.rounds += edges - before
+        return halted()
+
+    def states(self) -> Iterator[_State]:
+        """Each row as a ``_State``, in row order."""
+        pairs = ordered_pairs(self.n)
+        fields = (self.present, self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
+        for present, indeg, outdeg, sources, sinks, edges, rounds in zip(*(f.tolist() for f in fields)):
+            state = _State.__new__(_State)
+            state.n, state.pairs, state.trace, state.rounds = self.n, pairs, None, rounds
+            state.present, state.indeg, state.outdeg = present, indeg, outdeg
+            state.sources, state.sinks, state.edge_total = sources, sinks, edges
+            yield state
+
+
 def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> HaltReason:
     """Run the phases of ``cfg`` on a fresh ``state`` and return why it halted.
     Each phase takes its edge order from ``draw()``, a permutation of the
@@ -207,6 +308,29 @@ def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> Halt
         # and a minimal graph has at most 2n - x - y - 2 <= m edges
         raise TaskDagError(f"removal adjustment stopped at {state.edge_total} edges, above m = {m}")
     return HaltReason.NO_MOVE_AVAILABLE
+
+
+def _finish_batch(cfg: ProcessConfig, rows: np.ndarray) -> _Batch:
+    """``_finish`` on many trials at once: their final states, where trial t
+    takes its edge orders from row t, or from rows 2t and 2t + 1 for the
+    combined process."""
+    x, y, m = cfg.x, cfg.y, cfg.m
+    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
+    if cfg.kind is ProcessKind.REMOVAL:
+        batch.removal_pass(rows, x, y)
+        return batch
+    hit = batch.addition_pass(rows[::per_trial], x, y)
+    if cfg.kind is ProcessKind.ADDITION:
+        return batch
+    fill = hit & (batch.edge_total < m)
+    trim = hit & ~fill
+    batch.addition_pass(rows[1::2], x, y, budget=m, active=fill)
+    stuck = trim & ~batch.removal_pass(rows[1::2], x, y, budget=m, active=trim)
+    if stuck.any():  # never: see _finish
+        edges = batch.edge_total[stuck.argmax()]
+        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
+    return batch
 
 
 def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
@@ -256,7 +380,7 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     vertex 1 is the unique source.
     """
     check_int(ConfigError, 0, SEED_MAX, seed=seed)
-    check_int(GraphError, n=n)
+    check_int(GraphError, 1, MAX_ORDER, n=n)
     return _tree_state(n, _rng(seed).random(n - 1).tolist()).graph()
 
 

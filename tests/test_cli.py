@@ -1,10 +1,13 @@
 import io
 import json
+import multiprocessing
+import tracemalloc
 
 import pytest
 
 from taskdag import harness
 from taskdag.cli import main
+from taskdag.graph import MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +174,40 @@ class TestTableAndGrowth:
         lines = out.strip().split("\n")
         assert lines[0] == "n,mean_edges,mean_longest_path,mean_isolated"
         assert len(lines) == 3
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize(
+        "argv,payload,error",
+        [
+            (["analyze", "--input", "-"], '{"n": 100000000, "edges": []}', "GraphError"),
+            (["generate", "--process", "removal", "--n", str(MAX_ORDER + 1), "--seed", "1"], None, "ConfigError"),
+            (["generate", "--process", "tree", "--n", str(MAX_ORDER + 1), "--seed", "1"], None, "ConfigError"),
+        ],
+        ids=["analyze", "generate-removal", "generate-tree"],
+    )
+    def test_order_above_cap_is_one_json_line_before_any_work(
+        self, capsys, monkeypatch, argv, payload, error
+    ):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_process)
+        monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+        if payload is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        (line,) = err.strip().split("\n")
+        record = json.loads(line)
+        assert record["error"] == error
+        assert record["message"].startswith(f"n must lie in [1, {MAX_ORDER}], got ")
+        assert peak < 2**22  # nothing of the order's size was allocated
 
 
 class TestAnalyze:

@@ -26,7 +26,7 @@ from taskdag.errors import (
     TaskDagError,
     check_int,
 )
-from taskdag.graph import OrderedDag, complete_graph, empty_graph
+from taskdag.graph import MAX_ORDER, OrderedDag, complete_graph, empty_graph
 from taskdag.harness import derive_seed, export, growth_experiment, run_trials, table_experiment
 from taskdag.oracle import EnumerationScope, exact_process_distribution, oracle_extremal
 from taskdag.processes import ProcessConfig, ProcessKind, random_directed_tree, run_process
@@ -59,10 +59,10 @@ def _from_json(n=3, a=1):
 CASES = [
     (_process, "x", 1, None, "x"),
     (_process, "y", 1, None, "y"),
-    (_process, "n", 1, None, "n"),
+    (_process, "n", 1, MAX_ORDER, "n"),
     (_process, "seed", 0, SEED_MAX, "seed"),
     (lambda m: _process(kind=COMBINED, n=6, m=m), "m", 8, 15, "m"),
-    (lambda **kw: _process(kind=TREE, **kw), "n", 1, None, "n"),
+    (lambda **kw: _process(kind=TREE, **kw), "n", 1, MAX_ORDER, "n"),
     (lambda **kw: _process(kind=TREE, **kw), "seed", 0, SEED_MAX, "seed"),
     *[(_trials, p, 1, None, p) for p in ("x", "y", "n", "trials")],
     (_trials, "parallelism", 1, 64, "parallelism"),
@@ -74,11 +74,11 @@ CASES = [
     (_growth, "parallelism", 1, 64, "parallelism"),
     (_growth, "master_seed", 0, SEED_MAX, "master_seed"),
     (lambda part: derive_seed(1, part), "part", 0, None, "key_part"),
-    (lambda n: OrderedDag(n), "n", 1, None, "n"),
-    (lambda n: complete_graph(n), "n", 1, None, "n"),
-    (_from_json, "n", 1, None, "n"),
+    (lambda n: OrderedDag(n), "n", 1, MAX_ORDER, "n"),
+    (lambda n: complete_graph(n), "n", 1, MAX_ORDER, "n"),
+    (lambda n: OrderedDag.from_json(json.dumps({"n": n, "edges": []})), "n", 1, MAX_ORDER, "n"),
     (_from_json, "a", 1, None, "vertex"),
-    (lambda n=3, seed=1: random_directed_tree(n, seed), "n", 1, None, "n"),
+    (lambda n=3, seed=1: random_directed_tree(n, seed), "n", 1, MAX_ORDER, "n"),
     (lambda n=3, seed=1: random_directed_tree(n, seed), "seed", 0, SEED_MAX, "seed"),
     *[
         (lambda x=1, y=1, n=3: extremal_value(ExtremalKind.MAX_EDGES, x, y, n), p, 1, None, p)
@@ -132,8 +132,9 @@ BOUNDED = [(call, param, lo, hi) for call, param, lo, hi, _ in CASES if lo == 0 
 
 @pytest.mark.parametrize("call,param,lo,hi", BOUNDED, ids=[c[1] for c in BOUNDED])
 def test_boundary_values_pass(call, param, lo, hi):
-    # seeds span [0, 2^64 - 1], key parts start at 0, m spans [8, 15] here, and
+    # seeds span [0, 2^64 - 1], key parts start at 0, m spans [8, 15] here,
     # parallelism spans [1, 64] (three trials make one block, so no pool starts)
+    # and orders span [1, MAX_ORDER]
     for value in (lo,) if hi is None else (lo, hi):
         call(**{param: value})
 

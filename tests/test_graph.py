@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given
 
 from taskdag.errors import CapacityError, GraphError
-from taskdag.graph import OrderedDag, complete_graph, empty_graph, ordered_pairs
+from taskdag.graph import MAX_ORDER, OrderedDag, complete_graph, empty_graph, ordered_pairs
 
 from .conftest import ordered_dags
 
@@ -23,7 +25,7 @@ class TestConstructors:
         assert empty_graph(3).longest_path_length() == 0
 
     def test_bad_order_rejected(self):
-        with pytest.raises(GraphError, match="positive integer"):
+        with pytest.raises(GraphError, match=rf"^n must lie in \[1, {MAX_ORDER}\], got 0$"):
             empty_graph(0)
 
     def test_complete_edge_counts(self):
@@ -85,6 +87,11 @@ class TestEdgeOps:
         g = empty_graph(3)
         with pytest.raises(GraphError, match="out of range"):
             g.add_edge(1, 4)
+
+    @pytest.mark.parametrize("v", [2.0, "2", None, True])
+    def test_non_integer_vertex_is_named_as_such(self, v):
+        with pytest.raises(GraphError, match=rf"^vertex {v!r} is not an integer$"):
+            OrderedDag.from_json(json.dumps({"n": 3, "edges": [[1, v]]}))
 
     def test_remove_missing(self):
         with pytest.raises(GraphError, match="absent"):

@@ -115,10 +115,14 @@ class TestRunTrials:
         expected = tuple(sum(col) / trials for col in zip(*rows))
         assert (s.success_ratio, s.mean_edges, s.mean_longest_path, s.mean_isolated) == expected
 
-    @pytest.mark.parametrize("kind,n", [(ProcessKind.REMOVAL, 50), (ProcessKind.RANDOM_TREE, 300)])
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(ProcessKind.REMOVAL, 50), (ProcessKind.COMBINED, 50), (ProcessKind.RANDOM_TREE, 300)],
+    )
     def test_draw_split_at_cap_keeps_rows(self, kind, n):
-        # 512 rows of C(50, 2) = 1225 entries (or 299 for the tree) exceed the
-        # cap, so the draw is split, and every row still equals one unsplit call
+        # 512 trials' rows of C(50, 2) = 1225 entries (two per combined trial,
+        # or 299 for the tree) exceed the cap, so the draw is split, at trial
+        # boundaries, and every row still equals one unsplit call
         class Spy:
             def __init__(self, seed):
                 self.rng, self.sizes = np.random.default_rng(seed), []
@@ -132,13 +136,37 @@ class TestRunTrials:
                 return self.rng.random(shape)
 
         spy, ref = Spy(5), np.random.default_rng(5)
-        rows = list(harness._draw_rows(spy, kind, n, 512))
+        batches = list(harness._draw_rows(spy, kind, n, 512))
+        rows = [row.tolist() for batch in batches for row in batch]
+        per_trial = 2 if kind is ProcessKind.COMBINED else 1
         if kind is ProcessKind.RANDOM_TREE:
             expected = [ref.random(n - 1).tolist() for _ in range(512)]
         else:
-            expected = [ref.permutation(math.comb(n, 2)).tolist() for _ in range(512)]
+            expected = [ref.permutation(math.comb(n, 2)).tolist() for _ in range(512 * per_trial)]
         assert rows == expected
+        assert all(len(batch) % per_trial == 0 for batch in batches)
         assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**16
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _cfg(1, 3, 7),
+            _cfg(2, 1, 7, kind=ProcessKind.ADDITION),
+            _cfg(1, 2, 7, kind=ProcessKind.COMBINED, m=12),
+        ],
+        ids=lambda cfg: cfg.kind.value,
+    )
+    def test_kernel_minimum_changes_no_byte(self, cfg, monkeypatch):
+        # blocks of one trial under, at and just over the kernel minimum, alone
+        # or after a full block, give the bytes of the per-trial loop alone,
+        # serially and in the pool
+        low = harness._KERNEL_MIN
+        for trials in (low - 1, low, low + 1, *(harness._CHUNK + t for t in (low - 1, low, low + 1))):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_KERNEL_MIN", 10**9)
+                loop = run_trials(cfg, trials, master_seed=6).to_json()
+            for parallelism in (1, 2):
+                assert run_trials(cfg, trials, 6, parallelism).to_json() == loop, (trials, parallelism)
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)

@@ -3,6 +3,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
@@ -14,6 +15,8 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
+    _finish,
+    _finish_batch,
     _State,
     combined_process,
     edge_addition_process,
@@ -432,3 +435,70 @@ class TestRetentionBoundMonteCarlo:
             bound = float(retention_probability_bound(r, s, n))
             sigma = math.sqrt(bound * (1 - bound) / trials)
             assert survivals[i] / trials <= bound + 3 * sigma + 1e-12
+
+
+def _batch_phases(cfg, rows):
+    """Run ``_finish_batch`` on ``rows`` and, row by row, ``_finish`` on the
+    same rows with ``_State`` passes; require equal fields for every trial and
+    return how each combined trial's second phase went."""
+    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    batch = _finish_batch(cfg, rows)
+    assert batch.present.shape == (len(rows) // per_trial, math.comb(cfg.n, 2))
+    phases = set()
+    for t in range(len(rows) // per_trial):
+        state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
+        orders = iter(rows[t * per_trial : (t + 1) * per_trial].tolist())
+
+        def draw():
+            if cfg.m is not None and state.edge_total:  # the second draw: below m fills
+                phases.add("fill" if state.edge_total < cfg.m else "trim")
+            return next(orders)
+
+        _finish(cfg, state, draw)
+        if cfg.m is not None and (state.sources, state.sinks) != (cfg.x, cfg.y):
+            phases.add("miss")
+        assert batch.present[t].tolist() == state.present, t
+        assert batch.indeg[t].tolist() == state.indeg, t
+        assert batch.outdeg[t].tolist() == state.outdeg, t
+        got = (batch.sources[t], batch.sinks[t], batch.edge_total[t], batch.rounds[t])
+        assert got == (state.sources, state.sinks, state.edge_total, state.rounds), t
+    return phases
+
+
+def _rows(count, width, seed):
+    rng = np.random.default_rng(seed)
+    return rng.permuted(np.broadcast_to(np.arange(width), (count, width)), axis=1)
+
+
+class TestBatchKernel:
+    """The lockstep kernel against ``_State`` passes on the same rows."""
+
+    @pytest.mark.parametrize("trials", [1, 7, 512])
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
+    def test_single_pass_rows_equal_state_passes(self, x, y, kind, trials):
+        for n in sorted({max(x, y), 2, 14}):
+            if n >= max(x, y):
+                cfg = ProcessConfig(x, y, n, kind, seed=0)
+                _batch_phases(cfg, _rows(trials, math.comb(n, 2), seed=100 * x + 10 * y + n))
+
+    @pytest.mark.parametrize("trials", [1, 7, 512])
+    @pytest.mark.parametrize(
+        "x,y,m,phases",
+        [
+            (1, 1, 20, {"trim"}),
+            (1, 1, 30, {"fill", "trim"}),
+            (2, 2, 25, {"fill", "trim"}),
+            (1, 3, 30, {"miss", "fill", "trim"}),
+            (3, 1, 45, {"miss", "fill", "trim"}),
+            (1, 4, 17, {"miss", "fill", "trim"}),
+        ],
+    )
+    def test_combined_rows_equal_state_passes(self, x, y, m, phases, trials):
+        # the second phase fills to m, trims to m, or never runs (x != y misses)
+        cfg = ProcessConfig(x, y, 12, ProcessKind.COMBINED, seed=0, m=m)
+        cfg.validate()
+        seen = _batch_phases(cfg, _rows(2 * trials, math.comb(12, 2), seed=m))
+        assert seen <= phases
+        if trials == 512:
+            assert seen == phases
