@@ -3,9 +3,14 @@
 Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
-seed derive_seed(master_seed, x, y, n).  Each trial runs the processes' own
-``_State`` passes, and every aggregate is reduced from integer sums, so results
-are identical bytes for any parallelism level and any block execution order.
+seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
+whole trials.  A sub-batch of at least ``_KERNEL_MIN`` removal, addition or
+combined trials runs through ``processes._finish_batch``, which moves all its
+trials in lockstep with numpy and reads the statistics from the arrays; any
+other trial runs the processes' own ``_State`` passes.  Both give equal final
+states on equal draws, and every aggregate is reduced from integer sums, so
+results are identical bytes for any parallelism level and any block execution
+order.
 """
 
 from __future__ import annotations
@@ -36,7 +41,12 @@ from .processes import (
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
-_KERNEL_MIN = 128  # fewest trials per sub-batch that run in lockstep; see below
+# Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
+# statistics, the kernel costs about as much as the _State loop at 64 trials
+# (removal) to 96 (addition) and 1.3-1.8x less at 128, for (1, 1) at
+# n = 14, 24 and 32 on a 2-vCPU VM.  Sub-batches of at least 128 trials need
+# C(n, 2) <= _DRAW_CAP / 128, so n <= 32 (n <= 23 for the combined process).
+_KERNEL_MIN = 128
 
 # The process's one worker pool, as (workers, pool), and the lock a parallel
 # experiment holds while it uses it.  A forked child starts with neither: the
