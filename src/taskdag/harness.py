@@ -35,6 +35,7 @@ from .processes import (
     _Batch,
     _finish,
     _finish_batch,
+    _rows_per_run,
     _State,
     _tree_state,
 )
@@ -42,10 +43,10 @@ from .processes import (
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
 # Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
-# statistics, the kernel costs about as much as the _State loop at 64 trials
-# (removal) to 96 (addition) and 1.3-1.8x less at 128, for (1, 1) at
-# n = 14, 24 and 32 on a 2-vCPU VM.  Sub-batches of at least 128 trials need
-# C(n, 2) <= _DRAW_CAP / 128, so n <= 32 (n <= 23 for the combined process).
+# statistics, the kernel breaks even with the _State loop between 32 and 64
+# trials for removal and between 64 and 96 for addition, and is 1.5-2.1x
+# faster at 128 ((1, 1) at n = 14, 24 and 32, 2-vCPU VM).  Sub-batches of 128
+# trials need C(n, 2) <= _DRAW_CAP / 128: n <= 32, or n <= 23 for combined.
 _KERNEL_MIN = 128
 
 # The process's one worker pool, as (workers, pool), and the lock a parallel
@@ -101,7 +102,7 @@ def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int)
     ``rng``.  Each array holds whole trials and at most ``_DRAW_CAP`` entries
     (one trial if its rows are longer), which changes no row."""
     width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
-    per_trial = 2 if kind is ProcessKind.COMBINED else 1
+    per_trial = _rows_per_run(kind)
     step = max(1, _DRAW_CAP // max(width * per_trial, 1))
     for done in range(0, trials, step):
         shape = (min(step, trials - done) * per_trial, width)
@@ -122,7 +123,7 @@ def _block_states(
     removal, addition or combined trials runs in lockstep and comes as one
     ``_Batch``; every other trial runs the ``_State`` passes and comes alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
-    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    per_trial = _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
         if cfg.kind is ProcessKind.RANDOM_TREE:
             for row in rows:

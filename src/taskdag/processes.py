@@ -310,12 +310,18 @@ def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> Halt
     return HaltReason.NO_MOVE_AVAILABLE
 
 
+def _rows_per_run(kind: ProcessKind) -> int:
+    """Rows of draws one run takes: two edge orders for the combined process,
+    whether or not its second phase runs, else one row."""
+    return 2 if kind is ProcessKind.COMBINED else 1
+
+
 def _finish_batch(cfg: ProcessConfig, rows: np.ndarray) -> _Batch:
     """``_finish`` on many trials at once: their final states, where trial t
     takes its edge orders from row t, or from rows 2t and 2t + 1 for the
     combined process."""
     x, y, m = cfg.x, cfg.y, cfg.m
-    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    per_trial = _rows_per_run(cfg.kind)
     batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
     if cfg.kind is ProcessKind.REMOVAL:
         batch.removal_pass(rows, x, y)
