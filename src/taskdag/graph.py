@@ -44,10 +44,11 @@ class VertexProfile:
         return len(self.initial) == x and len(self.terminal) == y
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All candidate edges (a, b) with 1 <= a < b <= n, in lexicographic order.
-    The 32 most recent orders stay cached, so memory stays bounded."""
+    The 2 most recent orders stay cached: one entry at n = 1000 holds 45 MB,
+    and a miss at n <= 14 costs under 15 us."""
     return tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
 
 

@@ -4,13 +4,13 @@ Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
 seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
-whole trials.  A sub-batch of at least ``_KERNEL_MIN`` removal, addition or
-combined trials runs through ``processes._finish_batch``, which moves all its
-trials in lockstep with numpy and reads the statistics from the arrays; any
-other trial runs the processes' own ``_State`` passes.  Both give equal final
-states on equal draws, and every aggregate is reduced from integer sums, so
-results are identical bytes for any parallelism level and any block execution
-order.
+whole trials.  ``processes._finish`` runs the phases of every removal,
+addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
+one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
+statistics from its arrays, and any other trial as its own ``_State``.  Both
+give equal final states on equal draws, and every aggregate is reduced from
+integer sums, so results are identical bytes for any parallelism level and any
+block execution order.
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ from .processes import (
     ProcessKind,
     _Batch,
     _finish,
-    _finish_batch,
     _rows_per_run,
     _State,
     _tree_state,
 )
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
+# Most trials per cell.  A cell's blocks and, with a pool, their futures are
+# listed before any trial runs: about 35 MB at the cap (19532 blocks).
+MAX_TRIALS = 10**7
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
 # Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
 # statistics, the kernel breaks even with the _State loop between 32 and 64
@@ -123,16 +125,18 @@ def _block_states(
     removal, addition or combined trials runs in lockstep and comes as one
     ``_Batch``; every other trial runs the ``_State`` passes and comes alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
-    per_trial = _rows_per_run(cfg.kind)
+    complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
         if cfg.kind is ProcessKind.RANDOM_TREE:
             for row in rows:
                 yield _tree_state(cfg.n, row.tolist())
         elif len(rows) >= _KERNEL_MIN * per_trial:
-            yield _finish_batch(cfg, rows)
+            batch = _Batch(cfg.n, complete, len(rows) // per_trial)
+            _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
+            yield batch
         else:
             for i in range(0, len(rows), per_trial):
-                state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
+                state = _State(cfg.n, complete)
                 _finish(cfg, state, iter(rows[i : i + per_trial].tolist()).__next__)
                 yield state
 
@@ -211,7 +215,7 @@ def _run_cells(
     shared pool.  A call that finds the pool broken drops it and re-raises, so
     the next call builds a fresh one.
     """
-    check_int(ConfigError, trials=trials)
+    check_int(ConfigError, 1, MAX_TRIALS, trials=trials)
     check_int(ConfigError, 1, 64, parallelism=parallelism)
     if not cells:
         raise ConfigError("an experiment needs at least one cell, got none")

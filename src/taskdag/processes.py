@@ -117,13 +117,16 @@ class _State:
         state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
         return state
 
-    def removal_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
+    def removal_pass(
+        self, order: Iterable[int], x: int, y: int, budget: int | None = None, active: bool = True
+    ) -> bool:
         """Remove each present edge of ``order`` unless that would raise the
         sources above x or the sinks above y.  With a budget, halt at
-        ``budget`` edges; return whether the budget was reached."""
+        ``budget`` edges; return whether the budget was reached.  An inactive
+        run does not move."""
         pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
         sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
-        if edges != budget:
+        if active and edges != budget:
             for idx in order:
                 if not present[idx]:
                     continue
@@ -144,19 +147,22 @@ class _State:
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return edges == budget
 
-    def addition_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
+    def addition_pass(
+        self, order: Iterable[int], x: int, y: int, budget: int | None = None, active: bool = True
+    ) -> bool:
         """Add each absent edge of ``order`` unless that would drop the
         sources below x or the sinks below y.  Halt at the exact (x, y)
         profile, or with a budget at ``budget`` edges; return whether the
-        pass halted.  From an exact (x, y) profile this rule admits exactly
-        the neutral additions, which keep every vertex's source/sink status."""
+        pass halted.  An inactive run does not move.  From an exact (x, y)
+        profile this rule admits exactly the neutral additions, which keep
+        every vertex's source/sink status."""
         pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
         sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, budget = x, y, -1
         else:  # halt at the edge count only
             tx = ty = -1
-        if not ((sources == tx and sinks == ty) or edges == budget):
+        if active and not ((sources == tx and sinks == ty) or edges == budget):
             for idx in order:
                 if present[idx]:
                     continue
@@ -181,8 +187,16 @@ class _State:
         edges = set(compress(self.pairs, self.present))
         return OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
 
-    def outcome(self, halt_reason: HaltReason, x: int, y: int) -> ProcessOutcome:
-        return ProcessOutcome(self.graph(), self.rounds, halt_reason, (self.sources, self.sinks) == (x, y))
+    def outcome(self, cfg: ProcessConfig) -> ProcessOutcome:
+        """The run's final graph and why it halted: at (x, y) for addition, at
+        (x, y) with m edges for the combined process, else with no move left."""
+        hit = (self.sources, self.sinks) == (cfg.x, cfg.y)
+        halt = HaltReason.NO_MOVE_AVAILABLE
+        if hit and cfg.kind is ProcessKind.ADDITION:
+            halt = HaltReason.EXACT_TARGET_REACHED
+        elif hit and cfg.kind is ProcessKind.COMBINED and self.edge_total == cfg.m:
+            halt = HaltReason.EDGE_BUDGET_REACHED
+        return ProcessOutcome(self.graph(), self.rounds, halt, hit)
 
 
 class _Batch:
@@ -228,6 +242,8 @@ class _Batch:
         sources, sinks, edges = self.sources, self.sinks, self.edge_total
         stop, before = -1 if budget is None else budget, edges.copy()
         active = edges != stop if active is None else active & (edges != stop)
+        if not active.any():
+            return edges == stop
         for edge, b, a in self._steps(orders):
             held, inb, outa = present[edge], indeg[b], outdeg[a]
             lone_in, lone_out = inb == 1, outa == 1
@@ -258,9 +274,9 @@ class _Batch:
             return (sources == x) & (sinks == y) if budget is None else edges == budget
 
         active = ~halted() if active is None else active & ~halted()
+        if not active.any():
+            return halted()
         for edge, b, a in self._steps(orders):
-            if not active.any():
-                break
             held, inb, outa = present[edge], indeg[b], outdeg[a]
             lone_in, lone_out = inb == 0, outa == 0
             move = active & ~held & ~(lone_in & (sources <= x) | lone_out & (sinks <= y))
@@ -271,6 +287,8 @@ class _Batch:
             sinks -= move & lone_out
             edges += move
             active &= ~halted()
+            if not active.any():
+                break
         self.rounds += edges - before
         return halted()
 
@@ -286,28 +304,29 @@ class _Batch:
             yield state
 
 
-def _finish(cfg: ProcessConfig, state: _State, draw: Callable[[], list]) -> HaltReason:
-    """Run the phases of ``cfg`` on a fresh ``state`` and return why it halted.
-    Each phase takes its edge order from ``draw()``, a permutation of the
-    candidate-edge indices."""
-    x, y = cfg.x, cfg.y
+def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
+    """Run the phases of ``cfg`` on a fresh ``state``, one run or a batch of
+    runs in lockstep.  Each phase takes its edge orders from ``draw()``: a
+    permutation of the candidate-edge indices, or one per row of a batch.
+    The combined process draws its second order only if some run hit (x, y)."""
+    x, y, m = cfg.x, cfg.y, cfg.m
     if cfg.kind is ProcessKind.REMOVAL:
         state.removal_pass(draw(), x, y)
-        return HaltReason.NO_MOVE_AVAILABLE
-    if not state.addition_pass(draw(), x, y):
-        return HaltReason.NO_MOVE_AVAILABLE
-    if cfg.kind is ProcessKind.ADDITION:
-        return HaltReason.EXACT_TARGET_REACHED
-    m = cfg.m
-    fill = state.edge_total < m
-    adjust = state.addition_pass if fill else state.removal_pass
-    if adjust(draw(), x, y, budget=m):
-        return HaltReason.EDGE_BUDGET_REACHED
-    if not fill:
-        # capped removals from an exact (x, y) graph keep the profile exact,
-        # and a minimal graph has at most 2n - x - y - 2 <= m edges
-        raise TaskDagError(f"removal adjustment stopped at {state.edge_total} edges, above m = {m}")
-    return HaltReason.NO_MOVE_AVAILABLE
+        return
+    hit = state.addition_pass(draw(), x, y)
+    if cfg.kind is ProcessKind.ADDITION or not np.any(hit):
+        return
+    # masks with &, not ~: on a single run's bools ~ gives -1 or -2
+    fill, trim = hit & (state.edge_total < m), hit & (state.edge_total > m)
+    order = draw()
+    state.addition_pass(order, x, y, budget=m, active=fill)
+    state.removal_pass(order, x, y, budget=m, active=trim)
+    stuck = trim & (state.edge_total > m)
+    if np.any(stuck):
+        # never: capped removals from an exact (x, y) graph keep the profile
+        # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
+        edges = np.max(stuck * state.edge_total)
+        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
 
 
 def _rows_per_run(kind: ProcessKind) -> int:
@@ -316,36 +335,17 @@ def _rows_per_run(kind: ProcessKind) -> int:
     return 2 if kind is ProcessKind.COMBINED else 1
 
 
-def _finish_batch(cfg: ProcessConfig, rows: np.ndarray) -> _Batch:
-    """``_finish`` on many trials at once: their final states, where trial t
-    takes its edge orders from row t, or from rows 2t and 2t + 1 for the
-    combined process."""
-    x, y, m = cfg.x, cfg.y, cfg.m
-    per_trial = _rows_per_run(cfg.kind)
-    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
-    if cfg.kind is ProcessKind.REMOVAL:
-        batch.removal_pass(rows, x, y)
-        return batch
-    hit = batch.addition_pass(rows[::per_trial], x, y)
-    if cfg.kind is ProcessKind.ADDITION:
-        return batch
-    fill = hit & (batch.edge_total < m)
-    trim = hit & ~fill
-    batch.addition_pass(rows[1::2], x, y, budget=m, active=fill)
-    stuck = trim & ~batch.removal_pass(rows[1::2], x, y, budget=m, active=trim)
-    if stuck.any():  # never: see _finish
-        edges = batch.edge_total[stuck.argmax()]
-        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
-    return batch
-
-
 def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
     cfg.validate()
     if cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
-    rng, state = _rng(cfg.seed), _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
-    halt = _finish(cfg, state, lambda: rng.permutation(len(state.pairs)).tolist())
-    return state.outcome(halt, cfg.x, cfg.y)
+    rng = _rng(cfg.seed)
+    if kind is ProcessKind.RANDOM_TREE:
+        state = _tree_state(cfg.n, rng.random(cfg.n - 1).tolist())
+    else:
+        state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
+        _finish(cfg, state, lambda: rng.permutation(len(state.pairs)).tolist())
+    return state.outcome(cfg)
 
 
 def edge_removal_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
@@ -365,7 +365,9 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     """Addition to termination, then random neutral additions or capped
     removals until exactly m edges remain.  The adjustment keeps the profile
     at (x, y); if the addition phase misses it (possible when x != y) the run
-    stops there with is_target_xy False."""
+    stops there with is_target_xy False.  Neutral additions can run out below
+    m even on (x, y), e.g. for (2, 2, 6, m = 13): the run then ends short of m
+    with no move left and is_target_xy True.  Capped removals always reach m."""
     return _run(cfg, ProcessKind.COMBINED, trace)
 
 
@@ -391,13 +393,5 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
 
 
 def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
-    """Dispatch a configuration to the matching process."""
-    if cfg.kind is ProcessKind.REMOVAL:
-        return edge_removal_process(cfg, trace)
-    if cfg.kind is ProcessKind.ADDITION:
-        return edge_addition_process(cfg, trace)
-    if cfg.kind is ProcessKind.COMBINED:
-        return combined_process(cfg, trace)
-    cfg.validate()  # the random tree, or a kind that validation rejects
-    g = random_directed_tree(cfg.n, cfg.seed)
-    return ProcessOutcome(g, g.edge_count, HaltReason.NO_MOVE_AVAILABLE, g.profile().matches(cfg.x, cfg.y))
+    """Run a configuration's process, of any kind."""
+    return _run(cfg, cfg.kind, trace)

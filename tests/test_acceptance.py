@@ -39,12 +39,7 @@ from taskdag.oracle import (
     oracle_extremal,
     oracle_is_minimal,
 )
-from taskdag.processes import (
-    ProcessConfig,
-    ProcessKind,
-    combined_process,
-    random_directed_tree,
-)
+from taskdag.processes import ProcessConfig, ProcessKind
 
 BASE_SEED = 20260809
 
@@ -296,19 +291,16 @@ def test_criterion_12_tree_harmonic_law():
         assert delta == Fraction(1, k)
 
     n, trials = 16, 100_000
-    master = derive_seed(BASE_SEED, 12)
+    cfg = ProcessConfig(1, 1, n, ProcessKind.RANDOM_TREE, seed=0)
     sums = [0] * (n + 1)
     sq_sums = [0] * (n + 1)
-    for i in range(trials):
-        g = random_directed_tree(n, derive_seed(master, i))
-        parent = {b: a for a, b in g.edges()}
+    for state in _trial_states(cfg, derive_seed(BASE_SEED, 12), trials):
+        depth = [0] * (n + 1)
+        for a, b in state.pairs:  # in child order, so a's depth is known
+            depth[b] = depth[a] + 1
         for k in range(2, n + 1):
-            depth, v = 0, k
-            while v != 1:
-                v = parent[v]
-                depth += 1
-            sums[k] += depth
-            sq_sums[k] += depth * depth
+            sums[k] += depth[k]
+            sq_sums[k] += depth[k] * depth[k]
     for k in range(2, n + 1):
         mean = sums[k] / trials
         variance = sq_sums[k] / trials - mean * mean
@@ -319,15 +311,13 @@ def test_criterion_12_tree_harmonic_law():
 
 @criterion(13, "the combined process lands on every feasible edge budget for (1, 1), n = 12")
 def test_criterion_13_combined_budgets():
+    # success is a run that hits (1, 1) with exactly m edges
     n = 12
     master = derive_seed(BASE_SEED, 13)
     for m in range(2 * n - 4, math.comb(n, 2) - 2 * n + 1):
-        hits = 0
-        for i in range(1000):
-            cfg = ProcessConfig(1, 1, n, ProcessKind.COMBINED, seed=derive_seed(master, m, i), m=m)
-            out = combined_process(cfg)
-            hits += out.is_target_xy and out.graph.edge_count == m
-        assert hits / 1000 >= 0.99, (m, hits)
+        cfg = ProcessConfig(1, 1, n, ProcessKind.COMBINED, seed=0, m=m)
+        summary = run_trials(cfg, 1000, derive_seed(master, m))
+        assert summary.success_ratio >= 0.99, (m, summary.success_ratio)
 
 
 @criterion(14, "experiments are byte-identical across reruns and parallelism levels")

@@ -112,6 +112,23 @@ class TestTrials:
         }
 
 
+    def test_trials_above_cap_is_json_error_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(
+            capsys, "trials", "--process", "removal", "--x", "1", "--y", "1", "--n", "5",
+            "--trials", "10000000000", "--seed", "1", "--jobs", "2",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.strip().split("\n")
+        assert json.loads(line) == {
+            "error": "ConfigError",
+            "message": "trials must lie in [1, 10000000], got 10000000000",
+        }
+
+
 class TestTableAndGrowth:
     def test_table_csv(self, capsys):
         code, out, _ = run_cli(

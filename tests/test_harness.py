@@ -104,8 +104,8 @@ class TestRunTrials:
                     draws = 2 if cfg.kind is ProcessKind.COMBINED else 1
                     orders = [rng.permutation(size).tolist() for _ in range(draws)]
                     state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
-                    halt = _finish(cfg, state, iter(orders).__next__)
-                    out = state.outcome(halt, cfg.x, cfg.y)
+                    _finish(cfg, state, iter(orders).__next__)
+                    out = state.outcome(cfg)
                     g, hit = out.graph, out.is_target_xy
                 success = hit and (cfg.m is None or g.edge_count == cfg.m)
                 rows.append(

@@ -15,8 +15,8 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
+    _Batch,
     _finish,
-    _finish_batch,
     _State,
     combined_process,
     edge_addition_process,
@@ -382,6 +382,22 @@ class TestCombinedProcess:
             assert out.halt_reason is HaltReason.NO_MOVE_AVAILABLE
         assert misses, "expected at least one miss at this size"
 
+    def test_fill_short_of_m_on_target_is_no_move(self):
+        # (2, 2) hits its profile, but neutral additions can run out before m:
+        # the run then ends short, on target, with no move left
+        outs = [
+            combined_process(ProcessConfig(2, 2, 6, ProcessKind.COMBINED, seed, m=13))
+            for seed in range(300)
+        ]
+        short = [out for out in outs if out.graph.edge_count != 13]
+        assert len(short) == 212
+        assert {out.graph.edge_count for out in short} == {8, 9, 10, 11, 12}
+        for out in short:
+            assert out.is_target_xy and out.halt_reason is HaltReason.NO_MOVE_AVAILABLE
+        for out in outs:
+            at_budget = out.halt_reason is HaltReason.EDGE_BUDGET_REACHED
+            assert at_budget == (out.graph.edge_count == 13)
+
 
 class TestRandomTree:
     def test_smallest(self):
@@ -438,11 +454,12 @@ class TestRetentionBoundMonteCarlo:
 
 
 def _batch_phases(cfg, rows):
-    """Run ``_finish_batch`` on ``rows`` and, row by row, ``_finish`` on the
-    same rows with ``_State`` passes; require equal fields for every trial and
-    return how each combined trial's second phase went."""
+    """Run ``_finish`` on ``rows`` once with a ``_Batch`` and, row by row, with
+    ``_State`` passes; require equal fields for every trial and return how
+    each combined trial's second phase went."""
     per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
-    batch = _finish_batch(cfg, rows)
+    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
+    _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
     assert batch.present.shape == (len(rows) // per_trial, math.comb(cfg.n, 2))
     phases = set()
     for t in range(len(rows) // per_trial):
@@ -502,3 +519,22 @@ class TestBatchKernel:
         assert seen <= phases
         if trials == 512:
             assert seen == phases
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_pass_with_no_active_row_moves_nothing(self, complete, monkeypatch):
+        # a pass with no active row returns before building its step indices
+        def no_steps(self, orders):
+            raise AssertionError("_steps was called")
+
+        monkeypatch.setattr(_Batch, "_steps", no_steps)
+        n, trials = 6, 5
+        batch = _Batch(n, complete, trials)
+        fields = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+        before = [getattr(batch, name).copy() for name in fields]
+        rows, idle = _rows(trials, math.comb(n, 2), seed=1), np.zeros(trials, bool)
+        batch.removal_pass(rows, 1, 1, active=idle)
+        batch.removal_pass(rows, 1, 1, budget=9, active=idle)
+        batch.addition_pass(rows, 1, 1, active=idle)
+        batch.addition_pass(rows, 1, 1, budget=9, active=idle)
+        for name, old in zip(fields, before):
+            assert np.array_equal(getattr(batch, name), old), name
