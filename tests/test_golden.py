@@ -3,7 +3,9 @@
 Each process digest is the sha256 over seeds 0..199 of one line per run
 holding the graph JSON, the round count, the halt reason and the target flag.
 A change to any process kernel that alters a single edge, round count or halt
-reason of any of these runs changes the digest.
+reason of any of these runs changes the digest.  The orders above 16 (removal
+at n = 40 and 60, the combined trim at n = 30) and the growth series at n = 40
+and 100 are the only digests whose runs have hundreds of candidate edges.
 
 Each harness digest is the sha256 of one experiment's output text: a
 ``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
@@ -51,6 +53,22 @@ GOLDEN = [
         "combined-trim-1-1-7-m10",
         ProcessConfig(1, 1, 7, ProcessKind.COMBINED, 0, m=10),
         "71ffc6c7d6693743fb14f7cee43ed4997e35e8a847fecdde0f11d10be2005824",
+    ),
+    (
+        "removal-1-1-40",
+        ProcessConfig(1, 1, 40, ProcessKind.REMOVAL, 0),
+        "a44767663155f08aca77a6bfdd6cbc91f3da8b557975201636079e3d27f3139c",
+    ),
+    (
+        "removal-3-2-60",
+        ProcessConfig(3, 2, 60, ProcessKind.REMOVAL, 0),
+        "52973646f2aa34aace39cd1f60208b60bcb933810194d8d26de719321577dde7",
+    ),
+    (
+        # all 200 runs hit (1, 1) above 60 edges and trim to m
+        "combined-trim-1-1-30-m60",
+        ProcessConfig(1, 1, 30, ProcessKind.COMBINED, 0, m=60),
+        "38c4d2d564a0e632392f928d92c1bf6e04a58a6980ab56d37e5705cbb0591336",
     ),
     (
         "tree-16",
@@ -126,6 +144,13 @@ def test_table_matches_golden_digest():
 def test_growth_matches_golden_digest():
     csv = growth_experiment(ProcessKind.REMOVAL, 1, 2, [6, 9], 200, master_seed=4)
     assert _sha(csv) == "a4624bc0dc2436db4352cbaab530a4f4c0070772bb0b61eb289c719622e38bd6"
+
+
+def test_large_order_growth_matches_golden_digest():
+    # 64 trials at n = 40 and 100 are sub-batches too small for the lockstep
+    # kernel, so every trial runs as its own _State
+    csv = growth_experiment(ProcessKind.REMOVAL, 1, 1, [40, 100], 64, master_seed=11)
+    assert _sha(csv) == "7f563e78eff67dd23e34e50133353ca6bb989bd7c3a8d7bce84fdfa5084cdc66"
 
 
 def test_exact_laws_match_golden_digest():
