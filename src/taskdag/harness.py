@@ -7,10 +7,10 @@ seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
 whole trials.  ``processes._finish`` runs the phases of every removal,
 addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
 one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
-statistics from its arrays, and any other trial as its own ``_State``.  Both
-give equal final states on equal draws, and every aggregate is reduced from
-integer sums, so results are identical bytes for any parallelism level and any
-block execution order.
+statistics from its arrays, and any other trial as its own ``_State``, whose
+long removals take the last-edge pass.  All give equal final states on equal
+draws, and every aggregate is reduced from integer sums, so results are
+identical bytes for any parallelism level and any block execution order.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def _block_states(
     rows in order: two for the combined process, whether or not its second
     phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
     removal, addition or combined trials runs in lockstep and comes as one
-    ``_Batch``; every other trial runs the ``_State`` passes and comes alone."""
+    ``_Batch``; every other trial runs the ``_State`` passes on its rows as
+    arrays and comes alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
@@ -137,7 +138,7 @@ def _block_states(
         else:
             for i in range(0, len(rows), per_trial):
                 state = _State(cfg.n, complete)
-                _finish(cfg, state, iter(rows[i : i + per_trial].tolist()).__next__)
+                _finish(cfg, state, iter(rows[i : i + per_trial]).__next__)
                 yield state
 
 

@@ -4,12 +4,21 @@ A run is fully determined by its ProcessConfig.  Each phase makes one pass over
 a uniform permutation (numpy PCG64) of the candidate edges.  A proposal blocked
 once stays blocked, since blocking needs a source/sink count already at its
 absorbing cap, so the outcome law equals that of rejection sampling.
+
+Last-edge lemma.  A removal is cancelled only when the head's in-degree or the
+tail's out-degree is 1, and in one removal pass every edge later in the order
+is still present.  So an edge that is neither its head's last present in-edge
+nor its tail's last present out-edge in the order is always removed, and only
+those last edges, at most 2n - 2 positions, are ever decided.  At b's last
+in-edge, b's in-degree is 1 plus the in-edges of b kept so far (likewise for
+out-edges), and sources and sinks change only there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator
 
@@ -86,12 +95,34 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+@lru_cache(maxsize=2)
+def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of ``ordered_pairs(n)``, as read-only int32 arrays."""
+    tails, heads = (ends.astype(np.int32) + 1 for ends in np.triu_indices(n, 1))
+    tails.flags.writeable = heads.flags.writeable = False
+    return tails, heads
+
+
+def _last_edges(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For edges visited in the order of ``tail`` and ``head``: each vertex's
+    last visit as a head and as a tail (-1 if none), and, in order, the visits
+    that are one of these, at most 2n - 2 of them."""
+    visit = np.arange(len(head))
+    last_in, last_out = np.full(n + 1, -1), np.full(n + 1, -1)
+    np.maximum.at(last_in, head, visit)
+    np.maximum.at(last_out, tail, visit)
+    return last_in, last_out, np.flatnonzero((last_in[head] == visit) | (last_out[tail] == visit))
+
+
 class _State:
     """Edge/degree bookkeeping of one run, started from the complete or the
-    empty graph, and the two passes that move it.  Candidate edges are
-    indexed by their position in ``pairs``: ``ordered_pairs(n)``, or for an
-    empty start any given edge list.  Either order is topological: each edge
-    comes after every edge into its tail."""
+    empty graph, and the passes that move it.  Candidate edges are indexed by
+    their position in ``pairs``: ``ordered_pairs(n)``, or for an empty start
+    any given edge list.  Either order is topological: each edge comes after
+    every edge into its tail.  ``removal_pass`` and ``addition_pass`` visit
+    every position of their order and are the reference.  By the last-edge
+    lemma (module docstring), ``last_edge_removal_pass`` makes the same
+    removals while deciding only each vertex's last present in- and out-edge."""
 
     __slots__ = ("n", "pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
@@ -146,6 +177,55 @@ class _State:
                     break
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return edges == budget
+
+    def last_edge_removal_pass(
+        self, order: np.ndarray, x: int, y: int, budget: int | None = None, active: bool = True
+    ) -> bool:
+        """``removal_pass`` for candidates ``ordered_pairs(n)`` and an int array
+        ``order``, without a trace.  Numpy finds each vertex's last present in-
+        and out-edge in the order; a loop decides only those positions, and
+        every other present edge is removed in one step.  With a budget, the
+        removals stop where their running count reaches it."""
+        edges = self.edge_total
+        if not active or edges == budget:
+            return edges == budget
+        n, order = self.n, np.asarray(order)
+        if edges < len(order):  # visit the present edges only
+            order = order[np.frombuffer(bytes(self.present), np.bool_)[order]]
+        tails, heads = _pair_ends(n)
+        tail, head = tails[order], heads[order]
+        last_in, last_out, steps = _last_edges(n, tail, head)
+        need = edges + 1 if budget is None or edges < budget else edges - budget
+        sources, sinks, removed = self.sources, self.sinks, []
+        last_in, last_out = last_in.tolist(), last_out.tolist()
+        kept_in, kept_out = [0] * (n + 1), [0] * (n + 1)
+        for d, (i, a, b) in enumerate(zip(steps.tolist(), tail[steps].tolist(), head[steps].tolist())):
+            # the i - d undecided edges before visit i are all gone
+            if i - d + len(removed) >= need:  # the budget was reached before i
+                break
+            lone_in = last_in[b] == i and not kept_in[b]
+            lone_out = last_out[a] == i and not kept_out[a]
+            if (lone_in and sources >= x) or (lone_out and sinks >= y):
+                kept_in[b] += 1
+                kept_out[a] += 1
+                continue
+            sources += lone_in
+            sinks += lone_out
+            removed.append(i)
+        gone = np.ones(len(order), bool)  # every undecided edge goes
+        gone[steps] = False
+        gone[removed] = True
+        if budget is not None:  # keep the edges after the removal that reaches the budget
+            gone[np.flatnonzero(gone)[need:]] = False
+        kept = ~gone
+        present = np.zeros(len(self.pairs), bool)
+        present[order[kept]] = True
+        self.present = present.tolist()
+        self.indeg = np.bincount(head[kept], minlength=n + 1).tolist()
+        self.outdeg = np.bincount(tail[kept], minlength=n + 1).tolist()
+        count = int(np.count_nonzero(gone))
+        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges - count, self.rounds + count
+        return self.edge_total == budget
 
     def addition_pass(
         self, order: Iterable[int], x: int, y: int, budget: int | None = None, active: bool = True
@@ -213,9 +293,8 @@ class _Batch:
 
     def __init__(self, n: int, complete: bool, count: int) -> None:
         start = _State(n, complete)
-        tails, heads = np.triu_indices(n, 1)  # ordered_pairs(n), zero-based
-        self.n, self.tails, self.heads = n, tails + 1, heads + 1
-        self.present = np.full((count, len(tails)), complete)
+        self.n, (self.tails, self.heads) = n, _pair_ends(n)
+        self.present = np.full((count, len(self.tails)), complete)
         self.indeg = np.tile(np.array(start.indeg, np.int64), (count, 1))
         self.outdeg = np.tile(np.array(start.outdeg, np.int64), (count, 1))
         self.sources = np.full(count, start.sources, np.int64)
@@ -304,29 +383,69 @@ class _Batch:
             yield state
 
 
+# Fewest positions the removal loop of one untraced run must visit for
+# _run_passes to call last_edge_removal_pass instead.  Per run, (1, 1) and
+# (3, 2) from the complete graph, the pass breaks even with the loop near
+# C(n, 2) = 153-190 and is 1.3x faster at 231 (n = 22), 2x at 435 and 3x at
+# 780; budgeted trims from (1, 1) addition results break even at 220-260
+# estimated visits (2-vCPU VM).
+_DECIDE_MIN = 231
+
+
 def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
     """Run the phases of ``cfg`` on a fresh ``state``, one run or a batch of
     runs in lockstep.  Each phase takes its edge orders from ``draw()``: a
     permutation of the candidate-edge indices, or one per row of a batch.
-    The combined process draws its second order only if some run hit (x, y)."""
+    The combined process draws its second order only if some run hit (x, y).
+    One run takes its passes from ``_run_passes``."""
     x, y, m = cfg.x, cfg.y, cfg.m
+    if isinstance(state, _State):
+        add, remove = _run_passes(state)
+    else:
+        add, remove = state.addition_pass, state.removal_pass
     if cfg.kind is ProcessKind.REMOVAL:
-        state.removal_pass(draw(), x, y)
+        remove(draw(), x, y)
         return
-    hit = state.addition_pass(draw(), x, y)
+    hit = add(draw(), x, y)
     if cfg.kind is ProcessKind.ADDITION or not np.any(hit):
         return
     # masks with &, not ~: on a single run's bools ~ gives -1 or -2
     fill, trim = hit & (state.edge_total < m), hit & (state.edge_total > m)
     order = draw()
-    state.addition_pass(order, x, y, budget=m, active=fill)
-    state.removal_pass(order, x, y, budget=m, active=trim)
+    if np.any(fill):
+        add(order, x, y, budget=m, active=fill)
+    if np.any(trim):
+        remove(order, x, y, budget=m, active=trim)
     stuck = trim & (state.edge_total > m)
     if np.any(stuck):
         # never: capped removals from an exact (x, y) graph keep the profile
         # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
         edges = np.max(stuck * state.edge_total)
         raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
+
+
+def _run_passes(state: _State) -> tuple[Callable[..., bool], Callable[..., bool]]:
+    """The addition and removal pass of one run, for ``_finish``.  The loops
+    take an array order as a list, which they index fastest.  A removal goes
+    through ``last_edge_removal_pass`` when the run is untraced and the loop
+    would visit at least ``_DECIDE_MIN`` positions: all C(n, 2) without a
+    budget, and with one about C(n, 2) * (edges - budget) / edges, since
+    nearly every present edge it visits is removed."""
+
+    def listed(order: list | np.ndarray) -> list:
+        return order.tolist() if isinstance(order, np.ndarray) else order
+
+    def add(order, x, y, budget=None, active=True):
+        return state.addition_pass(listed(order), x, y, budget, active)
+
+    def remove(order, x, y, budget=None, active=True):
+        edges = state.edge_total
+        visits = len(order) if budget is None else len(order) * (edges - budget) // max(edges, 1)
+        if state.trace is None and visits >= _DECIDE_MIN:
+            return state.last_edge_removal_pass(order, x, y, budget, active)
+        return state.removal_pass(listed(order), x, y, budget, active)
+
+    return add, remove
 
 
 def _rows_per_run(kind: ProcessKind) -> int:
@@ -341,10 +460,10 @@ def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> Proces
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
     rng = _rng(cfg.seed)
     if kind is ProcessKind.RANDOM_TREE:
-        state = _tree_state(cfg.n, rng.random(cfg.n - 1).tolist())
+        state = _tree_state(cfg.n, rng.random(cfg.n - 1).tolist(), trace)
     else:
         state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
-        _finish(cfg, state, lambda: rng.permutation(len(state.pairs)).tolist())
+        _finish(cfg, state, lambda: rng.permutation(len(state.pairs)))
     return state.outcome(cfg)
 
 
@@ -371,12 +490,12 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     return _run(cfg, ProcessKind.COMBINED, trace)
 
 
-def _tree_state(n: int, draws: list[float]) -> _State:
+def _tree_state(n: int, draws: list[float], trace: TraceFn | None = None) -> _State:
     """The tree in which vertex s + 1 attaches to vertex int(u * s) + 1, uniform
     on 1..s, for the s-th draw u.  Its n - 1 edges, in child order, are the
     candidates of an empty state; caps of zero never bind, so one addition
-    pass adds them all."""
-    state = _State(n, False, pairs=[(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)])
+    pass adds them all, each traced as one move."""
+    state = _State(n, False, trace, [(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)])
     state.addition_pass(range(n - 1), 0, 0)
     return state
 

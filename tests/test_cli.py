@@ -43,6 +43,17 @@ class TestGenerate:
         assert lines[0].startswith("1,add,")
         assert len(lines) == len(json.loads(out)["edges"])
 
+    def test_tree_trace_has_one_line_per_edge(self, capsys):
+        argv = ["generate", "--process", "tree", "--n", "9", "--seed", "3"]
+        code, untraced, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--trace")
+        assert code == 0
+        assert out == untraced
+        lines = err.strip().split("\n")
+        assert len(lines) == 8
+        assert [line.split(",")[:2] for line in lines] == [[str(k), "add"] for k in range(1, 9)]
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--process", "removal", "--x", "1", "--y", "1", "--n", "3"])

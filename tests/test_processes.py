@@ -10,6 +10,9 @@ from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retent
 from taskdag.errors import ConfigError
 from taskdag.graph import OrderedDag, ordered_pairs
 from taskdag.oracle import exact_process_distribution
+from taskdag import processes
+from taskdag.cli import main
+from taskdag.harness import run_trials
 from taskdag.processes import (
     HaltReason,
     ProcessConfig,
@@ -538,3 +541,170 @@ class TestBatchKernel:
         batch.addition_pass(rows, 1, 1, budget=9, active=idle)
         for name, old in zip(fields, before):
             assert np.array_equal(getattr(batch, name), old), name
+
+
+STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+
+
+def _fields(state):
+    return tuple(getattr(state, name) for name in STATE_FIELDS)
+
+
+def _both_removals(state, order, x, y, budget=None, active=True):
+    """Run the removal loop and the last-edge pass from copies of ``state`` on
+    the same order; require equal fields and return values, and return the
+    loop's final state."""
+    loop, decided = state.copy(), state.copy()
+    expected = loop.removal_pass(order.tolist(), x, y, budget, active)
+    assert decided.last_edge_removal_pass(order, x, y, budget, active) == expected
+    assert _fields(decided) == _fields(loop)
+    return loop
+
+
+def _last_edges(state, order):
+    """Candidate indices of each vertex's last present in- and out-edge in
+    ``order``, by a plain scan."""
+    last_in, last_out = {}, {}
+    for idx in order.tolist():
+        if state.present[idx]:
+            a, b = state.pairs[idx]
+            last_in[b] = last_out[a] = idx
+    return set(last_in.values()) | set(last_out.values())
+
+
+def _trim_start(n, x, y, seed):
+    """A state where the (x, y) addition pass halted on (x, y)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        state = _State(n, False)
+        if state.addition_pass(rng.permutation(math.comb(n, 2)).tolist(), x, y):
+            return state
+
+
+class TestLastEdgeRemoval:
+    """``_State.last_edge_removal_pass`` against the ``removal_pass`` loop."""
+
+    @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
+    @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
+    def test_complete_start_equals_loop(self, x, y, n, orders):
+        rows = _rows(orders, math.comb(n, 2), seed=1000 * n + 10 * x + y)
+        for order in rows:
+            loop = _both_removals(_State(n, True), order, x, y)
+            assert loop.rounds == math.comb(n, 2) - loop.edge_total
+
+    @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_budgeted_trim_equals_loop(self, n, x, y):
+        # the stop falls once on a decided edge, and once on an undecided edge
+        # whose next visit is decided, which the walk must then not decide
+        state = _trim_start(n, x, y, seed=n + x + y)
+        order = _rows(1, math.comb(n, 2), seed=n)[0]
+        events = []
+        traced = state.copy()
+        traced.trace = lambda *event: events.append(event)
+        traced.removal_pass(order.tolist(), x, y)
+        index = {pair: i for i, pair in enumerate(state.pairs)}
+        removed = [index[(a, b)] for _, _, a, b, _, _ in events]  # the k-th stops a budget of edges - k - 1
+        visits = [i for i in order.tolist() if state.present[i]]
+        next_visit, decided = dict(zip(visits, visits[1:])), _last_edges(state, order)
+        on_decided = next(k for k, i in enumerate(removed) if i in decided)
+        before_decided = next(
+            k for k, i in enumerate(removed) if i not in decided and next_visit.get(i) in decided
+        )
+        for k in (on_decided, before_decided):
+            budget = state.edge_total - k - 1
+            assert _both_removals(state, order, x, y, budget=budget).edge_total == budget
+
+    @pytest.mark.parametrize("x,y", [(2, 2), (4, 3)])
+    def test_every_budget_from_complete_equals_loop(self, x, y):
+        # below its caps a decided removal can change the sources or sinks, so
+        # the walk must stop where the budget is reached, not only the cut
+        n = 22
+        for order in _rows(2, math.comb(n, 2), seed=x + y):
+            final = _both_removals(_State(n, True), order, x, y).edge_total
+            for budget in range(final - 1, math.comb(n, 2)):
+                _both_removals(_State(n, True), order, x, y, budget=budget)
+
+    def test_idle_calls_move_nothing(self):
+        n, x, y = 30, 1, 1
+        state = _trim_start(n, x, y, seed=3)
+        order = _rows(1, math.comb(n, 2), seed=3)[0]
+        before = _fields(state.copy())
+        for budget, active in ((None, False), (60, False), (state.edge_total, True)):
+            _both_removals(state, order, x, y, budget, active)
+            assert state.last_edge_removal_pass(order, x, y, budget, active) == (budget == state.edge_total)
+            assert _fields(state) == before
+
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("n", [22, 40, 100])
+    def test_at_most_2n_minus_2_positions_decided(self, n, complete, monkeypatch):
+        decided = []
+
+        def spy(n, tail, head):
+            last_in, last_out, steps = real(n, tail, head)
+            decided.append(len(steps))
+            return last_in, last_out, steps
+
+        real = processes._last_edges
+        monkeypatch.setattr(processes, "_last_edges", spy)
+        for order in _rows(4, math.comb(n, 2), seed=n):
+            state = _State(n, True) if complete else _trim_start(n, 1, 1, seed=n)
+            expected = len(_last_edges(state, order))
+            _both_removals(state, order, 1, 1)
+            assert decided.pop() == expected <= 2 * n - 2
+
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.COMBINED])
+    def test_decide_minimum_changes_no_byte(self, kind, monkeypatch):
+        # orders with C(n, 2) just under, at and just over the minimum, and
+        # n = 40, give the bytes of the loop alone, through run_process and the
+        # harness's per-trial runs (too few trials for the lockstep kernel)
+        calls = []
+        real = _State.last_edge_removal_pass
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(_State, "last_edge_removal_pass", counted)
+        low = processes._DECIDE_MIN
+        at = next(n for n in range(2, 100) if math.comb(n, 2) >= low)
+        for n in (at - 1, at, at + 1, 40):
+            m = None
+            if kind is ProcessKind.COMBINED:  # trims from the addition result to the floor
+                m = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, 1, 1, n)
+            cfgs = [ProcessConfig(1, 1, n, kind, seed, m=m) for seed in range(20)]
+
+            def outputs():
+                runs = [run_process(cfg) for cfg in cfgs]
+                lines = [f"{out.graph.to_json()}|{out.rounds}|{out.halt_reason.value}" for out in runs]
+                return lines, run_trials(cfgs[0], 100, master_seed=n).to_json()
+
+            with monkeypatch.context() as patch:
+                patch.setattr(processes, "_DECIDE_MIN", 10**9)
+                loop = outputs()
+            del calls[:]
+            assert outputs() == loop, n
+            if kind is ProcessKind.REMOVAL:
+                assert bool(calls) == (math.comb(n, 2) >= low), n
+        assert calls  # at n = 40 both kinds remove through the pass
+
+    def test_exact_laws_and_traced_runs_never_enter(self, monkeypatch, capsys):
+        argv = ["generate", "--process", "removal", "--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
+        combined = ["generate", "--process", "combined", "--x", "1", "--y", "1", "--n", "40", "--m", "76", "--seed", "5"]
+        untraced = []
+        for args in (argv, combined):
+            assert main(args) == 0
+            untraced.append(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("last_edge_removal_pass was called")
+
+        monkeypatch.setattr(_State, "last_edge_removal_pass", refuse)
+        for n in range(1, 6):
+            for x, y in product(range(1, n + 1), repeat=2):
+                exact_process_distribution(ProcessKind.REMOVAL, x, y, n)
+        for args, graph in zip((argv, combined), untraced):
+            assert main([*args, "--trace"]) == 0
+            out, err = capsys.readouterr()
+            assert out == graph
+            assert ",remove," in err
