@@ -16,8 +16,8 @@ from .errors import CapacityError, GraphError, check_int
 
 LINEAR_EXTENSION_CAP = 20
 # The largest order of any graph or process.  Costs grow as n^2: at n = 1000 one
-# removal run takes 0.7 s and peaks at 112 MB, at n = 2000 2.9 s and 342 MB
-# (2-vCPU VM).  Every order the tests, demos and benchmark use is below 300.
+# `generate` removal run takes 0.6 s and peaks at 111 MB, at n = 2000 1.6 s and
+# 331 MB (2-vCPU VM).  Every order the tests, demos and benchmark use is below 300.
 MAX_ORDER = 1000
 
 

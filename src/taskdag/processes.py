@@ -224,7 +224,8 @@ class _State:
         self.indeg = np.bincount(head[kept], minlength=n + 1).tolist()
         self.outdeg = np.bincount(tail[kept], minlength=n + 1).tolist()
         count = int(np.count_nonzero(gone))
-        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges - count, self.rounds + count
+        self.sources, self.sinks, self.rounds = sources, sinks, self.rounds + count
+        self.edge_total = edges - count
         return self.edge_total == budget
 
     def addition_pass(
@@ -440,7 +441,7 @@ def _run_passes(state: _State) -> tuple[Callable[..., bool], Callable[..., bool]
 
     def remove(order, x, y, budget=None, active=True):
         edges = state.edge_total
-        visits = len(order) if budget is None else len(order) * (edges - budget) // max(edges, 1)
+        visits = len(order) if budget is None else len(order) * (edges - budget) // edges
         if state.trace is None and visits >= _DECIDE_MIN:
             return state.last_edge_removal_pass(order, x, y, budget, active)
         return state.removal_pass(listed(order), x, y, budget, active)

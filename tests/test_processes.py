@@ -6,13 +6,13 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from taskdag import processes
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
+from taskdag.cli import main
 from taskdag.errors import ConfigError
 from taskdag.graph import OrderedDag, ordered_pairs
-from taskdag.oracle import exact_process_distribution
-from taskdag import processes
-from taskdag.cli import main
 from taskdag.harness import run_trials
+from taskdag.oracle import exact_process_distribution
 from taskdag.processes import (
     HaltReason,
     ProcessConfig,
@@ -561,7 +561,7 @@ def _both_removals(state, order, x, y, budget=None, active=True):
     return loop
 
 
-def _last_edges(state, order):
+def _scanned_last_edges(state, order):
     """Candidate indices of each vertex's last present in- and out-edge in
     ``order``, by a plain scan."""
     last_in, last_out = {}, {}
@@ -606,7 +606,7 @@ class TestLastEdgeRemoval:
         index = {pair: i for i, pair in enumerate(state.pairs)}
         removed = [index[(a, b)] for _, _, a, b, _, _ in events]  # the k-th stops a budget of edges - k - 1
         visits = [i for i in order.tolist() if state.present[i]]
-        next_visit, decided = dict(zip(visits, visits[1:])), _last_edges(state, order)
+        next_visit, decided = dict(zip(visits, visits[1:])), _scanned_last_edges(state, order)
         on_decided = next(k for k, i in enumerate(removed) if i in decided)
         before_decided = next(
             k for k, i in enumerate(removed) if i not in decided and next_visit.get(i) in decided
@@ -618,11 +618,12 @@ class TestLastEdgeRemoval:
     @pytest.mark.parametrize("x,y", [(2, 2), (4, 3)])
     def test_every_budget_from_complete_equals_loop(self, x, y):
         # below its caps a decided removal can change the sources or sinks, so
-        # the walk must stop where the budget is reached, not only the cut
+        # the walk must stop where the budget is reached, not only the cut;
+        # budgets below the final count and above the start are never reached
         n = 22
         for order in _rows(2, math.comb(n, 2), seed=x + y):
             final = _both_removals(_State(n, True), order, x, y).edge_total
-            for budget in range(final - 1, math.comb(n, 2)):
+            for budget in range(final - 1, math.comb(n, 2) + 2):
                 _both_removals(_State(n, True), order, x, y, budget=budget)
 
     def test_idle_calls_move_nothing(self):
@@ -649,7 +650,7 @@ class TestLastEdgeRemoval:
         monkeypatch.setattr(processes, "_last_edges", spy)
         for order in _rows(4, math.comb(n, 2), seed=n):
             state = _State(n, True) if complete else _trim_start(n, 1, 1, seed=n)
-            expected = len(_last_edges(state, order))
+            expected = len(_scanned_last_edges(state, order))
             _both_removals(state, order, 1, 1)
             assert decided.pop() == expected <= 2 * n - 2
 
@@ -689,10 +690,12 @@ class TestLastEdgeRemoval:
         assert calls  # at n = 40 both kinds remove through the pass
 
     def test_exact_laws_and_traced_runs_never_enter(self, monkeypatch, capsys):
-        argv = ["generate", "--process", "removal", "--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
-        combined = ["generate", "--process", "combined", "--x", "1", "--y", "1", "--n", "40", "--m", "76", "--seed", "5"]
+        # both runs are long enough that, untraced, they remove through the pass
+        common = ["--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
+        removal = ["generate", "--process", "removal", *common]
+        combined = ["generate", "--process", "combined", "--m", "76", *common]
         untraced = []
-        for args in (argv, combined):
+        for args in (removal, combined):
             assert main(args) == 0
             untraced.append(capsys.readouterr().out)
 
@@ -703,7 +706,7 @@ class TestLastEdgeRemoval:
         for n in range(1, 6):
             for x, y in product(range(1, n + 1), repeat=2):
                 exact_process_distribution(ProcessKind.REMOVAL, x, y, n)
-        for args, graph in zip((argv, combined), untraced):
+        for args, graph in zip((removal, combined), untraced):
             assert main([*args, "--trace"]) == 0
             out, err = capsys.readouterr()
             assert out == graph
