@@ -195,6 +195,7 @@ class _State:
         tails, heads = _pair_ends(n)
         tail, head = tails[order], heads[order]
         last_in, last_out, steps = _last_edges(n, tail, head)
+        # removals that reach the budget; edges + 1 (never reached) when there is none
         need = edges + 1 if budget is None or edges < budget else edges - budget
         sources, sinks, removed = self.sources, self.sinks, []
         last_in, last_out = last_in.tolist(), last_out.tolist()
