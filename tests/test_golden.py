@@ -4,8 +4,9 @@ Each process digest is the sha256 over seeds 0..199 of one line per run
 holding the graph JSON, the round count, the halt reason and the target flag.
 A change to any process kernel that alters a single edge, round count or halt
 reason of any of these runs changes the digest.  The orders above 16 (removal
-at n = 40 and 60, the combined trim at n = 30) and the growth series at n = 40
-and 100 are the only digests whose runs have hundreds of candidate edges.
+and addition at n = 40 and 60, the combined trim at n = 30 and fill at n = 40)
+and the two growth series at n = 40 and 100 are the only digests whose runs
+have hundreds of candidate edges.
 
 Each harness digest is the sha256 of one experiment's output text: a
 ``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
@@ -69,6 +70,23 @@ GOLDEN = [
         "combined-trim-1-1-30-m60",
         ProcessConfig(1, 1, 30, ProcessKind.COMBINED, 0, m=60),
         "38c4d2d564a0e632392f928d92c1bf6e04a58a6980ab56d37e5705cbb0591336",
+    ),
+    (
+        "addition-1-1-40",
+        ProcessConfig(1, 1, 40, ProcessKind.ADDITION, 0),
+        "242797cf9a9b1a6ea59ff9cf4eb17283d8d063698d91f3b8166f8f98b4d27286",
+    ),
+    (
+        "addition-3-2-60",
+        ProcessConfig(3, 2, 60, ProcessKind.ADDITION, 0),
+        "4165b4e9f043e8849aef8f1105a8c0df4da7873a6cdd8b6ef9d8ddac9b237d2f",
+    ),
+    (
+        # 162 of the 200 runs hit (1, 1) below 700 edges and fill to m, the
+        # other 38 trim
+        "combined-fill-1-1-40-m700",
+        ProcessConfig(1, 1, 40, ProcessKind.COMBINED, 0, m=700),
+        "01c7762bfc4d006ebf5a9b4f272ddbb5af163b9dd11c9e07dcede7427edacd16",
     ),
     (
         "tree-16",
@@ -151,6 +169,11 @@ def test_large_order_growth_matches_golden_digest():
     # kernel, so every trial runs as its own _State
     csv = growth_experiment(ProcessKind.REMOVAL, 1, 1, [40, 100], 64, master_seed=11)
     assert _sha(csv) == "7f563e78eff67dd23e34e50133353ca6bb989bd7c3a8d7bce84fdfa5084cdc66"
+
+
+def test_large_order_addition_growth_matches_golden_digest():
+    csv = growth_experiment(ProcessKind.ADDITION, 1, 1, [40, 100], 64, master_seed=11)
+    assert _sha(csv) == "8b0033151411285cfaf52db6b63a775b3db7e3766c2f36464fabba0fff9b639b"
 
 
 def test_exact_laws_match_golden_digest():
