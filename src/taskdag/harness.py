@@ -8,7 +8,8 @@ whole trials.  ``processes._finish`` runs the phases of every removal,
 addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
 one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
 statistics from its arrays, and any other trial as its own ``_State``, whose
-long removals take the last-edge pass.  All give equal final states on equal
+long removals take the last-edge pass and long additions (the addition phase
+and the combined fill) the phase pass.  All give equal final states on equal
 draws, and every aggregate is reduced from integer sums, so results are
 identical bytes for any parallelism level and any block execution order.
 """

@@ -12,6 +12,18 @@ nor its tail's last present out-edge in the order is always removed, and only
 those last edges, at most 2n - 2 positions, are ever decided.  At b's last
 in-edge, b's in-degree is 1 plus the in-edges of b kept so far (likewise for
 out-edges), and sources and sinks change only there.
+
+Phase lemma.  An addition is cancelled only when its head has in-degree 0 and
+the sources are at most x, or its tail has out-degree 0 and the sinks are at
+most y.  Sources and sinks only fall, so in one addition pass each cap starts
+to bind at most once, when its count reaches it, and in between the rule is
+fixed: a vertex barred from its first in-edge (out-edge) stays barred.  So a
+pass falls into phases, and each phase adds every absent edge its rule allows
+up to the first edge at which a count reaches its cap, the profile is exactly
+(x, y), or the edge count reaches the budget.  Below its cap a count falls at
+each first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
+budget the second cap to bind ends the pass at (x, y): at most 2 phases; with
+one, a third phase runs to the budget.
 """
 
 from __future__ import annotations
@@ -114,6 +126,64 @@ def _last_edges(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray,
     return last_in, last_out, np.flatnonzero((last_in[head] == visit) | (last_out[tail] == visit))
 
 
+def _first_visits(n: int, ends: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """For each vertex that ``fresh`` (a mask over 0..n) marks, the index of its
+    first visit in ``ends``, or len(ends) if there is none; ascending."""
+    first = np.full(n + 1, len(ends))
+    np.minimum.at(first, ends, np.arange(len(ends)))
+    first = first[fresh]
+    first.sort()
+    return first
+
+
+def _addition_phase(
+    n: int,
+    tail: np.ndarray,
+    head: np.ndarray,
+    indeg: np.ndarray,
+    outdeg: np.ndarray,
+    sources: int,
+    sinks: int,
+    x: int,
+    y: int,
+    room: int,
+) -> tuple[np.ndarray, int, int]:
+    """One phase of ``_State.phase_addition_pass`` on the absent edges left in
+    its order (``tail``, ``head``), under the rule that holds at its start:
+    add each edge the rule allows, up to the first where a cap starts to bind
+    or, if ``room`` is positive, the room-th one.  Add to ``indeg`` and
+    ``outdeg`` in place; return the positions added and the new source and
+    sink counts."""
+    # at its cap, a vertex without in-edges (out-edges) stays so all phase;
+    # vertex 1 is such a vertex but no head, vertex n no tail
+    bar_in, bar_out = 1 < sources <= x, 1 < sinks <= y
+    steps = np.arange(len(head))
+    if bar_in or bar_out:
+        allowed = np.ones(len(head), bool)
+        if bar_in:
+            allowed &= indeg[head] > 0
+        if bar_out:
+            allowed &= outdeg[tail] > 0
+        (steps,) = allowed.nonzero()
+        tail, head = tail[steps], head[steps]
+    end = min(len(head), room) if room > 0 else len(head)  # the phase adds steps[:end]
+    # below its cap, each first visit to a vertex without in-edges (out-edges)
+    # loses a source (sink); the cap binds at the visit that reaches it
+    lost_in = _first_visits(n, head, indeg == 0) if sources > x else None
+    lost_out = _first_visits(n, tail, outdeg == 0) if sinks > y else None
+    if lost_in is not None:
+        end = min(end, int(lost_in[sources - x - 1]) + 1)
+    if lost_out is not None:
+        end = min(end, int(lost_out[sinks - y - 1]) + 1)
+    if lost_in is not None:
+        sources -= int(lost_in.searchsorted(end))
+    if lost_out is not None:
+        sinks -= int(lost_out.searchsorted(end))
+    indeg += np.bincount(head[:end], minlength=n + 1)
+    outdeg += np.bincount(tail[:end], minlength=n + 1)
+    return steps[:end], sources, sinks
+
+
 class _State:
     """Edge/degree bookkeeping of one run, started from the complete or the
     empty graph, and the passes that move it.  Candidate edges are indexed by
@@ -122,28 +192,40 @@ class _State:
     every edge into its tail.  ``removal_pass`` and ``addition_pass`` visit
     every position of their order and are the reference.  By the last-edge
     lemma (module docstring), ``last_edge_removal_pass`` makes the same
-    removals while deciding only each vertex's last present in- and out-edge."""
+    removals while deciding only each vertex's last present in- and out-edge;
+    by the phase lemma, ``phase_addition_pass`` makes the same additions in
+    one array step per phase.  These two passes and ``graph()`` read the
+    candidates' ends from ``_pair_ends(n)``, so a run that takes only them
+    never builds ``ordered_pairs(n)``."""
 
-    __slots__ = ("n", "pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
+    __slots__ = ("n", "_pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
     def __init__(
         self, n: int, complete: bool, trace: TraceFn | None = None, pairs: list | None = None
     ) -> None:
-        self.pairs = ordered_pairs(n) if pairs is None else pairs
-        self.n, self.rounds, self.trace = n, 0, trace
-        self.present = [complete] * len(self.pairs)
+        self.n, self._pairs, self.rounds, self.trace = n, pairs, 0, trace
+        self.present = [complete] * (n * (n - 1) // 2 if pairs is None else len(pairs))
         if complete:  # vertex v has v - 1 predecessors and n - v successors
             self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
             self.sources = self.sinks = 1
-            self.edge_total = len(self.pairs)
+            self.edge_total = len(self.present)
         else:
             self.indeg, self.outdeg = [0] * (n + 1), [0] * (n + 1)
             self.sources = self.sinks = n
             self.edge_total = 0
 
+    @property
+    def pairs(self) -> list | tuple[tuple[int, int], ...]:
+        """The candidate edges, ``ordered_pairs(n)`` unless given."""
+        return ordered_pairs(self.n) if self._pairs is None else self._pairs
+
+    def _present_mask(self) -> np.ndarray:
+        """``present`` as a read-only numpy bool array."""
+        return np.frombuffer(bytes(self.present), np.bool_)
+
     def copy(self) -> _State:
         state = _State.__new__(_State)
-        state.n, state.pairs, state.trace, state.rounds = self.n, self.pairs, self.trace, self.rounds
+        state.n, state._pairs, state.trace, state.rounds = self.n, self._pairs, self.trace, self.rounds
         state.present, state.indeg, state.outdeg = self.present[:], self.indeg[:], self.outdeg[:]
         state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
         return state
@@ -191,7 +273,7 @@ class _State:
             return edges == budget
         n, order = self.n, np.asarray(order)
         if edges < len(order):  # visit the present edges only
-            order = order[np.frombuffer(bytes(self.present), np.bool_)[order]]
+            order = order[self._present_mask()[order]]
         tails, heads = _pair_ends(n)
         tail, head = tails[order], heads[order]
         last_in, last_out, steps = _last_edges(n, tail, head)
@@ -219,7 +301,7 @@ class _State:
         if budget is not None:  # keep the edges after the removal that reaches the budget
             gone[np.flatnonzero(gone)[need:]] = False
         kept = ~gone
-        present = np.zeros(len(self.pairs), bool)
+        present = np.zeros(len(self.present), bool)
         present[order[kept]] = True
         self.present = present.tolist()
         self.indeg = np.bincount(head[kept], minlength=n + 1).tolist()
@@ -265,8 +347,57 @@ class _State:
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return (sources == tx and sinks == ty) or edges == budget
 
+    def phase_addition_pass(
+        self, order: np.ndarray, x: int, y: int, budget: int | None = None, active: bool = True
+    ) -> bool:
+        """``addition_pass`` for candidates ``ordered_pairs(n)`` and an int array
+        ``order``, without a trace.  Keep the absent edges of the order; then,
+        by the phase lemma, each ``_addition_phase`` adds what its fixed rule
+        allows in one array step, and the next phase goes on after its last
+        addition.  At most 2 phases run without a budget, 3 with one."""
+        sources, sinks, edges = self.sources, self.sinks, self.edge_total
+        if budget is None:  # halt at the exact profile, never at an edge count
+            tx, ty, stop = x, y, -1
+        else:  # halt at the edge count only
+            tx, ty, stop = -1, -1, budget
+        if not active or (sources == tx and sinks == ty) or edges == stop:
+            return (sources == tx and sinks == ty) or edges == stop
+        n, order = self.n, np.asarray(order)
+        if edges:  # visit the absent edges only
+            present = self._present_mask()
+            order = order[~present[order]]
+        else:
+            present = np.zeros(len(self.present), bool)
+        tails, heads = _pair_ends(n)
+        order_tail, order_head = tails[order], heads[order]
+        indeg, outdeg = np.array(self.indeg), np.array(self.outdeg)
+        added, start = np.zeros(len(order), bool), 0
+        while True:
+            rule = (sources <= x, sinks <= y)
+            done, sources, sinks = _addition_phase(
+                n, order_tail[start:], order_head[start:], indeg, outdeg, sources, sinks, x, y, stop - edges
+            )
+            added[start + done] = True
+            edges += len(done)
+            # a phase the rule did not end added every edge it will ever allow
+            if rule == (sources <= x, sinks <= y) or (sources == tx and sinks == ty) or edges == stop:
+                break
+            start += int(done[-1]) + 1
+        count = edges - self.edge_total
+        if count:
+            present = present.copy()
+            present[order[added]] = True
+            self.present, self.indeg, self.outdeg = present.tolist(), indeg.tolist(), outdeg.tolist()
+        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, self.rounds + count
+        return (sources == tx and sinks == ty) or edges == stop
+
     def graph(self) -> OrderedDag:
-        edges = set(compress(self.pairs, self.present))
+        if self._pairs is None:  # the kept pair ends, in the order of ordered_pairs(n)
+            tails, heads = _pair_ends(self.n)
+            kept = np.flatnonzero(self._present_mask())
+            edges = set(zip(tails[kept].tolist(), heads[kept].tolist()))
+        else:
+            edges = set(compress(self._pairs, self.present))
         return OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
 
     def outcome(self, cfg: ProcessConfig) -> ProcessOutcome:
@@ -375,11 +506,10 @@ class _Batch:
 
     def states(self) -> Iterator[_State]:
         """Each row as a ``_State``, in row order."""
-        pairs = ordered_pairs(self.n)
         fields = (self.present, self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
         for present, indeg, outdeg, sources, sinks, edges, rounds in zip(*(f.tolist() for f in fields)):
             state = _State.__new__(_State)
-            state.n, state.pairs, state.trace, state.rounds = self.n, pairs, None, rounds
+            state.n, state._pairs, state.trace, state.rounds = self.n, None, None, rounds
             state.present, state.indeg, state.outdeg = present, indeg, outdeg
             state.sources, state.sinks, state.edge_total = sources, sinks, edges
             yield state
@@ -392,6 +522,14 @@ class _Batch:
 # 780; budgeted trims from (1, 1) addition results break even at 220-260
 # estimated visits (2-vCPU VM).
 _DECIDE_MIN = 231
+
+# Fewest positions in the order of one untraced run's addition pass for
+# _run_passes to call phase_addition_pass instead of the loop.  Per run, the
+# pass breaks even with the loop near C(n, 2) = 300 for (1, 1) from the empty
+# graph, 250 for fills that neutral additions cannot finish, and 500-561 for
+# (3, 2) from empty and (1, 1) fills to midway, whose loops stop early; at
+# 630 (n = 36) every case is 1.1-1.9x faster, at 780 1.2-2.3x (2-vCPU VM).
+_PHASE_MIN = 561
 
 
 def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
@@ -428,16 +566,20 @@ def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list 
 
 def _run_passes(state: _State) -> tuple[Callable[..., bool], Callable[..., bool]]:
     """The addition and removal pass of one run, for ``_finish``.  The loops
-    take an array order as a list, which they index fastest.  A removal goes
-    through ``last_edge_removal_pass`` when the run is untraced and the loop
-    would visit at least ``_DECIDE_MIN`` positions: all C(n, 2) without a
-    budget, and with one about C(n, 2) * (edges - budget) / edges, since
-    nearly every present edge it visits is removed."""
+    take an array order as a list, which they index fastest.  An addition goes
+    through ``phase_addition_pass`` when the run is untraced and its order has
+    at least ``_PHASE_MIN`` positions.  A removal goes through
+    ``last_edge_removal_pass`` when the run is untraced and the loop would
+    visit at least ``_DECIDE_MIN`` positions: all C(n, 2) without a budget,
+    and with one about C(n, 2) * (edges - budget) / edges, since nearly every
+    present edge it visits is removed."""
 
     def listed(order: list | np.ndarray) -> list:
         return order.tolist() if isinstance(order, np.ndarray) else order
 
     def add(order, x, y, budget=None, active=True):
+        if state.trace is None and len(order) >= _PHASE_MIN:
+            return state.phase_addition_pass(order, x, y, budget, active)
         return state.addition_pass(listed(order), x, y, budget, active)
 
     def remove(order, x, y, budget=None, active=True):
@@ -465,7 +607,7 @@ def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> Proces
         state = _tree_state(cfg.n, rng.random(cfg.n - 1).tolist(), trace)
     else:
         state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
-        _finish(cfg, state, lambda: rng.permutation(len(state.pairs)))
+        _finish(cfg, state, lambda: rng.permutation(len(state.present)))
     return state.outcome(cfg)
 
 

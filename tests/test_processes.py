@@ -711,3 +711,182 @@ class TestLastEdgeRemoval:
             out, err = capsys.readouterr()
             assert out == graph
             assert ",remove," in err
+
+
+def _both_additions(state, order, x, y, budget=None, active=True):
+    """Run the addition loop and the phase pass from copies of ``state`` on the
+    same order; require equal fields and return values, and return the loop's
+    final state."""
+    loop, phased = state.copy(), state.copy()
+    expected = loop.addition_pass(order.tolist(), x, y, budget, active)
+    assert phased.phase_addition_pass(order, x, y, budget, active) is expected
+    assert _fields(phased) == _fields(loop)
+    return loop
+
+
+class TestPhaseAddition:
+    """``_State.phase_addition_pass`` against the ``addition_pass`` loop."""
+
+    @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
+    @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
+    def test_empty_start_equals_loop(self, x, y, n, orders):
+        rows = _rows(orders, math.comb(n, 2), seed=2000 * n + 10 * x + y)
+        for order in rows:
+            loop = _both_additions(_State(n, False), order, x, y)
+            assert loop.rounds == loop.edge_total
+
+    @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (1, 3), (4, 3)])
+    @pytest.mark.parametrize("n", [22, 40])
+    def test_fill_equals_loop(self, n, x, y):
+        # from an exact (x, y) state the rule admits only the neutral additions;
+        # budgets below, at and above the count they can reach
+        state = _trim_start(n, x, y, seed=n + x + y)
+        order = _rows(1, math.comb(n, 2), seed=n + 1)[0]
+        reach = _both_additions(state, order, x, y, budget=math.comb(n, 2) + 1).edge_total
+        budgets = {state.edge_total + 1, (state.edge_total + reach) // 2, reach - 1, reach, reach + 1}
+        short = []
+        for budget in sorted(b for b in budgets if b > state.edge_total):
+            loop = _both_additions(state, order, x, y, budget=budget)
+            assert (loop.sources, loop.sinks) == (x, y)
+            if loop.edge_total < budget:
+                short.append(budget)
+        assert short == [reach + 1]  # the fill runs out one edge short of it
+
+    @pytest.mark.parametrize("n", [22, 40])
+    def test_partial_start_equals_loop(self, n):
+        # starts with edges present: a (1, 1) pass cut at a budget, which may
+        # leave the sources or sinks above or below the next pass's caps
+        first, second = _rows(2, math.comb(n, 2), seed=n)
+        for budget in (3, math.comb(n, 2) // 10, math.comb(n, 2) // 3):
+            start = _State(n, False)
+            start.addition_pass(first.tolist(), 1, 1, budget=budget)
+            for x, y in product((1, 2, 4), repeat=2):
+                _both_additions(start, second, x, y)
+                _both_additions(start, second, x, y, budget=start.edge_total + math.comb(n, 2) // 5)
+
+    def test_idle_calls_move_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr(processes, "_addition_phase", refuse)
+        n, x, y = 30, 2, 2
+        state = _trim_start(n, x, y, seed=3)
+        order = _rows(1, math.comb(n, 2), seed=3)[0]
+        before = _fields(state.copy())
+        calls = [(None, False, True), (state.edge_total + 40, False, False), (state.edge_total, True, True)]
+        calls.append((None, True, True))  # already at the exact profile
+        for budget, active, halted in calls:
+            assert _both_additions(state, order, x, y, budget, active).edge_total == state.edge_total
+            assert state.phase_addition_pass(order, x, y, budget, active) is halted
+            assert _fields(state) == before
+        empty = _State(n, False)
+        assert empty.phase_addition_pass(order, x, y, active=False) is False
+        assert _fields(empty) == _fields(_State(n, False))
+
+    @pytest.mark.parametrize("n", [22, 40, 100])
+    def test_at_most_two_phases_or_three_with_a_budget(self, n, monkeypatch):
+        phases = []
+
+        def spy(*args):
+            phases[-1] += 1
+            return real(*args)
+
+        real = processes._addition_phase
+        monkeypatch.setattr(processes, "_addition_phase", spy)
+        unbudgeted, budgeted = [], []
+        for order, (x, y) in zip(_rows(6, math.comb(n, 2), seed=n), [(1, 1), (2, 3), (4, 1)] * 2):
+            for budget, counts in ((None, unbudgeted), (math.comb(n, 2), budgeted)):
+                phases.append(0)
+                _both_additions(_State(n, False), order, x, y, budget)
+                counts.append(phases[-1])
+        assert max(unbudgeted) == 2
+        assert max(budgeted) == 3
+
+    @pytest.mark.parametrize("kind", [ProcessKind.ADDITION, ProcessKind.COMBINED])
+    def test_phase_minimum_changes_no_byte(self, kind, monkeypatch):
+        # orders with C(n, 2) just under, at and just over the minimum, and
+        # n = 40, give the bytes of the loop alone, through run_process and the
+        # harness's per-trial runs (too few trials for the lockstep kernel)
+        calls = []
+        real = _State.phase_addition_pass
+
+        def counted(self, order, x, y, budget, active):
+            calls.append(budget)
+            return real(self, order, x, y, budget, active)
+
+        monkeypatch.setattr(_State, "phase_addition_pass", counted)
+        low = processes._PHASE_MIN
+        at = next(n for n in range(2, 100) if math.comb(n, 2) >= low)
+        for n in (at - 1, at, at + 1, 40):
+            m = None
+            if kind is ProcessKind.COMBINED:  # most runs fill towards the complete graph
+                m = math.comb(n, 2) - n
+            cfgs = [ProcessConfig(1, 1, n, kind, seed, m=m) for seed in range(20)]
+
+            def outputs():
+                runs = [run_process(cfg) for cfg in cfgs]
+                lines = [f"{out.graph.to_json()}|{out.rounds}|{out.halt_reason.value}" for out in runs]
+                return lines, run_trials(cfgs[0], 100, master_seed=n).to_json()
+
+            with monkeypatch.context() as patch:
+                patch.setattr(processes, "_PHASE_MIN", 10**9)
+                loop = outputs()
+            del calls[:]
+            assert outputs() == loop, n
+            assert bool(calls) == (math.comb(n, 2) >= low), n
+            if kind is ProcessKind.COMBINED and calls:  # some runs fill through the pass
+                assert m in calls, n
+
+    def test_exact_laws_traced_runs_and_trees_never_enter(self, monkeypatch, capsys):
+        # both runs are long enough that, untraced, they add through the pass
+        common = ["--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
+        addition = ["generate", "--process", "addition", *common]
+        combined = ["generate", "--process", "combined", "--m", "700", *common]
+        untraced = []
+        for args in (addition, combined):
+            assert main(args) == 0
+            untraced.append(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase_addition_pass was called")
+
+        monkeypatch.setattr(_State, "phase_addition_pass", refuse)
+        for n in range(1, 6):
+            for x, y in product(range(1, n + 1), repeat=2):
+                exact_process_distribution(ProcessKind.ADDITION, x, y, n)
+        for args, graph in zip((addition, combined), untraced):
+            assert main([*args, "--trace"]) == 0
+            out, err = capsys.readouterr()
+            assert out == graph
+            assert ",add," in err
+        n = processes._PHASE_MIN + 1  # n - 1 tree edges, one addition pass
+        assert random_directed_tree(n, 7).edge_count == n - 1
+        run_trials(ProcessConfig(1, 1, n, ProcessKind.RANDOM_TREE, 0), 3, master_seed=7)
+
+
+class TestCandidatePairs:
+    def test_untraced_array_runs_never_build_ordered_pairs(self, monkeypatch):
+        # removal takes the last-edge pass and addition the phase pass; graph()
+        # reads the kept edges off the pair ends
+        n = 57
+        assert math.comb(n, 2) >= max(processes._DECIDE_MIN, processes._PHASE_MIN)
+        cfgs = [ProcessConfig(x, 2, n, kind, seed=2) for kind in (ProcessKind.REMOVAL, ProcessKind.ADDITION) for x in (1, 3)]
+        ordered_pairs.cache_clear()
+        outs = [run_process(cfg) for cfg in cfgs]
+        assert ordered_pairs.cache_info().misses == 0
+        monkeypatch.setattr(processes, "_DECIDE_MIN", 10**9)
+        monkeypatch.setattr(processes, "_PHASE_MIN", 10**9)
+        for cfg, out in zip(cfgs, outs):  # the loops read ordered_pairs(n)
+            loop = run_process(cfg)
+            assert (out.graph.to_json(), out.rounds) == (loop.graph.to_json(), loop.rounds)
+        assert ordered_pairs.cache_info().misses == 1
+
+    def test_graph_from_pair_ends_equals_graph_from_pairs(self):
+        n = 30
+        state = _State(n, False)
+        state.phase_addition_pass(_rows(1, math.comb(n, 2), seed=4)[0], 2, 3)
+        listed = state.copy()
+        listed._pairs = list(ordered_pairs(n))
+        graph, expected = state.graph(), listed.graph()
+        assert graph == expected and graph.to_json() == expected.to_json()
+        assert (graph._indeg, graph._outdeg) == (state.indeg, state.outdeg)
