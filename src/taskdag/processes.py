@@ -216,8 +216,12 @@ class _State:
 
     @property
     def pairs(self) -> list | tuple[tuple[int, int], ...]:
-        """The candidate edges, ``ordered_pairs(n)`` unless given."""
-        return ordered_pairs(self.n) if self._pairs is None else self._pairs
+        """The candidate edges, ``ordered_pairs(n)`` unless given.  Kept once
+        read, so a loop pays one slot read per pass, as the exact laws' many
+        one-edge passes need."""
+        if self._pairs is None:
+            self._pairs = ordered_pairs(self.n)
+        return self._pairs
 
     def _present_mask(self) -> np.ndarray:
         """``present`` as a read-only numpy bool array."""
