@@ -216,9 +216,8 @@ class _State:
 
     @property
     def pairs(self) -> list | tuple[tuple[int, int], ...]:
-        """The candidate edges, ``ordered_pairs(n)`` unless given.  Kept once
-        read, so a loop pays one slot read per pass, as the exact laws' many
-        one-edge passes need."""
+        """The candidate edges, ``ordered_pairs(n)`` unless given, kept once
+        read."""
         if self._pairs is None:
             self._pairs = ordered_pairs(self.n)
         return self._pairs
@@ -241,7 +240,8 @@ class _State:
         sources above x or the sinks above y.  With a budget, halt at
         ``budget`` edges; return whether the budget was reached.  An inactive
         run does not move."""
-        pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
+        pairs = self._pairs or self.pairs  # no call once built: the exact laws run many one-edge passes
+        present, indeg, outdeg, trace = self.present, self.indeg, self.outdeg, self.trace
         sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
         if active and edges != budget:
             for idx in order:
@@ -324,7 +324,8 @@ class _State:
         pass halted.  An inactive run does not move.  From an exact (x, y)
         profile this rule admits exactly the neutral additions, which keep
         every vertex's source/sink status."""
-        pairs, present, indeg, outdeg, trace = self.pairs, self.present, self.indeg, self.outdeg, self.trace
+        pairs = self._pairs or self.pairs  # no call once built: the exact laws run many one-edge passes
+        present, indeg, outdeg, trace = self.present, self.indeg, self.outdeg, self.trace
         sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, budget = x, y, -1
