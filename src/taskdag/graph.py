@@ -16,8 +16,10 @@ from .errors import CapacityError, GraphError, check_int
 
 LINEAR_EXTENSION_CAP = 20
 # The largest order of any graph or process.  Costs grow as n^2: at n = 1000 one
-# `generate` removal run takes 0.6 s and peaks at 111 MB, at n = 2000 1.6 s and
-# 331 MB (2-vCPU VM).  Every order the tests, demos and benchmark use is below 300.
+# `generate` run with x = y = 1 takes 0.44 s and peaks at 62 MB for removal, and
+# 1.4 s and 112 MB for addition, most of it serializing the 275k edges it keeps;
+# at n = 2000 0.65 s and 134 MB, and 8.3 s and 411 MB (2-vCPU VM).  Every order
+# the tests, demos and benchmark use is below 300.
 MAX_ORDER = 1000
 
 

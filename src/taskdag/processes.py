@@ -368,11 +368,9 @@ class _State:
         if not active or (sources == tx and sinks == ty) or edges == stop:
             return (sources == tx and sinks == ty) or edges == stop
         n, order = self.n, np.asarray(order)
+        present = self._present_mask().copy() if edges else np.zeros(len(self.present), bool)
         if edges:  # visit the absent edges only
-            present = self._present_mask()
             order = order[~present[order]]
-        else:
-            present = np.zeros(len(self.present), bool)
         tails, heads = _pair_ends(n)
         order_tail, order_head = tails[order], heads[order]
         indeg, outdeg = np.array(self.indeg), np.array(self.outdeg)
@@ -390,7 +388,6 @@ class _State:
             start += int(done[-1]) + 1
         count = edges - self.edge_total
         if count:
-            present = present.copy()
             present[order[added]] = True
             self.present, self.indeg, self.outdeg = present.tolist(), indeg.tolist(), outdeg.tolist()
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, self.rounds + count
