@@ -2,7 +2,7 @@
 
 The ratio is the fraction of seeded runs that halt on exactly x sources and
 y sinks.  Rows with x = y are provably always 1.  Run with:
-python demos/05_success_ratio_tables.py   (takes about a minute)
+python demos/05_success_ratio_tables.py
 """
 
 from taskdag import ProcessKind, table_experiment

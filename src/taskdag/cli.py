@@ -175,6 +175,8 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if (args.x is None) != (args.y is None):
+        raise ConfigError("analyze classifies only when given both --x and --y")
     if args.input == "-":
         data = getattr(sys.stdin, "buffer", sys.stdin).read()  # bytes, or text if stdin has no buffer
     else:
@@ -195,7 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     path = analysis.find_removable_path(g)
     record["removable_path"] = list(path) if path is not None else None
-    if args.x is not None and args.y is not None:
+    if args.x is not None:
         case = analysis.classify_extremal(g, args.x, args.y)
         record["structure_case"] = case.label.value
     print(json.dumps(record, separators=(",", ":")))

@@ -169,11 +169,10 @@ def _batch_sums(cfg: ProcessConfig, batch: _Batch) -> tuple[int, ...]:
     success = (batch.sources == cfg.x) & (batch.sinks == cfg.y)
     if cfg.m is not None:
         success &= batch.edge_total == cfg.m
-    column = np.zeros((n + 1, n + 1), np.intp)  # column[a, b]: index of edge (a, b)
-    column[batch.tails, batch.heads] = np.arange(present.shape[1])
     dist = np.zeros((len(present), n + 1), np.int64)
-    for b in range(2, n + 1):  # vertex order is topological
-        dist[:, b] = ((dist[:, 1:b] + 1) * present[:, column[1:b, b]]).max(axis=1)
+    for a in range(1, n):  # vertex order is topological; a's out-edges are n - a columns from c
+        c = (a - 1) * (2 * n - a) // 2
+        np.maximum(dist[:, a + 1 :], (dist[:, a, None] + 1) * present[:, c : c + n - a], out=dist[:, a + 1 :])
     isolated = (batch.indeg[:, 1:] == 0) & (batch.outdeg[:, 1:] == 0)
     return tuple(int(a.sum()) for a in (success, batch.edge_total, dist.max(axis=1), isolated))
 

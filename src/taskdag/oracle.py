@@ -4,9 +4,10 @@ Everything here recomputes results from first principles (exhaustive subset
 enumeration, per-edge removal by definition, permutation filtering, exact
 probability flow of process runs over edge sets) so the closed forms and the
 fast routines have an independent check.  Every enumerated extremal verdict
-reads one cached table of per-graph facts per order.  Caps keep the
-exponential searches bounded: enumeration and exact process distributions stop
-at n <= 6.
+but one reads one cached table of per-graph facts per order; the largest
+addition result comes from a densest-first search over edge sets for a graph
+the process halts on.  Caps keep the exponential searches bounded:
+enumeration and exact process distributions stop at n <= 6.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 from typing import Iterator
 
@@ -140,6 +141,8 @@ def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
     """Recompute an extremal value by exhaustive search over all graphs."""
     EnumerationScope(n=n).validate()
     check_int(DomainError, x=x, y=y)
+    if not isinstance(kind, ExtremalKind):
+        raise DomainError(f"unknown extremal kind {kind!r}")
     if kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
         return _max_addition_result_edges(x, y, n)
     pairs = ordered_pairs(n)
@@ -159,45 +162,40 @@ def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
                 values.append(edge_count)
         elif kind is ExtremalKind.MAX_ORDERINGS:
             values.append(oracle_linear_extensions(_graph_from_mask(n, pairs, mask)))
-        else:
-            raise DomainError(f"unknown extremal kind {kind!r}")
     if not values:
         raise DomainError(f"no qualifying ({x}, {y}) graphs of order {n} exist")
     return min(values) if kind is ExtremalKind.MIN_EDGES else max(values)
 
 
-@lru_cache(maxsize=64)
 def _max_addition_result_edges(x: int, y: int, n: int) -> int:
-    """Largest halt-state edge count of the (x, y) addition process, by
-    depth-first search over every reachable state.  An edge is a move from a
-    state when a one-edge addition pass from that state accepts it."""
-    n_pairs = len(ordered_pairs(n))
-    seen = bytearray(1 << n_pairs)
-    seen[0] = 1
-    stack = [(0, _State(n, complete=False))]
-    best = -1
-    while stack:
-        mask, state = stack.pop()
-        if (state.sources, state.sinks) == (x, y):  # the process halts here
-            best = max(best, state.edge_total)
-            continue
-        child = None
-        for i in range(n_pairs):
-            child_mask = mask | 1 << i
-            if seen[child_mask]:  # also skips the edges already present
-                continue
-            if child is None:
-                child = state.copy()
-            child.addition_pass((i,), x, y)
-            if child.edge_total > state.edge_total:
-                seen[child_mask] = 1
-                stack.append((child_mask, child))
-                child = None  # a cancelled addition leaves the copy unchanged
-    if best < 0:
-        raise DomainError(
-            f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph"
-        )
-    return best
+    """Largest halt-state edge count of the (x, y) addition process: the
+    first edge count, densest first, at which some edge set is a result.
+
+    A graph G of profile (x, y) is a possible result exactly when it is empty
+    with (x, y) = (n, n), where the run halts at once, or it has an edge e
+    whose deletion changes its profile (e's head has in-degree 1 or its tail
+    out-degree 1).  Sources and sinks only fall as edges are added, so every
+    subgraph of G has at least x sources and y sinks, and the cancel rule
+    never fires on an edge of G.  Every subgraph of G - e has at least the
+    sources and sinks of G - e, whose profile is not (x, y), so adding G - e
+    edge by edge, each a legal move of positive probability, never halts, and
+    adding e last halts at G.  Conversely, the last edge added to a non-empty
+    result took the profile to (x, y), so deleting it changes the profile."""
+    pairs = ordered_pairs(n)
+    for k in range(len(pairs), -1, -1):
+        for edges in combinations(pairs, k):
+            indeg, outdeg = [0] * (n + 1), [0] * (n + 1)
+            for a, b in edges:
+                indeg[b] += 1
+                outdeg[a] += 1
+            # index 0 of the degree lists is no vertex, but counts as a zero
+            if (indeg.count(0) - 1, outdeg.count(0) - 1) == (x, y) and (
+                not edges or any(indeg[b] == 1 or outdeg[a] == 1 for a, b in edges)
+            ):
+                return k
+    raise DomainError(
+        f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph"
+    )
 
 
 @dataclass(frozen=True)

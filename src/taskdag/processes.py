@@ -62,7 +62,7 @@ SEED_MAX = 2**64 - 1  # seeds are integers in [0, SEED_MAX]
 @dataclass(frozen=True)
 class ProcessConfig:
     """Parameters of one process run.  ``m`` is only meaningful for the
-    combined process; the random tree ignores x, y and m entirely."""
+    combined process; the random tree ignores x and y."""
 
     x: int
     y: int
@@ -76,6 +76,8 @@ class ProcessConfig:
             raise ConfigError(f"unknown process kind {self.kind!r}")
         check_int(ConfigError, 0, SEED_MAX, seed=self.seed)
         check_int(ConfigError, 1, MAX_ORDER, n=self.n)
+        if self.m is not None and self.kind is not ProcessKind.COMBINED:
+            raise ConfigError("m is only meaningful for the combined process")
         if self.kind is ProcessKind.RANDOM_TREE:
             return
         check_int(ConfigError, x=self.x, y=self.y)
@@ -89,8 +91,6 @@ class ProcessConfig:
             lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, self.x, self.y, self.n)
             hi = extremal_value(ExtremalKind.MAX_EDGES, self.x, self.y, self.n)
             check_int(ConfigError, lo, hi, m=self.m)
-        elif self.m is not None:
-            raise ConfigError("m is only meaningful for the combined process")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,16 @@ class TestGenerate:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
 
+    def test_tree_rejects_m(self, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "--process", "tree", "--n", "8", "--seed", "1", "--m", "3",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "only meaningful for the combined process" in payload["message"]
+
     def test_same_seed_same_bytes(self, capsys):
         argv = ["generate", "--process", "addition", "--x", "2", "--y", "1",
                 "--n", "6", "--seed", "11"]
@@ -193,6 +203,17 @@ class TestTableAndGrowth:
         assert payload["error"] == "ConfigError"
         assert payload["message"].startswith(f"{named} must")
 
+    def test_empty_n_list_entry_is_json_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "growth", "--process", "removal", "--x", "1", "--y", "1",
+            "--n-list", "5,,6", "--trials", "5", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "TaskDagError"
+        assert "--n-list" in payload["message"]
+
     def test_growth_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "growth", "--process", "addition", "--x", "1", "--y", "1",
@@ -282,6 +303,16 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--x", "2", "--y", "1")
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("given", [["--x", "1"], ["--y", "1"]])
+    def test_one_of_x_and_y_is_json_error(self, capsys, monkeypatch, given):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n":3,"edges":[[1,2],[2,3]]}'))
+        code, out, err = run_cli(capsys, "analyze", "--input", "-", *given)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "--x and --y" in payload["message"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.json"))

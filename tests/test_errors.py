@@ -172,6 +172,45 @@ def test_remaining_value_errors_are_typed():
         remove_removable_path(g, (1, 2))
 
 
+def _path_graph(*edges):
+    return OrderedDag.from_edges(4, edges)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: families.densest_graph(3, 1, 2), DomainError, r"n >= max\(x, y\)"),
+    (lambda: families.removal_trap(3, 3), DomainError, r"n >= y \+ 1"),
+    (lambda: families.addition_trap(3, 1, 3), DomainError, "n > x"),
+    (lambda: OrderedDag.from_json('{"n":3,"edges":{}}'), GraphError, "must be an array"),
+    (
+        lambda: exact_process_distribution(ProcessKind.ADDITION, 3, 1, 2),
+        DomainError,
+        r"n >= max\(x, y\)",
+    ),
+    (lambda: _process(kind=COMBINED, x=2, y=1, n=3, m=2), ConfigError, r"n > max\(x, y\) \+ 1"),
+    (
+        lambda: remove_removable_path(_path_graph((1, 2), (1, 3), (3, 4)), (1, 2, 4)),
+        GraphError,
+        r"edge \(2, 4\) is not in the graph",
+    ),
+    (
+        lambda: remove_removable_path(_path_graph((1, 2), (1, 4), (2, 3), (2, 4)), (1, 2, 4)),
+        GraphError,
+        "interior path vertex 2",
+    ),
+    (
+        lambda: remove_removable_path(_path_graph((1, 2), (1, 4), (2, 3)), (1, 2, 3)),
+        GraphError,
+        "path end 3 must have in-degree > 1",
+    ),
+], ids=[
+    "densest_graph", "removal_trap", "addition_trap", "from_json-edges", "exact_distribution",
+    "combined-order", "path-edge-missing", "path-interior", "path-end",
+])
+def test_typed_error_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_check_int_messages():
     with pytest.raises(ConfigError, match=r"^trials must be a positive integer, got True$"):
         check_int(ConfigError, trials=True)

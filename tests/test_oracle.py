@@ -123,6 +123,36 @@ class TestBruteForceExtremal:
         with pytest.raises(CapacityError):
             oracle_extremal(K.MIN_EDGES, 1, 1, 8)
 
+    def test_unknown_kind_is_named_even_where_no_graph_qualifies(self):
+        # no (3, 1) graph of order 3 exists, so only a kind check made first names the kind
+        with pytest.raises(DomainError, match="unknown extremal kind 'bogus'"):
+            oracle_extremal("bogus", 3, 1, 3)
+
+    def test_unknown_kind_is_rejected_before_the_facts_table(self, monkeypatch):
+        import taskdag.oracle
+
+        def unread(n):
+            raise AssertionError("the facts table was read")
+
+        monkeypatch.setattr(taskdag.oracle, "_facts_by_mask", unread)
+        with pytest.raises(DomainError, match="unknown extremal kind"):
+            oracle_extremal("bogus", 1, 1, 6)
+
+
+class TestAdditionResults:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_largest_result_is_the_densest_halt_of_the_exact_flow(self, n):
+        # the flow simulates the process; the verdict searches edge sets for halting graphs
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                outcomes = exact_process_distribution(ProcessKind.ADDITION, x, y, n).outcomes
+                halts = [e for (r, s, e) in outcomes if (r, s) == (x, y)]
+                if halts:
+                    assert oracle_extremal(K.MAX_ADDITION_RESULT_EDGES, x, y, n) == max(halts)
+                else:
+                    with pytest.raises(DomainError, match="never halts"):
+                        oracle_extremal(K.MAX_ADDITION_RESULT_EDGES, x, y, n)
+
 
 class TestExactDistributions:
     def test_removal_1_1_3_point_mass(self):

@@ -115,6 +115,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="only meaningful"):
             edge_removal_process(cfg)
 
+    def test_tree_rejects_m(self):
+        cfg = ProcessConfig(1, 1, 8, ProcessKind.RANDOM_TREE, seed=1, m=3)
+        with pytest.raises(ConfigError, match="only meaningful"):
+            run_process(cfg)
+
     def test_combined_requires_m(self):
         cfg = ProcessConfig(1, 1, 6, ProcessKind.COMBINED, seed=0)
         with pytest.raises(ConfigError, match="requires a target edge count"):
