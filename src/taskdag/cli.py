@@ -19,6 +19,8 @@ from .graph import OrderedDag
 from .processes import ProcessConfig, ProcessKind, run_process
 
 _PROCESS_TOKENS = {kind.value: kind for kind in ProcessKind}
+# table and growth build every cell without a budget m, which combined requires
+_GRID_TOKENS = sorted(set(_PROCESS_TOKENS) - {ProcessKind.COMBINED.value})
 _ORACLE_KINDS = {kind.value: kind for kind in analysis.ExtremalKind}
 
 
@@ -63,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("table", help="success-ratio grid over (x, y) pairs and n")
-    p.add_argument("--process", required=True, choices=sorted(_PROCESS_TOKENS))
+    p.add_argument("--process", required=True, choices=_GRID_TOKENS)
     p.add_argument("--pairs", required=True, help="comma-separated x-y pairs, e.g. 1-2,1-3")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -72,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("growth", help="mean edges / path length / isolated count per n")
-    p.add_argument("--process", required=True, choices=sorted(_PROCESS_TOKENS))
+    p.add_argument("--process", required=True, choices=_GRID_TOKENS)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated orders, e.g. 10,20,40")

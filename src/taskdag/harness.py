@@ -12,17 +12,26 @@ long removals take the last-edge pass and long additions (the addition phase
 and the combined fill) the phase pass.  All give equal final states on equal
 draws, and every aggregate is reduced from integer sums, so results are
 identical bytes for any parallelism level and any block execution order.
+
+At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
+processes, each behind one duplex pipe, sends each lane a block, runs the next
+block itself, and refills the lanes as their sums come back.  The lanes live
+as long as the process, or until an experiment asks for another p.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from itertools import compress
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,8 +50,9 @@ from .processes import (
 )
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
-# Most trials per cell.  A cell's blocks and, with a pool, their futures are
-# listed before any trial runs: about 35 MB at the cap (19532 blocks).
+# Most trials per cell.  A cell's block list is built before any trial runs
+# and its sums list as they come: about 6 MB together at the cap (19532 blocks;
+# 2.7 MB for the blocks, by tracemalloc).
 MAX_TRIALS = 10**7
 _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
 # Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
@@ -52,15 +62,20 @@ _DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's mem
 # trials need C(n, 2) <= _DRAW_CAP / 128: n <= 32, or n <= 23 for combined.
 _KERNEL_MIN = 128
 
-# The process's one worker pool, as (workers, pool), and the lock a parallel
-# experiment holds while it uses it.  A forked child starts with neither: the
-# pool's workers belong to the parent, and the lock may be held there.
-_pool: tuple[int, ProcessPoolExecutor] | None = None
+# The process's one lane set, as (parallelism, [(lane, caller's end), ...]),
+# and the lock a parallel experiment holds while it uses it.  A forked child
+# starts with neither: the lanes belong to the parent, and the lock may be held
+# there.  The child closes its copies of the caller's ends, so that a lane
+# still sees EOF when the parent goes; a lane forked from the caller is such
+# a child.
+_pool: tuple[int, list[tuple[BaseProcess, Connection]]] | None = None
 _pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
     global _pool, _pool_lock
+    for _, conn in _pool[1] if _pool else ():
+        conn.close()
     _pool, _pool_lock = None, threading.Lock()
 
 
@@ -188,23 +203,89 @@ def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
     return tuple(sum(col) for col in zip(*parts))
 
 
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool of ``workers`` workers, built on first use and kept
-    for every later experiment with the same count; a pool of another count is
-    shut down first.  Call with ``_pool_lock`` held."""
+def _lane(conn: Connection, caller_end: Connection) -> None:
+    """A lane process: answer each block with (True, its sums), or (False, the
+    exception it raised), until the caller's end closes."""
+    caller_end.close()  # a forked lane's copy; the caller keeps its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+    try:
+        while True:
+            block = conn.recv()
+            try:
+                reply = True, _block_sums(block)
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
+    except (EOFError, OSError):  # the caller dropped the lanes or exited
+        pass
+
+
+def _shared_pool(parallelism: int) -> list[tuple[BaseProcess, Connection]]:
+    """The process's ``parallelism - 1`` lanes, started on first use and kept
+    for every later experiment with the same parallelism; a set of another
+    size is stopped first.  Call with ``_pool_lock`` held."""
     global _pool
-    if _pool is None or _pool[0] != workers:
+    if _pool is None or _pool[0] != parallelism:
         _drop_pool()
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        _pool = (parallelism, [])
+        try:
+            for _ in range(parallelism - 1):
+                caller_end, lane_end = multiprocessing.Pipe()
+                lane = multiprocessing.Process(target=_lane, args=(lane_end, caller_end), daemon=True)
+                lane.start()
+                lane_end.close()
+                _pool[1].append((lane, caller_end))
+        except BaseException:
+            _drop_pool()
+            raise
     return _pool[1]
 
 
 def _drop_pool() -> None:
-    """Shut the shared pool down and forget it.  Call with ``_pool_lock`` held."""
+    """Stop the lanes and forget them.  Call with ``_pool_lock`` held."""
     global _pool
-    if _pool is not None:
-        _pool[1].shutdown()
-    _pool = None
+    lanes, _pool = _pool[1] if _pool else [], None
+    for lane, conn in lanes:
+        conn.close()
+        lane.terminate()
+        lane.join()
+
+
+def _lane_sums(blocks: list[tuple[ProcessConfig, int, int, int]], parallelism: int) -> list[tuple[int, ...]]:
+    """The sums of every block, in block order, with the caller as one of
+    ``parallelism`` workers and each of the shared lanes as another.  A lane
+    holds at most two blocks, and one once no more than a block per worker is
+    left, so that the caller keeps its share.  Any exception drops the lanes,
+    whose unanswered blocks must not reach the next call; a lane found dead
+    raises ``BrokenProcessPool``.  Call with ``_pool_lock`` held."""
+    held = {conn: deque() for _, conn in _shared_pool(parallelism)}  # blocks sent, not answered
+    sums: list[tuple[int, ...]] = [()] * len(blocks)
+    sent = 0
+    try:
+        while sent < len(blocks) or any(held.values()):
+            for conn, queue in held.items():
+                while sent < len(blocks) and len(queue) < (2 if len(blocks) - sent > parallelism else 1):
+                    conn.send(blocks[sent])
+                    queue.append(sent)
+                    sent += 1
+            busy = [conn for conn, queue in held.items() if queue]
+            if sent < len(blocks):
+                sums[sent] = _block_sums(blocks[sent])
+                sent += 1
+                ready = wait(busy, 0)
+            else:
+                ready = wait(busy)
+            for conn in ready:
+                ok, value = conn.recv()
+                if not ok:
+                    raise value
+                sums[held[conn].popleft()] = value
+    except BaseException as exc:
+        _drop_pool()
+        if isinstance(exc, (EOFError, OSError)):
+            raise BrokenProcessPool("a lane process died") from exc
+        raise
+    return sums
 
 
 def _run_cells(
@@ -212,9 +293,9 @@ def _run_cells(
 ) -> list[tuple[int, ...]]:
     """Run ``trials`` seeded trials of each (config, master seed) cell and return
     its column totals.  All input is validated before any trial runs; every cell
-    is cut into fixed blocks, and all blocks run serially or in the process's
-    shared pool.  A call that finds the pool broken drops it and re-raises, so
-    the next call builds a fresh one.
+    is cut into fixed blocks, and all blocks run serially or on the caller and
+    the process's lanes.  A call that leaves the lanes with an exception drops
+    them, so the next call starts a fresh set.
     """
     check_int(ConfigError, 1, MAX_TRIALS, trials=trials)
     check_int(ConfigError, 1, 64, parallelism=parallelism)
@@ -230,12 +311,7 @@ def _run_cells(
     ]
     if parallelism > 1 and len(blocks) > 1:
         with _pool_lock:
-            pool = _shared_pool(parallelism)
-            try:
-                sums = list(pool.map(_block_sums, blocks))
-            except BrokenProcessPool:
-                _drop_pool()
-                raise
+            sums = _lane_sums(blocks, parallelism)
     else:
         sums = [_block_sums(block) for block in blocks]
     per_cell = len(blocks) // len(cells)

@@ -117,10 +117,10 @@ class TestTrials:
         assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_jobs_above_cap_is_json_error_before_any_pool(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was constructed")
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane set was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_shared_pool", no_lanes)
         code, out, err = run_cli(
             capsys, "trials", "--process", "removal", "--n", "4", "--trials", "2000",
             "--seed", "2", "--jobs", "65",
@@ -134,10 +134,10 @@ class TestTrials:
 
 
     def test_trials_above_cap_is_json_error_before_any_pool(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was constructed")
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane set was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_shared_pool", no_lanes)
         code, out, err = run_cli(
             capsys, "trials", "--process", "removal", "--x", "1", "--y", "1", "--n", "5",
             "--trials", "10000000000", "--seed", "1", "--jobs", "2",
@@ -214,6 +214,21 @@ class TestTableAndGrowth:
         assert payload["error"] == "TaskDagError"
         assert "--n-list" in payload["message"]
 
+    @pytest.mark.parametrize("command,extra", [
+        ("table", ["--pairs", "1-1", "--n-min", "4", "--n-max", "4"]),
+        ("growth", ["--x", "1", "--y", "1", "--n-list", "4"]),
+    ])
+    def test_combined_is_not_a_grid_choice(self, capsys, command, extra):
+        # neither command takes the budget m the combined process needs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--process", "combined", *extra, "--trials", "5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigError"
+        assert "--process" in payload["message"] and "'combined'" in payload["message"]
+
     def test_growth_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "growth", "--process", "addition", "--x", "1", "--y", "1",
@@ -241,7 +256,6 @@ class TestOrderCap:
         def no_process(*args, **kwargs):
             raise AssertionError("a process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_process)
         monkeypatch.setattr(multiprocessing.Process, "start", no_process)
         if payload is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(payload))

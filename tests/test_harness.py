@@ -3,6 +3,9 @@ import math
 import multiprocessing.connection
 import os
 import signal
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -23,6 +26,23 @@ from taskdag.processes import ProcessConfig, ProcessKind, _finish, _State
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
     return ProcessConfig(x, y, n, kind, seed=0, **kw)
+
+
+def _child(body, timeout=120):
+    """Stdout of a fresh interpreter that runs ``body`` after importing the
+    package and ``cfg``, failing the test past ``timeout`` seconds."""
+    script = (
+        "from taskdag import harness\n"
+        "from taskdag.harness import run_trials\n"
+        "from taskdag.processes import ProcessConfig, ProcessKind\n"
+        "cfg = ProcessConfig(1, 2, 7, ProcessKind.REMOVAL, seed=0)\n" + body
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestRunTrials:
@@ -55,11 +75,11 @@ class TestRunTrials:
         ],
     )
     def test_rejects_bad_arguments(self, monkeypatch, kwargs, match):
-        # every argument is checked before a pool could be built
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was constructed")
+        # every argument is checked before a lane could be started
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane set was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_shared_pool", no_lanes)
         args = {"trials": 10, "master_seed": 1, "parallelism": 1, **kwargs}
         with pytest.raises(ConfigError, match=match):
             run_trials(_cfg(1, 1, 4), **args)
@@ -174,19 +194,22 @@ class TestRunTrials:
         assert serial.to_json() == parallel.to_json()
 
     def test_broken_pool_is_replaced(self):
+        # a lane killed between calls: the next call raises BrokenProcessPool
+        # or gives the serial bytes, and the call after it runs on a fresh set
         cfg = _cfg(1, 2, 7)
-        run_trials(cfg, 1200, master_seed=5, parallelism=2)
+        run_trials(cfg, 1200, master_seed=5, parallelism=3)
         broken = harness._pool[1]
-        worker = next(iter(broken._processes.values()))
-        os.kill(worker.pid, signal.SIGKILL)
-        assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
+        lane = broken[0][0]
+        os.kill(lane.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([lane.sentinel], timeout=30)
         serial = run_trials(cfg, 1200, master_seed=5, parallelism=1)
         try:
-            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=2)
-        except BrokenProcessPool:  # the call that finds the pool broken may fail
-            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=2)
+            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=3)
+        except BrokenProcessPool:  # the call that finds the lane dead may fail
+            parallel = run_trials(cfg, 1200, master_seed=5, parallelism=3)
         assert parallel.to_json() == serial.to_json()
         assert harness._pool[1] is not broken
+        assert not any(other.is_alive() for other, _ in broken)
 
     def test_combined_success_requires_budget(self):
         cfg = _cfg(1, 1, 7, kind=ProcessKind.COMBINED, m=12)
@@ -215,6 +238,62 @@ class TestRunTrials:
             "mean_longest_path",
             "mean_isolated",
         }
+
+
+class TestLanes:
+    def test_lane_counts_change_without_hanging(self):
+        # 2, then 4, then 2 lanes in one process: each set is stopped when the
+        # next is started, and each gives the serial bytes
+        out = _child("for p in (3, 5, 3):\n    print(run_trials(cfg, 1200, 5, p).to_json())\n")
+        assert out.splitlines() == [run_trials(_cfg(1, 2, 7), 1200, master_seed=5).to_json()] * 3
+
+    def test_hundreds_of_blocks_per_lane_finish(self):
+        cfg, trials = _cfg(1, 1, 3), 1500 * harness._CHUNK
+        out = _child(
+            "cfg = ProcessConfig(1, 1, 3, ProcessKind.REMOVAL, seed=0)\n"
+            f"print(run_trials(cfg, {trials}, 5, 3).to_json())\n"
+        )
+        assert out.strip() == run_trials(cfg, trials, master_seed=5).to_json()
+
+    def test_block_raising_in_a_lane_raises_in_the_caller(self):
+        # of two blocks at parallelism 2, block 0 goes to the lane, where its
+        # master seed fails the generator's check; the call after it starts
+        # fresh lanes and gives the serial bytes
+        cfg = _cfg(1, 2, 7)
+        with harness._pool_lock:
+            with pytest.raises(ValueError):
+                harness._lane_sums([(cfg, -1, 0, 512), (cfg, 5, 512, 1024)], 2)
+            assert harness._pool is None
+        parallel = run_trials(cfg, 1200, master_seed=5, parallelism=2)
+        assert parallel == run_trials(cfg, 1200, master_seed=5, parallelism=1)
+
+    def test_drop_stops_every_lane(self):
+        run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=3)
+        with harness._pool_lock:
+            lanes = [lane for lane, _ in harness._pool[1]]
+            harness._drop_pool()
+        assert len(lanes) == 2
+        assert not any(lane.is_alive() for lane in lanes)
+
+    def test_exiting_interpreter_leaves_no_lane(self):
+        out = _child(
+            "run_trials(cfg, 1200, 5, parallelism=3)\n"
+            "print(*(lane.pid for lane, _ in harness._pool[1]))\n"
+        )
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 30
+        while any(map(alive, pids)):
+            assert time.monotonic() < deadline, f"lanes {pids} outlived their interpreter"
+            time.sleep(0.05)
 
 
 class TestDerivedSeeds:
@@ -254,24 +333,24 @@ class TestTableExperiment:
             assert line.endswith(",1.0000")
 
     def test_one_pool_per_experiment(self, monkeypatch):
-        # from no pool, a six-cell table and a run_trials at parallelism 2
-        # build one pool between them
+        # from no lanes, a six-cell table and a run_trials at parallelism 2
+        # start one lane between them
         with harness._pool_lock:
             harness._drop_pool()
-        pools, real_pool = [], harness.ProcessPoolExecutor
+        lanes, real_process = [], multiprocessing.Process
 
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs)
-            return real_pool(*args, **kwargs)
+        def counting_process(*args, **kwargs):
+            lanes.append(real_process(*args, **kwargs))
+            return lanes[-1]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(multiprocessing, "Process", counting_process)
         grid = (ProcessKind.REMOVAL, [(1, 2), (2, 3)], [5, 6, 7], 100, 4)
         csv = table_experiment(*grid, parallelism=2)
         summary = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=2)
-        assert pools == [{"max_workers": 2}]
+        assert [lane for lane, _ in harness._pool[1]] == lanes
         assert csv == table_experiment(*grid, parallelism=1)
         assert summary == run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)
-        assert len(pools) == 1
+        assert len(lanes) == 1
 
     @pytest.mark.parametrize("pairs,n_values", [([], [5, 6]), ([(1, 2)], range(6, 5))])
     def test_empty_grid_is_config_error(self, pairs, n_values):
