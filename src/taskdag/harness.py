@@ -21,6 +21,7 @@ as long as the process, or until an experiment asks for another p.
 
 from __future__ import annotations
 
+import atexit
 import json
 import multiprocessing
 import os
@@ -231,7 +232,7 @@ def _shared_pool(parallelism: int) -> list[tuple[BaseProcess, Connection]]:
         try:
             for _ in range(parallelism - 1):
                 caller_end, lane_end = multiprocessing.Pipe()
-                lane = multiprocessing.Process(target=_lane, args=(lane_end, caller_end), daemon=True)
+                lane = multiprocessing.Process(target=_lane, args=(lane_end, caller_end))
                 lane.start()
                 lane_end.close()
                 _pool[1].append((lane, caller_end))
@@ -242,7 +243,7 @@ def _shared_pool(parallelism: int) -> list[tuple[BaseProcess, Connection]]:
 
 
 def _drop_pool() -> None:
-    """Stop the lanes and forget them.  Call with ``_pool_lock`` held."""
+    """Stop the lanes and forget them.  Call with ``_pool_lock`` held, or at exit."""
     global _pool
     lanes, _pool = _pool[1] if _pool else [], None
     for lane, conn in lanes:
@@ -251,7 +252,15 @@ def _drop_pool() -> None:
         lane.join()
 
 
-def _lane_sums(blocks: list[tuple[ProcessConfig, int, int, int]], parallelism: int) -> list[tuple[int, ...]]:
+# The lanes are not daemons, which a forked child's exit would terminate.  So
+# they are stopped here at exit, before multiprocessing's own exit hook (first
+# registered when multiprocessing.connection was imported) joins its children.
+atexit.register(_drop_pool)
+
+
+def _lane_sums(
+    blocks: list[tuple[ProcessConfig, int, int, int]], parallelism: int
+) -> list[tuple[int, ...]]:
     """The sums of every block, in block order, with the caller as one of
     ``parallelism`` workers and each of the shared lanes as another.  A lane
     holds at most two blocks, and one once no more than a block per worker is

@@ -248,6 +248,8 @@ class TestLanes:
         assert out.splitlines() == [run_trials(_cfg(1, 2, 7), 1200, master_seed=5).to_json()] * 3
 
     def test_hundreds_of_blocks_per_lane_finish(self):
+        # about 500 blocks for each of three workers; sent all at once, their
+        # unread answers would fill the pipes and stall both sides
         cfg, trials = _cfg(1, 1, 3), 1500 * harness._CHUNK
         out = _child(
             "cfg = ProcessConfig(1, 1, 3, ProcessKind.REMOVAL, seed=0)\n"
@@ -294,6 +296,23 @@ class TestLanes:
         while any(map(alive, pids)):
             assert time.monotonic() < deadline, f"lanes {pids} outlived their interpreter"
             time.sleep(0.05)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_leaves_the_lanes_to_its_parent(self):
+        # the child forgets the set, and its exit stops none of the lanes
+        out = _child(
+            "import os, sys\n"
+            "run_trials(cfg, 1200, 5, parallelism=3)\n"
+            "lanes = harness._pool[1]\n"
+            "if os.fork() == 0:\n"
+            "    print(harness._pool is None, flush=True)\n"
+            "    sys.exit(0)\n"
+            "os.wait()\n"
+            "print(harness._pool[1] is lanes and all(lane.is_alive() for lane, _ in lanes))\n"
+            "print(run_trials(cfg, 1200, 5, parallelism=3).to_json())\n"
+        )
+        serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5).to_json()
+        assert out.splitlines() == ["True", "True", serial]
 
 
 class TestDerivedSeeds:
