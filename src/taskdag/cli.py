@@ -140,7 +140,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         try:
             x, y = (int(part) for part in token.split("-"))
         except ValueError as exc:
-            raise TaskDagError(f"bad pair {token!r}; expected the form x-y") from exc
+            raise ConfigError(f"bad pair {token!r}; expected the form x-y") from exc
         pairs.append((x, y))
     return pairs
 
@@ -162,7 +162,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     try:
         n_values = [int(tok) for tok in args.n_list.split(",")]
     except ValueError as exc:
-        raise TaskDagError(f"bad --n-list {args.n_list!r}; expected e.g. 10,20,40") from exc
+        raise ConfigError(f"bad --n-list {args.n_list!r}; expected e.g. 10,20,40") from exc
     csv = harness.growth_experiment(
         _PROCESS_TOKENS[args.process],
         args.x,
@@ -182,8 +182,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.input == "-":
         data = getattr(sys.stdin, "buffer", sys.stdin).read()  # bytes, or text if stdin has no buffer
     else:
-        with open(args.input, "rb") as f:
-            data = f.read()
+        try:
+            with open(args.input, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read --input {args.input!r}: {exc.strerror or exc}") from exc
     g = OrderedDag.from_json(data)
     prof = g.profile()
     record: dict[str, object] = {

@@ -45,6 +45,7 @@ from .processes import (
     ProcessKind,
     _Batch,
     _finish,
+    _pair_ends,
     _rows_per_run,
     _State,
     _tree_state,
@@ -67,16 +68,18 @@ _KERNEL_MIN = 128
 # and the lock a parallel experiment holds while it uses it.  A forked child
 # starts with neither: the lanes belong to the parent, and the lock may be held
 # there.  The child closes its copies of the caller's ends, so that a lane
-# still sees EOF when the parent goes; a lane forked from the caller is such
-# a child.
+# still sees EOF when the parent goes, and takes the lanes out of
+# multiprocessing's child set, whose exit hook would try to join them; a lane
+# forked from the caller is such a child.
 _pool: tuple[int, list[tuple[BaseProcess, Connection]]] | None = None
 _pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
     global _pool, _pool_lock
-    for _, conn in _pool[1] if _pool else ():
+    for lane, conn in _pool[1] if _pool else ():
         conn.close()
+        multiprocessing.process._children.discard(lane)
     _pool, _pool_lock = None, threading.Lock()
 
 
@@ -166,17 +169,63 @@ def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator
             yield from item.states() if isinstance(item, _Batch) else (item,)
 
 
+# Fewest edges per vertex at which _longest_path reads depths off bitsets
+# instead of walking the edges.  The walk costs about 0.12 us per edge, the
+# bitsets 0.7-1 us per vertex.  On final combined states of E = k * n edges
+# (30 per k, best of 9, 2-vCPU VM) they break even near E/n = 4 at n = 22, 6
+# at n = 40 and 7-8 at n = 100.  (1, 1) additions (E/n = 7.6, 14.8 and 37 at
+# n = 22, 40 and 100) take the bitsets, 1.5x, 2.5x and 5.4x faster than the
+# walk; (1, 1) removals (E/n < 1.5) walk, 1.7-4.3x faster than the bitsets.
+_BITSET_MIN = 6
+
+
+def _walk_longest_path(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Edges on a longest path of a graph on 1..n, walking its edges in
+    topological order."""
+    dist = [0] * (n + 1)
+    for a, b in edges:
+        if dist[a] >= dist[b]:
+            dist[b] = dist[a] + 1
+    return max(dist)
+
+
+def _longest_path(n: int, mask: np.ndarray) -> int:
+    """Edges on a longest path of the graph whose edges ``mask`` marks among
+    ``ordered_pairs(n)``.  Below ``_BITSET_MIN`` edges per vertex, walk the
+    kept edges, in lexicographic and so topological order.  Else go through
+    the vertices in order, keeping per depth k the bits of the heads of edges
+    out of vertices at depth k: a vertex's depth is one more than the highest
+    k whose bits hold it, or 0."""
+    tails, heads = _pair_ends(n)
+    if np.count_nonzero(mask) < _BITSET_MIN * n:
+        kept = np.flatnonzero(mask)
+        return _walk_longest_path(n, zip(tails[kept].tolist(), heads[kept].tolist()))
+    bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    levels: list[int] = []  # bit v of levels[k]: an edge into v leaves a vertex at depth k
+    for a in range(1, n):
+        run = bits & ((1 << (n - a)) - 1)  # a's out-edges, to heads a + 1..n
+        bits >>= n - a
+        if run:
+            depth, bit = len(levels), 1 << a
+            while depth and not levels[depth - 1] & bit:
+                depth -= 1
+            if depth == len(levels):
+                levels.append(0)
+            levels[depth] |= run << (a + 1)
+    return len(levels)  # each level holds an edge into a vertex one deeper
+
+
 def _state_sums(cfg: ProcessConfig, state: _State) -> tuple[int, ...]:
     """The four statistics of one final state."""
     n = state.n
     success = (state.sources, state.sinks) == (cfg.x, cfg.y) and (cfg.m is None or state.edge_total == cfg.m)
-    dist = [0] * (n + 1)
-    for a, b in compress(state.pairs, state.present):  # in topological order
-        if dist[a] >= dist[b]:
-            dist[b] = dist[a] + 1
+    if state._pairs is None:  # candidates ordered_pairs(n)
+        longest = _longest_path(n, state._present_mask())
+    else:  # a tree's own edge list, in child order
+        longest = _walk_longest_path(n, compress(state._pairs, state.present))
     # index 0 of the degree lists is no vertex, but reads as isolated
     isolated = sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
-    return success, state.edge_total, max(dist), isolated
+    return success, state.edge_total, longest, isolated
 
 
 def _batch_sums(cfg: ProcessConfig, batch: _Batch) -> tuple[int, ...]:

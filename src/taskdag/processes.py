@@ -196,7 +196,9 @@ class _State:
     by the phase lemma, ``phase_addition_pass`` makes the same additions in
     one array step per phase.  These two passes and ``graph()`` read the
     candidates' ends from ``_pair_ends(n)``, so a run that takes only them
-    never builds ``ordered_pairs(n)``."""
+    never builds ``ordered_pairs(n)``.  ``present`` is a ``bytearray``, one
+    0/1 byte per candidate: the loops index it as fast as a list, ``copy()``
+    slices it, and numpy reads and writes it in place as a bool array."""
 
     __slots__ = ("n", "_pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
@@ -204,7 +206,7 @@ class _State:
         self, n: int, complete: bool, trace: TraceFn | None = None, pairs: list | None = None
     ) -> None:
         self.n, self._pairs, self.rounds, self.trace = n, pairs, 0, trace
-        self.present = [complete] * (n * (n - 1) // 2 if pairs is None else len(pairs))
+        self.present = bytearray([complete]) * (n * (n - 1) // 2 if pairs is None else len(pairs))
         if complete:  # vertex v has v - 1 predecessors and n - v successors
             self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
             self.sources = self.sinks = 1
@@ -223,8 +225,10 @@ class _State:
         return self._pairs
 
     def _present_mask(self) -> np.ndarray:
-        """``present`` as a read-only numpy bool array."""
-        return np.frombuffer(bytes(self.present), np.bool_)
+        """``present`` as a read-only numpy bool array over its bytes."""
+        mask = np.frombuffer(self.present, np.bool_)
+        mask.flags.writeable = False
+        return mask
 
     def copy(self) -> _State:
         state = _State.__new__(_State)
@@ -305,9 +309,7 @@ class _State:
         if budget is not None:  # keep the edges after the removal that reaches the budget
             gone[np.flatnonzero(gone)[need:]] = False
         kept = ~gone
-        present = np.zeros(len(self.present), bool)
-        present[order[kept]] = True
-        self.present = present.tolist()
+        np.frombuffer(self.present, np.bool_)[order[gone]] = False  # in place; the order visits every present edge
         self.indeg = np.bincount(head[kept], minlength=n + 1).tolist()
         self.outdeg = np.bincount(tail[kept], minlength=n + 1).tolist()
         count = int(np.count_nonzero(gone))
@@ -368,7 +370,7 @@ class _State:
         if not active or (sources == tx and sinks == ty) or edges == stop:
             return (sources == tx and sinks == ty) or edges == stop
         n, order = self.n, np.asarray(order)
-        present = self._present_mask().copy() if edges else np.zeros(len(self.present), bool)
+        present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges:  # visit the absent edges only
             order = order[~present[order]]
         tails, heads = _pair_ends(n)
@@ -389,7 +391,7 @@ class _State:
         count = edges - self.edge_total
         if count:
             present[order[added]] = True
-            self.present, self.indeg, self.outdeg = present.tolist(), indeg.tolist(), outdeg.tolist()
+            self.indeg, self.outdeg = indeg.tolist(), outdeg.tolist()
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, self.rounds + count
         return (sources == tx and sinks == ty) or edges == stop
 
@@ -508,11 +510,13 @@ class _Batch:
 
     def states(self) -> Iterator[_State]:
         """Each row as a ``_State``, in row order."""
-        fields = (self.present, self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
-        for present, indeg, outdeg, sources, sinks, edges, rounds in zip(*(f.tolist() for f in fields)):
+        fields = (self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
+        for present, (indeg, outdeg, sources, sinks, edges, rounds) in zip(
+            self.present, zip(*(f.tolist() for f in fields))
+        ):
             state = _State.__new__(_State)
             state.n, state._pairs, state.trace, state.rounds = self.n, None, None, rounds
-            state.present, state.indeg, state.outdeg = present, indeg, outdeg
+            state.present, state.indeg, state.outdeg = bytearray(present), indeg, outdeg
             state.sources, state.sinks, state.edge_total = sources, sinks, edges
             yield state
 

@@ -167,7 +167,16 @@ class TestTableAndGrowth:
             "--n-min", "4", "--n-max", "5", "--trials", "10", "--seed", "1",
         )
         assert code == 2
-        assert json.loads(err)["error"] == "TaskDagError"
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_pair_without_dash_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--process", "removal", "--pairs", "1x2",
+            "--n-min", "4", "--n-max", "5", "--trials", "10", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError", "message": "bad pair '1x2'; expected the form x-y"}
 
     @pytest.mark.parametrize("command,extra", [
         ("table", ["--pairs", "1-2", "--n-min", "4", "--n-max", "4"]),
@@ -211,8 +220,17 @@ class TestTableAndGrowth:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
-        assert payload["error"] == "TaskDagError"
+        assert payload["error"] == "ConfigError"
         assert "--n-list" in payload["message"]
+
+    def test_non_integer_n_list_entry_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "growth", "--process", "removal", "--x", "1", "--y", "1",
+            "--n-list", "5,a", "--trials", "5", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError", "message": "bad --n-list '5,a'; expected e.g. 10,20,40"}
 
     @pytest.mark.parametrize("command,extra", [
         ("table", ["--pairs", "1-1", "--n-min", "4", "--n-max", "4"]),
@@ -310,6 +328,19 @@ class TestAnalyze:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff")))
         code, _, err = run_cli(capsys, "analyze", "--input", "-")
         assert code == 2 and json.loads(err)["error"] == "GraphError"
+
+    @pytest.mark.parametrize("made,reason", [(False, "No such file or directory"), (True, "Is a directory")])
+    def test_unreadable_input_is_config_error_naming_the_path(self, capsys, tmp_path, made, reason):
+        path = tmp_path / "graph.json"
+        if made:
+            path.mkdir()
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ConfigError",
+            "message": f"cannot read --input {str(path)!r}: {reason}",
+        }
 
     def test_profile_mismatch(self, capsys, tmp_path):
         path = tmp_path / "g.json"

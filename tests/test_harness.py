@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from itertools import compress, product
 
 import numpy as np
 import pytest
 
 from taskdag import harness
 from taskdag.errors import ConfigError
-from taskdag.graph import OrderedDag, empty_graph
+from taskdag.graph import OrderedDag, empty_graph, ordered_pairs
 from taskdag.harness import (
     derive_seed,
     export,
@@ -28,9 +29,10 @@ def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
     return ProcessConfig(x, y, n, kind, seed=0, **kw)
 
 
-def _child(body, timeout=120):
-    """Stdout of a fresh interpreter that runs ``body`` after importing the
-    package and ``cfg``, failing the test past ``timeout`` seconds."""
+def _child_streams(body, timeout=120):
+    """Stdout and stderr of a fresh interpreter that runs ``body`` after
+    importing the package and ``cfg``, failing the test past ``timeout``
+    seconds or on a nonzero exit."""
     script = (
         "from taskdag import harness\n"
         "from taskdag.harness import run_trials\n"
@@ -42,7 +44,11 @@ def _child(body, timeout=120):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done.stdout, done.stderr
+
+
+def _child(body, timeout=120):
+    return _child_streams(body, timeout)[0]
 
 
 class TestRunTrials:
@@ -313,6 +319,107 @@ class TestLanes:
         )
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5).to_json()
         assert out.splitlines() == ["True", "True", serial]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_exits_without_joining_the_lanes(self):
+        # multiprocessing's exit hook in the child must not try to join the
+        # parent's lanes ("can only join a child process"), and they stay usable
+        out, err = _child_streams(
+            "import os, sys\n"
+            "run_trials(cfg, 1200, 5, parallelism=2)\n"
+            "lanes = harness._pool[1]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "print(os.waitpid(pid, 0)[1], flush=True)\n"
+            "print(harness._pool[1] is lanes and all(lane.is_alive() for lane, _ in lanes))\n"
+            "print(run_trials(cfg, 1200, 5, parallelism=2).to_json())\n"
+        )
+        serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5).to_json()
+        assert err == ""
+        assert out.splitlines() == ["0", "True", serial]
+
+
+def _graph_sums(cfg, state):
+    """The four statistics of a final state, read off a graph built afresh
+    from its kept candidates."""
+    pairs = ordered_pairs(state.n) if state._pairs is None else state._pairs
+    g = OrderedDag.from_edges(state.n, compress(pairs, state.present))
+    prof = g.profile()
+    success = prof.matches(cfg.x, cfg.y) and (cfg.m is None or g.edge_count == cfg.m)
+    return success, g.edge_count, g.longest_path_length(), len(prof.isolated)
+
+
+def _random_mask(n, edges, seed):
+    width = math.comb(n, 2)
+    mask = np.zeros(width, bool)
+    mask[np.random.default_rng(seed).choice(width, edges, replace=False)] = True
+    return mask
+
+
+class TestStateStatistics:
+    """``_state_sums`` and ``_longest_path`` against the graph of each state."""
+
+    @pytest.mark.parametrize("n,trials", [(22, 200), (40, 12), (100, 3)])
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION, ProcessKind.COMBINED])
+    def test_final_states_match_their_graphs(self, kind, n, trials):
+        # at n = 22 most trials come from a lockstep batch; (1, 1) additions
+        # and the larger budget read the bitsets, the rest walk
+        budgets = (3 * n, 8 * n) if kind is ProcessKind.COMBINED else (None,)
+        for (x, y), m in product([(1, 1), (2, 3)], budgets):
+            cfg = _cfg(x, y, n, kind, m=m)
+            for state in harness._trial_states(cfg, 7, trials):
+                assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+
+    def test_tree_states_walk_their_own_edges(self):
+        for n in (1, 2, 16, 100):
+            cfg = _cfg(1, 1, n, ProcessKind.RANDOM_TREE)
+            for state in harness._trial_states(cfg, 3, 20):
+                assert state._pairs is not None
+                assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+
+    @pytest.mark.parametrize("n", [3, 7, 22, 40, 100])
+    def test_method_flips_at_the_crossover(self, n, monkeypatch):
+        walks = []
+
+        def walk(n, edges):
+            walks.append(n)
+            return walk_longest_path(n, edges)
+
+        walk_longest_path = harness._walk_longest_path
+        monkeypatch.setattr(harness, "_walk_longest_path", walk)
+        least = harness._BITSET_MIN * n
+        for edges in (least - 1, least):
+            if 0 <= edges <= math.comb(n, 2):
+                mask = _random_mask(n, edges, seed=edges)
+                walks.clear()
+                expected = OrderedDag.from_edges(n, compress(ordered_pairs(n), mask)).longest_path_length()
+                assert harness._longest_path(n, mask) == expected
+                assert walks == ([n] if edges < least else [])
+
+    @pytest.mark.parametrize("bitset_min", [0, 10**9])  # bitsets always, or never
+    def test_either_method_on_any_mask(self, bitset_min, monkeypatch):
+        monkeypatch.setattr(harness, "_BITSET_MIN", bitset_min)
+        for n in (1, 2, 3, 5, 12, 40):
+            width = math.comb(n, 2)
+            for edges in sorted({0, 1, n - 1, n, 2 * n, width // 2, width - 1, width}):
+                if 0 <= edges <= width:
+                    for seed in range(3):
+                        mask = _random_mask(n, edges, seed)
+                        g = OrderedDag.from_edges(n, compress(ordered_pairs(n), mask))
+                        assert harness._longest_path(n, mask) == g.longest_path_length(), (n, edges, seed)
+
+    @pytest.mark.parametrize("bitset_min", [0, 10**9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+    def test_empty_and_complete_graphs(self, n, bitset_min, monkeypatch):
+        monkeypatch.setattr(harness, "_BITSET_MIN", bitset_min)
+        width = math.comb(n, 2)
+        assert harness._longest_path(n, np.zeros(width, bool)) == 0
+        assert harness._longest_path(n, np.ones(width, bool)) == n - 1
+        for complete in (False, True):  # the untouched start states
+            cfg = _cfg(1, 1, n)
+            state = _State(n, complete)
+            assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
 
 
 class TestDerivedSeeds:

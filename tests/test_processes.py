@@ -482,7 +482,7 @@ def _batch_phases(cfg, rows):
         _finish(cfg, state, draw)
         if cfg.m is not None and (state.sources, state.sinks) != (cfg.x, cfg.y):
             phases.add("miss")
-        assert batch.present[t].tolist() == state.present, t
+        assert batch.present[t].tobytes() == state.present, t
         assert batch.indeg[t].tolist() == state.indeg, t
         assert batch.outdeg[t].tolist() == state.outdeg, t
         got = (batch.sources[t], batch.sinks[t], batch.edge_total[t], batch.rounds[t])
