@@ -11,7 +11,10 @@ statistics from its arrays, and any other trial as its own ``_State``, whose
 long removals take the last-edge pass and long additions (the addition phase
 and the combined fill) the phase pass.  All give equal final states on equal
 draws, and every aggregate is reduced from integer sums, so results are
-identical bytes for any parallelism level and any block execution order.
+identical bytes for any parallelism level and any block execution order.  A
+lone trial's statistics come from its final state's present mask: the longest
+path walks a sparse graph's edges and reads a dense graph's vertex depths off
+per-depth bitsets (``_longest_path``).
 
 At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
 processes, each behind one duplex pipe, sends each lane a block, runs the next
@@ -196,9 +199,9 @@ def _longest_path(n: int, mask: np.ndarray) -> int:
     the vertices in order, keeping per depth k the bits of the heads of edges
     out of vertices at depth k: a vertex's depth is one more than the highest
     k whose bits hold it, or 0."""
-    tails, heads = _pair_ends(n)
     if np.count_nonzero(mask) < _BITSET_MIN * n:
-        kept = np.flatnonzero(mask)
+        tails, heads = _pair_ends(n)
+        kept = mask.nonzero()[0]
         return _walk_longest_path(n, zip(tails[kept].tolist(), heads[kept].tolist()))
     bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
     levels: list[int] = []  # bit v of levels[k]: an edge into v leaves a vertex at depth k

@@ -226,9 +226,7 @@ class _State:
 
     def _present_mask(self) -> np.ndarray:
         """``present`` as a read-only numpy bool array over its bytes."""
-        mask = np.frombuffer(self.present, np.bool_)
-        mask.flags.writeable = False
-        return mask
+        return np.frombuffer(memoryview(self.present).toreadonly(), np.bool_)
 
     def copy(self) -> _State:
         state = _State.__new__(_State)
