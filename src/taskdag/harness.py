@@ -173,12 +173,12 @@ def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator
 
 
 # Fewest edges per vertex at which _longest_path reads depths off bitsets
-# instead of walking the edges.  The walk costs about 0.12 us per edge, the
-# bitsets 0.7-1 us per vertex.  On final combined states of E = k * n edges
-# (30 per k, best of 9, 2-vCPU VM) they break even near E/n = 4 at n = 22, 6
-# at n = 40 and 7-8 at n = 100.  (1, 1) additions (E/n = 7.6, 14.8 and 37 at
-# n = 22, 40 and 100) take the bitsets, 1.5x, 2.5x and 5.4x faster than the
-# walk; (1, 1) removals (E/n < 1.5) walk, 1.7-4.3x faster than the bitsets.
+# instead of walking the edges.  The walk costs about 0.08 us per edge, the
+# bitsets 0.5-0.6 us per vertex.  On final combined states of E = k * n edges
+# (30 per k, best of 9, 2-vCPU VM) they break even near E/n = 5 at n = 22, 6
+# at n = 40 and 7 at n = 100.  (1, 1) additions (E/n = 7.6, 14.8 and 37 at
+# n = 22, 40 and 100) take the bitsets, 1.5x, 2.4x and 4.7x faster than the
+# walk; (1, 1) removals (E/n < 1.5) walk, 2.3-3.8x faster than the bitsets.
 _BITSET_MIN = 6
 
 

@@ -361,7 +361,7 @@ class TestStateStatistics:
                 assert state._pairs is not None
                 assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
 
-    @pytest.mark.parametrize("n", [3, 7, 22, 40, 100])
+    @pytest.mark.parametrize("n", [13, 22, 40, 100])  # 13: the complete graph is at the crossover
     def test_method_flips_at_the_crossover(self, n, monkeypatch):
         walks = []
 
@@ -373,12 +373,11 @@ class TestStateStatistics:
         monkeypatch.setattr(harness, "_walk_longest_path", walk)
         least = harness._BITSET_MIN * n
         for edges in (least - 1, least):
-            if 0 <= edges <= math.comb(n, 2):
-                mask = _random_mask(n, edges, seed=edges)
-                walks.clear()
-                expected = OrderedDag.from_edges(n, compress(ordered_pairs(n), mask)).longest_path_length()
-                assert harness._longest_path(n, mask) == expected
-                assert walks == ([n] if edges < least else [])
+            mask = _random_mask(n, edges, seed=edges)
+            walks.clear()
+            expected = OrderedDag.from_edges(n, compress(ordered_pairs(n), mask)).longest_path_length()
+            assert harness._longest_path(n, mask) == expected
+            assert walks == ([n] if edges < least else [])
 
     @pytest.mark.parametrize("bitset_min", [0, 10**9])  # bitsets always, or never
     def test_either_method_on_any_mask(self, bitset_min, monkeypatch):
