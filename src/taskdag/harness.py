@@ -9,12 +9,17 @@ addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
 one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
 statistics from its arrays, and any other trial as its own ``_State``, whose
 long removals take the last-edge pass and long additions (the addition phase
-and the combined fill) the phase pass.  All give equal final states on equal
-draws, and every aggregate is reduced from integer sums, so results are
-identical bytes for any parallelism level and any block execution order.  A
-lone trial's statistics come from its final state's present mask: the longest
-path walks a sparse graph's edges and reads a dense graph's vertex depths off
-per-depth bitsets (``_longest_path``).
+and the combined fill) the phase pass.  A kernel step gathers both ends'
+degrees of every trial's candidate from one paired degree array, tests them
+against per-trial thresholds of the caps and scatters them back; a pass reads
+the present mask once and writes it once.  Under ``_DRAW_CAP`` a whole block
+is one sub-batch up to n = 23, or n = 16 for the combined process, and the
+kernel takes sub-batches up to n = 45, or n = 32.  All give equal final
+states on equal draws, and every aggregate is reduced from integer sums, so
+results are identical bytes for any parallelism level and any block execution
+order.  A lone trial's statistics come from its final state's present mask:
+the longest path walks a sparse graph's edges and reads a dense graph's vertex
+depths off per-depth bitsets (``_longest_path``).
 
 At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
 processes, each behind one duplex pipe, sends each lane a block, runs the next
@@ -59,12 +64,14 @@ _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker c
 # and its sums list as they come: about 6 MB together at the cap (19532 blocks;
 # 2.7 MB for the blocks, by tracemalloc).
 MAX_TRIALS = 10**7
-_DRAW_CAP = 2**16  # entries per sub-batch of drawn rows, to bound a block's memory
+_DRAW_CAP = 2**17  # entries per sub-batch of drawn rows, to bound a block's memory
 # Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
-# statistics, the kernel breaks even with the _State loop between 32 and 64
-# trials for removal and between 64 and 96 for addition, and is 1.5-2.1x
-# faster at 128 ((1, 1) at n = 14, 24 and 32, 2-vCPU VM).  Sub-batches of 128
-# trials need C(n, 2) <= _DRAW_CAP / 128: n <= 32, or n <= 23 for combined.
+# statistics, the kernel breaks even with the _State passes near 32 trials at
+# n = 14, 64 at n = 24 and 64-96 at n = 32, and is 1.7-2.9x faster at 128
+# ((1, 1) removal and addition, 2-vCPU VM).  Sub-batches of 128 trials need
+# C(n, 2) <= _DRAW_CAP / 128: n <= 45, or n <= 32 for combined.  There the
+# lone passes catch up: 1.1-1.5x at n = 40 (128-168 trials) and even at
+# n = 45 (132 trials).
 _KERNEL_MIN = 128
 
 # The process's one lane set, as (parallelism, [(lane, caller's end), ...]),

@@ -115,15 +115,31 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tails, heads
 
 
-def _last_edges(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For edges visited in the order of ``tail`` and ``head``: each vertex's
-    last visit as a head and as a tail (-1 if none), and, in order, the visits
-    that are one of these, at most 2n - 2 of them."""
-    visit = np.arange(len(head))
+@lru_cache(maxsize=2)
+def _end_runs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For ``reduceat`` over ``ordered_pairs(n)``: where each tail's run of
+    candidates starts (tails 1..n-1), the candidates in head order, and
+    where each head's run starts in that order (heads 2..n)."""
+    tail_starts = np.array([(a - 1) * (2 * n - a) // 2 for a in range(1, n)], np.intp)
+    head_starts = np.array([(b - 1) * (b - 2) // 2 for b in range(2, n + 1)], np.intp)
+    by_head = np.argsort(_pair_ends(n)[1], kind="stable")
+    for runs in (tail_starts, by_head, head_starts):
+        runs.flags.writeable = False
+    return tail_starts, by_head, head_starts
+
+
+def _last_edges(n: int, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For candidates of ``ordered_pairs(n)`` visited in ``order``, each at
+    most once: each vertex's last visit as a head and as a tail (-1 if none),
+    read off the inverse permutation, and the visits that are one of these,
+    ascending: at most 2n - 2."""
+    tail_starts, by_head, head_starts = _end_runs(n)
+    visit = np.full(n * (n - 1) // 2, -1)
+    visit[order] = np.arange(len(order))
     last_in, last_out = np.full(n + 1, -1), np.full(n + 1, -1)
-    np.maximum.at(last_in, head, visit)
-    np.maximum.at(last_out, tail, visit)
-    return last_in, last_out, np.flatnonzero((last_in[head] == visit) | (last_out[tail] == visit))
+    last_out[1:n] = np.maximum.reduceat(visit, tail_starts)
+    last_in[2:] = np.maximum.reduceat(visit[by_head], head_starts)
+    return last_in, last_out, np.union1d(last_in, last_out)[1:]  # without the -1 of vertex 0
 
 
 def _first_visits(n: int, ends: np.ndarray, fresh: np.ndarray) -> np.ndarray:
@@ -278,39 +294,42 @@ class _State:
         if not active or edges == budget:
             return edges == budget
         n, order = self.n, np.asarray(order)
+        present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges < len(order):  # visit the present edges only
-            order = order[self._present_mask()[order]]
+            order = order[present[order]]
         tails, heads = _pair_ends(n)
-        tail, head = tails[order], heads[order]
-        last_in, last_out, steps = _last_edges(n, tail, head)
+        last_in, last_out, steps = _last_edges(n, order)
         # removals that reach the budget; edges + 1 (never reached) when there is none
         need = edges + 1 if budget is None or edges < budget else edges - budget
-        sources, sinks, removed = self.sources, self.sinks, []
+        sources, sinks, kept = self.sources, self.sinks, []
         last_in, last_out = last_in.tolist(), last_out.tolist()
         kept_in, kept_out = [0] * (n + 1), [0] * (n + 1)
-        for d, (i, a, b) in enumerate(zip(steps.tolist(), tail[steps].tolist(), head[steps].tolist())):
-            # the i - d undecided edges before visit i are all gone
-            if i - d + len(removed) >= need:  # the budget was reached before i
+        decided = order[steps]
+        for i, a, b in zip(steps.tolist(), tails[decided].tolist(), heads[decided].tolist()):
+            if i - len(kept) >= need:  # the removals before visit i reached the budget
                 break
             lone_in = last_in[b] == i and not kept_in[b]
             lone_out = last_out[a] == i and not kept_out[a]
             if (lone_in and sources >= x) or (lone_out and sinks >= y):
                 kept_in[b] += 1
                 kept_out[a] += 1
+                kept.append(i)
                 continue
             sources += lone_in
             sinks += lone_out
-            removed.append(i)
-        gone = np.ones(len(order), bool)  # every undecided edge goes
-        gone[steps] = False
-        gone[removed] = True
-        if budget is not None:  # keep the edges after the removal that reaches the budget
+        if budget is None:  # every undecided edge goes: the kept ones are all there is
+            present[:] = False  # the order visits every present edge
+            present[order[kept]] = True
+            self.indeg, self.outdeg, count = kept_in, kept_out, len(order) - len(kept)
+        else:  # keep the edges after the removal that reaches the budget
+            gone = np.ones(len(order), bool)
+            gone[kept] = False
             gone[np.flatnonzero(gone)[need:]] = False
-        kept = ~gone
-        np.frombuffer(self.present, np.bool_)[order[gone]] = False  # in place; the order visits every present edge
-        self.indeg = np.bincount(head[kept], minlength=n + 1).tolist()
-        self.outdeg = np.bincount(tail[kept], minlength=n + 1).tolist()
-        count = int(np.count_nonzero(gone))
+            present[order[gone]] = False
+            left = order[~gone]
+            self.indeg = np.bincount(heads[left], minlength=n + 1).tolist()
+            self.outdeg = np.bincount(tails[left], minlength=n + 1).tolist()
+            count = int(np.count_nonzero(gone))
         self.sources, self.sinks, self.rounds = sources, sinks, self.rounds + count
         self.edge_total = edges - count
         return self.edge_total == budget
@@ -416,35 +435,88 @@ class _State:
 
 class _Batch:
     """Runs of ``_State`` from the same start, one per row, moved in lockstep:
-    the same fields as arrays (``present`` is ``(B, C(n, 2))``, the degrees
-    ``(B, n + 1)``, the counts ``(B,)``), and the same two passes, which move
-    every row by one position of its own permutation per step.  The rows are
-    independent, so a step touches each row's own slots only.
-    ``_State.removal_pass`` and ``addition_pass`` are the reference: each
-    pass here applies the same cancel rule and halts where it does, row by
-    row, and the tests require equal fields for every row."""
+    the same fields as arrays, and the same two passes, which move every row
+    by one position of its own permutation per step.  ``present`` is
+    ``(B, C(n, 2))``.  A row's two degree lists share one ``(B, 2, n + 1)``
+    int16 array, ``degrees``, which holds every degree and count up to
+    ``MAX_ORDER``; the source and sink counts share one ``(2, B)`` array,
+    ``counts``.  ``indeg``, ``outdeg``, ``sources`` and ``sinks`` are views of
+    them.  So a step reads both ends' degrees of every row's candidate in one
+    gather and writes them back in one scatter.
 
-    __slots__ = ("n", "tails", "heads", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+    Each step tests both ends against a per-row threshold of their side.  The
+    cancel rule blocks a move at an end whose degree would leave or enter 0
+    (1 before a removal, 0 before an addition) while that side's count is at
+    its cap.  So a side is free when its end's degree is above its threshold:
+    for a removal 1 at the cap and count - cap + 1 <= 0 below it, for an
+    addition 0 at the cap and cap - count < 0 above it.  A move that changes
+    the count raises the threshold by 1, until it reaches the cap value.
+
+    A pass visits each candidate once, and only the visited candidate moves
+    at a step, so a candidate's presence at its visit is its presence at the
+    pass start.  A pass therefore reads presence once, as a ``(C, B)`` array
+    in step order, or not at all from the complete (removal) or empty
+    (addition) start; records its moves in another; and writes ``present``
+    once after its last step.  A pass on some rows (``active``) runs on the
+    compacted sub-batch of those rows.  ``_State.removal_pass`` and
+    ``addition_pass`` are the reference: each pass here applies the same
+    cancel rule and halts where it does, row by row, and the tests require
+    equal fields for every row."""
+
+    __slots__ = ("n", "tails", "heads", "present", "degrees", "counts", "edge_total", "rounds")
 
     def __init__(self, n: int, complete: bool, count: int) -> None:
         start = _State(n, complete)
-        self.n, (self.tails, self.heads) = n, _pair_ends(n)
+        self.n, (self.tails, self.heads) = n, (ends.astype(np.intp) for ends in _pair_ends(n))
         self.present = np.full((count, len(self.tails)), complete)
-        self.indeg = np.tile(np.array(start.indeg, np.int64), (count, 1))
-        self.outdeg = np.tile(np.array(start.outdeg, np.int64), (count, 1))
-        self.sources = np.full(count, start.sources, np.int64)
-        self.sinks = np.full(count, start.sinks, np.int64)
+        self.degrees = np.empty((count, 2, n + 1), np.int16)
+        self.degrees[:] = np.array((start.indeg, start.outdeg), np.int16)
+        self.counts = np.empty((2, count), np.int16)
+        self.counts[:] = [[start.sources], [start.sinks]]
         self.edge_total = np.full(count, start.edge_total, np.int64)
         self.rounds = np.zeros(count, np.int64)
 
-    def _steps(self, orders: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-        """Per permutation position, each row's flat index of its candidate
-        edge in ``present`` and of that edge's head and tail in the degrees."""
-        count, width = self.present.shape
-        rows = np.arange(count)[:, None]
-        base = rows * (self.n + 1)
-        edge, head, tail = rows * width + orders, base + self.heads[orders], base + self.tails[orders]
-        return zip(*(np.ascontiguousarray(index.T) for index in (edge, head, tail)))
+    indeg = property(lambda self: self.degrees[:, 0])
+    outdeg = property(lambda self: self.degrees[:, 1])
+    sources = property(lambda self: self.counts[0])
+    sinks = property(lambda self: self.counts[1])
+
+    def _rows(self, orders: np.ndarray, live: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+        """The sub-batch of the rows ``live`` marks: their indices; per step,
+        their candidates and those candidates' flat indices in ``present``,
+        as ``(C, B)`` arrays; their presence at each step, or None if every
+        row has ``start`` edges (the complete or the empty graph); and a copy
+        of their counts."""
+        rows = np.flatnonzero(live)
+        steps = (orders if len(rows) == len(orders) else orders[rows]).T
+        cells = steps + rows * len(self.tails)
+        held = None
+        if np.any(self.edge_total[rows] != start):
+            held = self.present.reshape(-1)[cells]
+        return rows, steps, cells, held, self.counts[:, rows].copy()
+
+    def _step_index(self, steps: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """Per step, a ``(2, B)`` array: the flat indices in ``degrees`` of
+        each row's candidate's head in-degree and tail out-degree.  They are
+        built 16 steps at a time into one buffer, which a whole pass's worth
+        would make large enough to be faulted in afresh for every pass."""
+        base = rows * (2 * (self.n + 1))
+        buffer = np.empty((16, 2, len(rows)), np.intp)
+        for first in range(0, len(steps), len(buffer)):
+            part = steps[first : first + len(buffer)]
+            index = buffer[: len(part)]
+            np.add(self.heads[part], base, out=index[:, 0])
+            np.add(self.tails[part], base + self.n + 1, out=index[:, 1])
+            yield from index
+
+    def _store(self, rows: np.ndarray, cells: np.ndarray, held, counts, moved: np.ndarray, sign: int) -> None:
+        """Write back a pass on the sub-batch ``rows``: each moved candidate's
+        flipped presence, the counts, and ``sign`` edges per move."""
+        self.present.reshape(-1)[cells] = moved ^ (sign < 0 if held is None else held)
+        self.counts[:, rows] = counts
+        count = np.count_nonzero(moved, axis=0)
+        self.edge_total[rows] += sign * count
+        self.rounds[rows] += count
 
     def removal_pass(
         self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
@@ -452,58 +524,76 @@ class _Batch:
         """``_State.removal_pass`` on every row in ``active`` (all rows by
         default), row i taking ``orders[i]``.  Return which rows are at the
         budget."""
-        present, indeg, outdeg = self.present.reshape(-1), self.indeg.reshape(-1), self.outdeg.reshape(-1)
-        sources, sinks, edges = self.sources, self.sinks, self.edge_total
-        stop, before = -1 if budget is None else budget, edges.copy()
-        active = edges != stop if active is None else active & (edges != stop)
-        if not active.any():
-            return edges == stop
-        for edge, b, a in self._steps(orders):
-            held, inb, outa = present[edge], indeg[b], outdeg[a]
-            lone_in, lone_out = inb == 1, outa == 1
-            move = active & held & ~(lone_in & (sources >= x) | lone_out & (sinks >= y))
-            present[edge] = held ^ move
-            indeg[b] = inb - move
-            outdeg[a] = outa - move
-            sources += move & lone_in
-            sinks += move & lone_out
-            edges -= move
+        stop = -1 if budget is None else budget
+        live = self.edge_total != stop
+        if active is not None:
+            live &= active
+        if not live.any():
+            return self.edge_total == stop
+        rows, steps, cells, held, counts = self._rows(orders, live, len(self.tails))
+        threshold = np.minimum(counts - np.array([[x], [y]], np.int16) + 1, 1)
+        counts -= threshold  # the counts, less the threshold's rise
+        flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
+        moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
+        left = self.edge_total[rows] - stop  # removals to the budget
+        for step, index in enumerate(self._step_index(steps, rows)):
+            ends, move = flat[index], moved[step]
+            np.greater(ends, threshold, out=free)
+            np.logical_and(free[0], free[1], out=move)
+            if held is not None:
+                move &= held[step]
             if budget is not None:
-                active &= edges != stop
-                if not active.any():
+                move &= live
+            ends -= move
+            flat[index] = ends
+            threshold += np.less(ends, move, out=free)  # the removal left a degree 0
+            if budget is not None:
+                left -= move
+                if not np.not_equal(left, 0, out=live).any():
                     break
-        self.rounds += before - edges
-        return edges == stop
+        self._store(rows, cells, held, counts + threshold, moved, -1)
+        return self.edge_total == stop
 
     def addition_pass(
         self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
     ) -> np.ndarray:
         """``_State.addition_pass`` on every row in ``active`` (all rows by
-        default), row i taking ``orders[i]``.  Return which rows halted."""
-        present, indeg, outdeg = self.present.reshape(-1), self.indeg.reshape(-1), self.outdeg.reshape(-1)
-        sources, sinks, edges = self.sources, self.sinks, self.edge_total
-        before = edges.copy()
+        default), row i taking ``orders[i]``.  Return which rows halted.
+        Without a budget a row halts once both thresholds reach ``goal``,
+        where the counts equal the caps (never, if a count starts below)."""
 
         def halted() -> np.ndarray:  # at the exact profile, or with a budget at the edge count
-            return (sources == x) & (sinks == y) if budget is None else edges == budget
+            return (self.sources == x) & (self.sinks == y) if budget is None else self.edge_total == budget
 
-        active = ~halted() if active is None else active & ~halted()
-        if not active.any():
+        live = ~halted() if active is None else active & ~halted()
+        if not live.any():
             return halted()
-        for edge, b, a in self._steps(orders):
-            held, inb, outa = present[edge], indeg[b], outdeg[a]
-            lone_in, lone_out = inb == 0, outa == 0
-            move = active & ~held & ~(lone_in & (sources <= x) | lone_out & (sinks <= y))
-            present[edge] = held | move
-            indeg[b] = inb + move
-            outdeg[a] = outa + move
-            sources -= move & lone_in
-            sinks -= move & lone_out
-            edges += move
-            active &= ~halted()
-            if not active.any():
+        rows, steps, cells, held, counts = self._rows(orders, live, 0)
+        caps = np.array([[x], [y]], np.int16)
+        threshold, goal = np.minimum(caps - counts, 0), np.minimum(counts - caps, 0)
+        counts += threshold  # the counts, plus the threshold's rise
+        flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
+        moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
+        left = None if budget is None else budget - self.edge_total[rows]  # additions to the budget
+        for step, index in enumerate(self._step_index(steps, rows)):
+            ends, move = flat[index], moved[step]
+            np.greater(ends, threshold, out=free)
+            np.logical_and(free[0], free[1], out=move)
+            if held is not None:
+                np.greater(move, held[step], out=move)
+            move &= live
+            threshold += np.less(ends, move, out=free)  # the addition gave a degree 0 an edge
+            ends += move
+            flat[index] = ends
+            if left is None:
+                np.not_equal(threshold, goal, out=free)
+                np.logical_or(free[0], free[1], out=live)
+            else:
+                left -= move
+                np.not_equal(left, 0, out=live)
+            if not live.any():
                 break
-        self.rounds += edges - before
+        self._store(rows, cells, held, counts - threshold, moved, 1)
         return halted()
 
     def states(self) -> Iterator[_State]:

@@ -171,7 +171,7 @@ class TestRunTrials:
             expected = [ref.permutation(math.comb(n, 2)).tolist() for _ in range(512 * per_trial)]
         assert rows == expected
         assert all(len(batch) % per_trial == 0 for batch in batches)
-        assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**16
+        assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**17
 
     @pytest.mark.parametrize(
         "cfg",

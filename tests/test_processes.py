@@ -6,7 +6,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from taskdag import processes
+from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
 from taskdag.cli import main
 from taskdag.errors import ConfigError
@@ -498,16 +498,17 @@ def _rows(count, width, seed):
 class TestBatchKernel:
     """The lockstep kernel against ``_State`` passes on the same rows."""
 
-    @pytest.mark.parametrize("trials", [1, 7, 512])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 512])
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
     @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
     def test_single_pass_rows_equal_state_passes(self, x, y, kind, trials):
-        for n in sorted({max(x, y), 2, 14}):
+        # n = 1 has no candidate edges
+        for n in sorted({max(x, y), 1, 2, 14}):
             if n >= max(x, y):
                 cfg = ProcessConfig(x, y, n, kind, seed=0)
                 _batch_phases(cfg, _rows(trials, math.comb(n, 2), seed=100 * x + 10 * y + n))
 
-    @pytest.mark.parametrize("trials", [1, 7, 512])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 512])
     @pytest.mark.parametrize(
         "x,y,m,phases",
         [
@@ -528,13 +529,58 @@ class TestBatchKernel:
         if trials == 512:
             assert seen == phases
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ProcessConfig(1, 1, 45, ProcessKind.REMOVAL, seed=0),
+            ProcessConfig(3, 2, 45, ProcessKind.REMOVAL, seed=0),
+            ProcessConfig(1, 1, 45, ProcessKind.ADDITION, seed=0),
+            ProcessConfig(3, 2, 45, ProcessKind.ADDITION, seed=0),
+            ProcessConfig(1, 2, 32, ProcessKind.COMBINED, seed=0, m=325),
+        ],
+        ids=lambda cfg: f"{cfg.kind.value}-{cfg.x}-{cfg.y}-{cfg.n}",
+    )
+    def test_largest_orders_the_kernel_takes(self, cfg):
+        # the harness's draw cap holds _KERNEL_MIN trials' draws at this n but
+        # not at n + 1; a sub-batch there holds as many trials as fit the cap
+        per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+        draws, low = per_trial * math.comb(cfg.n, 2), harness._KERNEL_MIN
+        assert draws * low <= harness._DRAW_CAP < per_trial * math.comb(cfg.n + 1, 2) * low
+        rows = _rows(harness._DRAW_CAP // draws * per_trial, math.comb(cfg.n, 2), seed=cfg.n + cfg.x)
+        phases = _batch_phases(cfg, rows)
+        if cfg.kind is ProcessKind.COMBINED:
+            assert phases >= {"fill", "trim"}
+
+    @pytest.mark.parametrize(
+        "cfg,trials,seed",
+        [
+            (ProcessConfig(1, 1, 12, ProcessKind.COMBINED, seed=0, m=30), 2, 11),
+            (ProcessConfig(2, 2, 32, ProcessKind.COMBINED, seed=0, m=226), 40, 3),
+        ],
+    )
+    def test_fill_and_trim_run_on_their_own_rows(self, cfg, trials, seed, monkeypatch):
+        # the budgeted passes take the compacted sub-batch of their rows, each
+        # a strict subset of the batch, and still give every row its own run
+        sizes = []
+        real = _Batch._rows
+
+        def spy(self, orders, live, start):
+            sizes.append((int(live.sum()), len(live)))
+            return real(self, orders, live, start)
+
+        monkeypatch.setattr(_Batch, "_rows", spy)
+        assert _batch_phases(cfg, _rows(2 * trials, math.comb(cfg.n, 2), seed=seed)) == {"fill", "trim"}
+        first, fill, trim = sizes
+        assert first == (trials, trials)
+        assert 0 < fill[0] < trials and 0 < trim[0] < trials and fill[0] + trim[0] <= trials
+
     @pytest.mark.parametrize("complete", [True, False])
     def test_pass_with_no_active_row_moves_nothing(self, complete, monkeypatch):
         # a pass with no active row returns before building its step indices
-        def no_steps(self, orders):
-            raise AssertionError("_steps was called")
+        def no_steps(self, steps, rows):
+            raise AssertionError("_step_index was called")
 
-        monkeypatch.setattr(_Batch, "_steps", no_steps)
+        monkeypatch.setattr(_Batch, "_step_index", no_steps)
         n, trials = 6, 5
         batch = _Batch(n, complete, trials)
         fields = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
@@ -646,8 +692,8 @@ class TestLastEdgeRemoval:
     def test_at_most_2n_minus_2_positions_decided(self, n, complete, monkeypatch):
         decided = []
 
-        def spy(n, tail, head):
-            last_in, last_out, steps = real(n, tail, head)
+        def spy(n, order):
+            last_in, last_out, steps = real(n, order)
             decided.append(len(steps))
             return last_in, last_out, steps
 
