@@ -139,7 +139,10 @@ def _last_edges(n: int, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     last_in, last_out = np.full(n + 1, -1), np.full(n + 1, -1)
     last_out[1:n] = np.maximum.reduceat(visit, tail_starts)
     last_in[2:] = np.maximum.reduceat(visit[by_head], head_starts)
-    return last_in, last_out, np.union1d(last_in, last_out)[1:]  # without the -1 of vertex 0
+    # distinct and without -1 (vertex 0 has no visit); np.unique would cost
+    # a lone run ~1.5 MB of resident memory on its first call
+    last = np.sort(np.concatenate((last_in, last_out)))
+    return last_in, last_out, last[1:][last[1:] != last[:-1]]
 
 
 def _first_visits(n: int, ends: np.ndarray, fresh: np.ndarray) -> np.ndarray:
@@ -481,7 +484,7 @@ class _Batch:
     sources = property(lambda self: self.counts[0])
     sinks = property(lambda self: self.counts[1])
 
-    def _rows(self, orders: np.ndarray, live: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+    def _sub_batch(self, orders: np.ndarray, live: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
         """The sub-batch of the rows ``live`` marks: their indices; per step,
         their candidates and those candidates' flat indices in ``present``,
         as ``(C, B)`` arrays; their presence at each step, or None if every
@@ -530,7 +533,7 @@ class _Batch:
             live &= active
         if not live.any():
             return self.edge_total == stop
-        rows, steps, cells, held, counts = self._rows(orders, live, len(self.tails))
+        rows, steps, cells, held, counts = self._sub_batch(orders, live, len(self.tails))
         threshold = np.minimum(counts - np.array([[x], [y]], np.int16) + 1, 1)
         counts -= threshold  # the counts, less the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
@@ -568,7 +571,7 @@ class _Batch:
         live = ~halted() if active is None else active & ~halted()
         if not live.any():
             return halted()
-        rows, steps, cells, held, counts = self._rows(orders, live, 0)
+        rows, steps, cells, held, counts = self._sub_batch(orders, live, 0)
         caps = np.array([[x], [y]], np.int16)
         threshold, goal = np.minimum(caps - counts, 0), np.minimum(counts - caps, 0)
         counts += threshold  # the counts, plus the threshold's rise

@@ -562,13 +562,13 @@ class TestBatchKernel:
         # the budgeted passes take the compacted sub-batch of their rows, each
         # a strict subset of the batch, and still give every row its own run
         sizes = []
-        real = _Batch._rows
+        real = _Batch._sub_batch
 
         def spy(self, orders, live, start):
             sizes.append((int(live.sum()), len(live)))
             return real(self, orders, live, start)
 
-        monkeypatch.setattr(_Batch, "_rows", spy)
+        monkeypatch.setattr(_Batch, "_sub_batch", spy)
         assert _batch_phases(cfg, _rows(2 * trials, math.comb(cfg.n, 2), seed=seed)) == {"fill", "trim"}
         first, fill, trim = sizes
         assert first == (trials, trials)
