@@ -239,17 +239,24 @@ def _state_sums(cfg: ProcessConfig, state: _State) -> tuple[int, ...]:
 
 
 def _batch_sums(cfg: ProcessConfig, batch: _Batch) -> tuple[int, ...]:
-    """The four statistics summed over the rows of a batch, from its arrays."""
-    n, present = batch.n, batch.present
+    """The four statistics summed over the rows of a batch, from its arrays.
+    The longest path is a column DP over vertices in order, on one contiguous
+    ``(C, B)`` uint8 copy of the present mask: ``depth[v]`` is each row's
+    longest path into v, at most n - 1."""
+    n, rows = batch.n, len(batch.present)
     success = (batch.sources == cfg.x) & (batch.sinks == cfg.y)
     if cfg.m is not None:
         success &= batch.edge_total == cfg.m
-    dist = np.zeros((len(present), n + 1), np.int64)
-    for a in range(1, n):  # vertex order is topological; a's out-edges are n - a columns from c
+    present = np.ascontiguousarray(batch.present.T).view(np.uint8)
+    depth, rise = np.zeros((n + 1, rows), np.uint8), np.empty(rows, np.uint8)
+    reach = np.empty((n - 1, rows), np.uint8)
+    for a in range(1, n):  # vertex order is topological; a's out-edges are n - a rows from c
         c = (a - 1) * (2 * n - a) // 2
-        np.maximum(dist[:, a + 1 :], (dist[:, a, None] + 1) * present[:, c : c + n - a], out=dist[:, a + 1 :])
+        np.add(depth[a], 1, out=rise)
+        np.multiply(present[c : c + n - a], rise, out=reach[: n - a])
+        np.maximum(depth[a + 1 :], reach[: n - a], out=depth[a + 1 :])
     isolated = (batch.indeg[:, 1:] == 0) & (batch.outdeg[:, 1:] == 0)
-    return tuple(int(a.sum()) for a in (success, batch.edge_total, dist.max(axis=1), isolated))
+    return tuple(int(a.sum()) for a in (success, batch.edge_total, depth.max(axis=0), isolated))
 
 
 def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:

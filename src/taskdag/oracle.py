@@ -38,6 +38,10 @@ class EnumerationScope:
 
     def validate(self) -> None:
         check_int(DomainError, n=self.n)
+        if self.profile is not None:
+            if type(self.profile) is not tuple or len(self.profile) != 2:
+                raise DomainError(f"profile must be None or a pair (x, y), got {self.profile!r}")
+            check_int(DomainError, x=self.profile[0], y=self.profile[1])
         if self.n > ENUMERATION_CAP:
             raise CapacityError(
                 f"enumeration is capped at n <= {ENUMERATION_CAP}, got n = {self.n}"

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .analysis import ExtremalKind, extremal_value
-from .errors import ConfigError, GraphError, TaskDagError, check_int
+from .errors import CapacityError, ConfigError, GraphError, TaskDagError, check_int
 from .graph import MAX_ORDER, OrderedDag, ordered_pairs
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
@@ -436,16 +436,21 @@ class _State:
         return ProcessOutcome(self.graph(), self.rounds, halt, hit)
 
 
+# Largest order a _Batch takes: its degrees, counts and thresholds are int8.
+_BATCH_MAX_ORDER = np.iinfo(np.int8).max
+
+
 class _Batch:
     """Runs of ``_State`` from the same start, one per row, moved in lockstep:
     the same fields as arrays, and the same two passes, which move every row
     by one position of its own permutation per step.  ``present`` is
     ``(B, C(n, 2))``.  A row's two degree lists share one ``(B, 2, n + 1)``
-    int16 array, ``degrees``, which holds every degree and count up to
-    ``MAX_ORDER``; the source and sink counts share one ``(2, B)`` array,
-    ``counts``.  ``indeg``, ``outdeg``, ``sources`` and ``sinks`` are views of
-    them.  So a step reads both ends' degrees of every row's candidate in one
-    gather and writes them back in one scatter.
+    int8 array, ``degrees``; the source and sink counts share one ``(2, B)``
+    int8 array, ``counts``.  ``indeg``, ``outdeg``, ``sources`` and ``sinks``
+    are views of them.  So a step reads both ends' degrees of every row's
+    candidate in one gather and writes them back in one scatter.  Degrees,
+    counts and thresholds all lie in [-n, n], so an order above
+    ``_BATCH_MAX_ORDER`` is refused.
 
     Each step tests both ends against a per-row threshold of their side.  The
     cancel rule blocks a move at an end whose degree would leave or enter 0
@@ -454,6 +459,8 @@ class _Batch:
     for a removal 1 at the cap and count - cap + 1 <= 0 below it, for an
     addition 0 at the cap and cap - count < 0 above it.  A move that changes
     the count raises the threshold by 1, until it reaches the cap value.
+    The step's bool results are read as int8 through zero-copy views, so
+    every update runs on operands of one dtype.
 
     A pass visits each candidate once, and only the visited candidate moves
     at a step, so a candidate's presence at its visit is its presence at the
@@ -469,12 +476,13 @@ class _Batch:
     __slots__ = ("n", "tails", "heads", "present", "degrees", "counts", "edge_total", "rounds")
 
     def __init__(self, n: int, complete: bool, count: int) -> None:
+        check_int(CapacityError, 1, _BATCH_MAX_ORDER, n=n)
         start = _State(n, complete)
         self.n, (self.tails, self.heads) = n, (ends.astype(np.intp) for ends in _pair_ends(n))
         self.present = np.full((count, len(self.tails)), complete)
-        self.degrees = np.empty((count, 2, n + 1), np.int16)
-        self.degrees[:] = np.array((start.indeg, start.outdeg), np.int16)
-        self.counts = np.empty((2, count), np.int16)
+        self.degrees = np.empty((count, 2, n + 1), np.int8)
+        self.degrees[:] = np.array((start.indeg, start.outdeg), np.int8)
+        self.counts = np.empty((2, count), np.int8)
         self.counts[:] = [[start.sources], [start.sinks]]
         self.edge_total = np.full(count, start.edge_total, np.int64)
         self.rounds = np.zeros(count, np.int64)
@@ -491,7 +499,8 @@ class _Batch:
         row has ``start`` edges (the complete or the empty graph); and a copy
         of their counts."""
         rows = np.flatnonzero(live)
-        steps = (orders if len(rows) == len(orders) else orders[rows]).T
+        # step-major and contiguous: a combined cell's orders are every other row
+        steps = np.ascontiguousarray((orders if len(rows) == len(orders) else orders[rows]).T)
         cells = steps + rows * len(self.tails)
         held = None
         if np.any(self.edge_total[rows] != start):
@@ -534,22 +543,24 @@ class _Batch:
         if not live.any():
             return self.edge_total == stop
         rows, steps, cells, held, counts = self._sub_batch(orders, live, len(self.tails))
-        threshold = np.minimum(counts - np.array([[x], [y]], np.int16) + 1, 1)
+        threshold = np.minimum(counts - np.array([[x], [y]], np.int8) + 1, 1)
         counts -= threshold  # the counts, less the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
+        rise, units = free.view(np.int8), moved.view(np.int8)  # zero-copy int8 views
         left = self.edge_total[rows] - stop  # removals to the budget
         for step, index in enumerate(self._step_index(steps, rows)):
-            ends, move = flat[index], moved[step]
+            ends, move, unit = flat[index], moved[step], units[step]
             np.greater(ends, threshold, out=free)
             np.logical_and(free[0], free[1], out=move)
             if held is not None:
                 move &= held[step]
             if budget is not None:
                 move &= live
-            ends -= move
+            ends -= unit
             flat[index] = ends
-            threshold += np.less(ends, move, out=free)  # the removal left a degree 0
+            np.less(ends, unit, out=free)  # the removal left a degree 0
+            threshold += rise
             if budget is not None:
                 left -= move
                 if not np.not_equal(left, 0, out=live).any():
@@ -572,21 +583,23 @@ class _Batch:
         if not live.any():
             return halted()
         rows, steps, cells, held, counts = self._sub_batch(orders, live, 0)
-        caps = np.array([[x], [y]], np.int16)
+        caps = np.array([[x], [y]], np.int8)
         threshold, goal = np.minimum(caps - counts, 0), np.minimum(counts - caps, 0)
         counts += threshold  # the counts, plus the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
+        rise, units = free.view(np.int8), moved.view(np.int8)
         left = None if budget is None else budget - self.edge_total[rows]  # additions to the budget
         for step, index in enumerate(self._step_index(steps, rows)):
-            ends, move = flat[index], moved[step]
+            ends, move, unit = flat[index], moved[step], units[step]
             np.greater(ends, threshold, out=free)
             np.logical_and(free[0], free[1], out=move)
             if held is not None:
                 np.greater(move, held[step], out=move)
             move &= live
-            threshold += np.less(ends, move, out=free)  # the addition gave a degree 0 an edge
-            ends += move
+            np.less(ends, unit, out=free)  # the addition gave a degree 0 an edge
+            threshold += rise
+            ends += unit
             flat[index] = ends
             if left is None:
                 np.not_equal(threshold, goal, out=free)

@@ -90,6 +90,8 @@ CASES = [
     ],
     (lambda k: expected_tree_path_length(k), "k", 1, None, "k"),
     (lambda n: EnumerationScope(n=n).validate(), "n", 1, None, "n"),
+    (lambda x: EnumerationScope(n=3, profile=(x, 1)).validate(), "x", 1, None, "x"),
+    (lambda y: EnumerationScope(n=3, profile=(1, y)).validate(), "y", 1, None, "y"),
     *[
         (lambda x=1, y=1, n=3: oracle_extremal(ExtremalKind.MIN_EDGES, x, y, n), p, 1, None, p)
         for p in ("x", "y", "n")
@@ -143,6 +145,13 @@ def test_enumeration_scope_type_error_is_not_a_capacity_error():
     with pytest.raises(DomainError) as excinfo:
         EnumerationScope(n="3").validate()
     assert not isinstance(excinfo.value, CapacityError)
+
+
+@pytest.mark.parametrize("profile", [(1,), (1, 1, 1), (), [1, 1], "11"])
+def test_enumeration_profile_must_be_a_pair(profile):
+    # a profile of another shape used to enumerate nothing, without an error
+    with pytest.raises(DomainError, match=r"^profile must be None or a pair \(x, y\), got "):
+        EnumerationScope(n=3, profile=profile).validate()
 
 
 @pytest.mark.parametrize("call", [

@@ -22,7 +22,7 @@ from taskdag.harness import (
     run_trials,
     table_experiment,
 )
-from taskdag.processes import ProcessConfig, ProcessKind, _finish, _State
+from taskdag.processes import _BATCH_MAX_ORDER, ProcessConfig, ProcessKind, _Batch, _finish, _State
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
@@ -402,6 +402,49 @@ class TestStateStatistics:
             cfg = _cfg(1, 1, n)
             state = _State(n, complete)
             assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+
+
+def _kernel_batch(cfg, trials, seed):
+    """A ``_Batch`` of ``trials`` runs of ``cfg`` on random orders."""
+    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    width = math.comb(cfg.n, 2)
+    rows = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(width), (per_trial * trials, width)), axis=1)
+    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, trials)
+    _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
+    return batch
+
+
+def _row_sums(cfg, batch):
+    """Column sums of ``_state_sums`` over the rows of ``batch``."""
+    return tuple(sum(col) for col in zip(*(harness._state_sums(cfg, state) for state in batch.states())))
+
+
+class TestBatchStatistics:
+    """``_batch_sums`` against ``_state_sums`` row by row, up to the orders
+    where the kernel's int8 degrees and the uint8 depths are largest."""
+
+    @pytest.mark.parametrize("n", [5, 14, 23, 45])
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    def test_single_pass_batches(self, kind, n):
+        for x, y in [(1, 1), (1, 2), (3, 2)]:
+            cfg = _cfg(x, y, n, kind)
+            batch = _kernel_batch(cfg, 64, seed=10 * n + x + y)
+            assert harness._batch_sums(cfg, batch) == _row_sums(cfg, batch), (x, y)
+
+    @pytest.mark.parametrize("x,y,n,m", [(1, 1, 12, 30), (2, 2, 12, 25), (1, 2, 32, 325), (2, 2, 32, 226)])
+    def test_combined_batches(self, x, y, n, m):
+        cfg = _cfg(x, y, n, ProcessKind.COMBINED, m=m)
+        batch = _kernel_batch(cfg, 64, seed=m)
+        assert harness._batch_sums(cfg, batch) == _row_sums(cfg, batch)
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 45, _BATCH_MAX_ORDER])
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_untouched_batches(self, complete, n):
+        cfg, trials = _cfg(1, 1, n), 3
+        batch = _Batch(n, complete, trials)
+        sums = harness._batch_sums(cfg, batch)
+        assert sums == _row_sums(cfg, batch)
+        assert sums[2] == trials * (n - 1 if complete else 0)
 
 
 class TestDerivedSeeds:

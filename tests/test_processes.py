@@ -9,11 +9,12 @@ import pytest
 from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
 from taskdag.cli import main
-from taskdag.errors import ConfigError
+from taskdag.errors import CapacityError, ConfigError
 from taskdag.graph import OrderedDag, ordered_pairs
 from taskdag.harness import run_trials
 from taskdag.oracle import exact_process_distribution
 from taskdag.processes import (
+    _BATCH_MAX_ORDER,
     HaltReason,
     ProcessConfig,
     ProcessKind,
@@ -573,6 +574,17 @@ class TestBatchKernel:
         first, fill, trim = sizes
         assert first == (trials, trials)
         assert 0 < fill[0] < trials and 0 < trim[0] < trials and fill[0] + trim[0] <= trials
+
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    def test_largest_order_int8_holds(self, kind):
+        # degrees up to n - 1 = 126 and counts up to n = 127 fit the int8 arrays
+        cfg = ProcessConfig(1, 1, _BATCH_MAX_ORDER, kind, seed=0)
+        _batch_phases(cfg, _rows(2, math.comb(cfg.n, 2), seed=127))
+
+    def test_order_above_int8_is_refused(self):
+        assert _BATCH_MAX_ORDER == np.iinfo(np.int8).max
+        with pytest.raises(CapacityError, match=rf"^n must lie in \[1, {_BATCH_MAX_ORDER}\], got 128$"):
+            _Batch(_BATCH_MAX_ORDER + 1, True, 1)
 
     @pytest.mark.parametrize("complete", [True, False])
     def test_pass_with_no_active_row_moves_nothing(self, complete, monkeypatch):
