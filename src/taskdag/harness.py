@@ -10,11 +10,13 @@ one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
 statistics from its arrays, and any other trial as its own ``_State``, whose
 long removals take the last-edge pass and long additions (the addition phase
 and the combined fill) the phase pass.  A kernel step gathers both ends'
-degrees of every trial's candidate from one paired degree array, tests them
-against per-trial thresholds of the caps and scatters them back; a pass reads
-the present mask once and writes it once.  Under ``_DRAW_CAP`` a whole block
-is one sub-batch up to n = 23, or n = 16 for the combined process, and the
-kernel takes sub-batches up to n = 45, or n = 32.  All give equal final
+degrees of every trial's candidate from one paired int8 degree array, tests
+them against per-trial thresholds of the caps and scatters them back; a pass
+reads the present mask once and writes it once.  A batch's longest paths come
+from one column DP over a uint8 copy of its present mask.  Under
+``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
+combined process, and the kernel takes sub-batches up to n = 45, or n = 32,
+far under the int8 bound of ``_Batch``.  All give equal final
 states on equal draws, and every aggregate is reduced from integer sums, so
 results are identical bytes for any parallelism level and any block execution
 order.  A lone trial's statistics come from its final state's present mask:

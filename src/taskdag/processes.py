@@ -547,12 +547,12 @@ class _Batch:
         counts -= threshold  # the counts, less the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
-        rise, units = free.view(np.int8), moved.view(np.int8)  # zero-copy int8 views
+        (free_in, free_out), rise, units = free, free.view(np.int8), moved.view(np.int8)  # zero-copy int8 views
         left = self.edge_total[rows] - stop  # removals to the budget
-        for step, index in enumerate(self._step_index(steps, rows)):
-            ends, move, unit = flat[index], moved[step], units[step]
+        for step, (index, move, unit) in enumerate(zip(self._step_index(steps, rows), moved, units)):
+            ends = flat[index]
             np.greater(ends, threshold, out=free)
-            np.logical_and(free[0], free[1], out=move)
+            np.logical_and(free_in, free_out, out=move)
             if held is not None:
                 move &= held[step]
             if budget is not None:
@@ -588,12 +588,12 @@ class _Batch:
         counts += threshold  # the counts, plus the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
-        rise, units = free.view(np.int8), moved.view(np.int8)
+        (free_in, free_out), rise, units = free, free.view(np.int8), moved.view(np.int8)
         left = None if budget is None else budget - self.edge_total[rows]  # additions to the budget
-        for step, index in enumerate(self._step_index(steps, rows)):
-            ends, move, unit = flat[index], moved[step], units[step]
+        for step, (index, move, unit) in enumerate(zip(self._step_index(steps, rows), moved, units)):
+            ends = flat[index]
             np.greater(ends, threshold, out=free)
-            np.logical_and(free[0], free[1], out=move)
+            np.logical_and(free_in, free_out, out=move)
             if held is not None:
                 np.greater(move, held[step], out=move)
             move &= live
@@ -603,7 +603,7 @@ class _Batch:
             flat[index] = ends
             if left is None:
                 np.not_equal(threshold, goal, out=free)
-                np.logical_or(free[0], free[1], out=live)
+                np.logical_or(free_in, free_out, out=live)
             else:
                 left -= move
                 np.not_equal(left, 0, out=live)
