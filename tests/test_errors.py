@@ -90,8 +90,6 @@ CASES = [
     ],
     (lambda k: expected_tree_path_length(k), "k", 1, None, "k"),
     (lambda n: EnumerationScope(n=n).validate(), "n", 1, None, "n"),
-    (lambda x: EnumerationScope(n=3, profile=(x, 1)).validate(), "x", 1, None, "x"),
-    (lambda y: EnumerationScope(n=3, profile=(1, y)).validate(), "y", 1, None, "y"),
     *[
         (lambda x=1, y=1, n=3: oracle_extremal(ExtremalKind.MIN_EDGES, x, y, n), p, 1, None, p)
         for p in ("x", "y", "n")
@@ -111,6 +109,8 @@ CASES = [
         for p in ("x", "y", "n")
     ],
     *[(lambda y=1, n=3: families.removal_trap(y, n), p, 1, None, p) for p in ("y", "n")],
+    (lambda x: EnumerationScope(n=3, profile=(x, 1)).validate(), "x", 1, None, "x"),
+    (lambda y: EnumerationScope(n=3, profile=(1, y)).validate(), "y", 1, None, "y"),
 ]
 CASE_IDS = [f"{i}-{param}" for i, (_, param, *_rest) in enumerate(CASES)]
 
