@@ -20,6 +20,10 @@ per law holding its outcomes and its expected edge count.
 The oracle digest is the sha256 over every ``oracle_extremal(kind, x, y, n)``
 with x, y <= 3 and n <= 5, one line per verdict holding its value, or the
 error class name when the oracle raises a ``TaskDagError``.
+
+The trace digest is the sha256 of ``taskdag generate --trace`` stdout and
+stderr for removal, addition, combined and tree runs at n = 5, 22 and 40,
+seeds 0..3: every traced move, in order, with its running counts.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ import hashlib
 import pytest
 
 from taskdag.analysis import ExtremalKind
+from taskdag.cli import main
 from taskdag.errors import TaskDagError
 from taskdag.harness import growth_experiment, run_trials, table_experiment
 from taskdag.oracle import exact_process_distribution, oracle_extremal
@@ -200,3 +205,28 @@ def test_oracle_verdicts_match_golden_digest():
                         value = type(exc).__name__
                     h.update(f"{kind.value}|{x}|{y}|{n}|{value}\n".encode("ascii"))
     assert h.hexdigest() == "4844286a33298f04e0f5816539fdf514c5c4ddf8649565cff4cd52b5f4c3eed7"
+
+
+# (process, n, extra arguments): (1, 2) for the three capped processes; the
+# combined budget lies among the (1, 2) addition results, so runs fill and trim
+TRACED_RUNS = [
+    (process, n, extra)
+    for n, m in ((5, 6), (22, 150), (40, 480))
+    for process, extra in (
+        ("removal", ["--x", "1", "--y", "2"]),
+        ("addition", ["--x", "1", "--y", "2"]),
+        ("combined", ["--x", "1", "--y", "2", "--m", str(m)]),
+        ("tree", []),
+    )
+]
+
+
+def test_generate_trace_matches_golden_digest(capsys):
+    h = hashlib.sha256()
+    for process, n, extra in TRACED_RUNS:
+        for seed in range(4):
+            argv = ["generate", "--process", process, "--n", str(n), "--seed", str(seed), *extra, "--trace"]
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            h.update(f"{' '.join(argv)}\n{out}{err}".encode("ascii"))
+    assert h.hexdigest() == "7ad450bdb904a696cfa42c537c482966944fae70ac7d7a8aae83d8ea918ad662"
