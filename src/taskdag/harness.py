@@ -8,8 +8,8 @@ whole trials.  ``processes._finish`` runs the phases of every removal,
 addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
 one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
 statistics from its arrays, and any other trial as its own ``_State``, whose
-long removals take the last-edge pass and long additions (the addition phase
-and the combined fill) the phase pass.  A kernel step gathers both ends'
+removals take the last-edge pass and additions (the addition phase and the
+combined fill) the phase pass.  A kernel step gathers both ends'
 degrees of every trial's candidate from one paired int8 degree array, tests
 them against per-trial thresholds of the caps and scatters them back; a pass
 reads the present mask once and writes it once.  A batch's longest paths come
@@ -40,7 +40,6 @@ import threading
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
-from itertools import compress
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Iterable, Iterator, Sequence
@@ -231,10 +230,7 @@ def _state_sums(cfg: ProcessConfig, state: _State) -> tuple[int, ...]:
     """The four statistics of one final state."""
     n = state.n
     success = (state.sources, state.sinks) == (cfg.x, cfg.y) and (cfg.m is None or state.edge_total == cfg.m)
-    if state._pairs is None:  # candidates ordered_pairs(n)
-        longest = _longest_path(n, state._present_mask())
-    else:  # a tree's own edge list, in child order
-        longest = _walk_longest_path(n, compress(state._pairs, state.present))
+    longest = _longest_path(n, state._present_mask())
     # index 0 of the degree lists is no vertex, but reads as isolated
     isolated = sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
     return success, state.edge_total, longest, isolated

@@ -24,6 +24,11 @@ up to the first edge at which a count reaches its cap, the profile is exactly
 each first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
 budget the second cap to bind ends the pass at (x, y): at most 2 phases; with
 one, a third phase runs to the budget.
+
+Every single run, traced or not, takes these two passes; a batch of runs moves
+in lockstep (``_Batch``).  The visit-every-position loops
+``_State.removal_pass`` and ``addition_pass`` are the reference for both, and
+the exact flow's one-edge step.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -206,26 +210,24 @@ def _addition_phase(
 class _State:
     """Edge/degree bookkeeping of one run, started from the complete or the
     empty graph, and the passes that move it.  Candidate edges are indexed by
-    their position in ``pairs``: ``ordered_pairs(n)``, or for an empty start
-    any given edge list.  Either order is topological: each edge comes after
-    every edge into its tail.  ``removal_pass`` and ``addition_pass`` visit
-    every position of their order and are the reference.  By the last-edge
-    lemma (module docstring), ``last_edge_removal_pass`` makes the same
-    removals while deciding only each vertex's last present in- and out-edge;
-    by the phase lemma, ``phase_addition_pass`` makes the same additions in
-    one array step per phase.  These two passes and ``graph()`` read the
-    candidates' ends from ``_pair_ends(n)``, so a run that takes only them
-    never builds ``ordered_pairs(n)``.  ``present`` is a ``bytearray``, one
+    their position in ``ordered_pairs(n)``, a topological order: each edge
+    comes after every edge into its tail.  ``_finish`` moves a run with the
+    lemma passes (module docstring): ``last_edge_removal_pass`` decides only
+    each vertex's last present in- and out-edge, and ``phase_addition_pass``
+    adds in one array step per phase; a traced run then reports its moves in
+    order.  ``removal_pass`` and ``addition_pass`` visit every position of
+    their order; they are the reference for the lemma passes and the lockstep
+    kernel, and the exact flow's one-edge step.  The lemma passes and
+    ``graph()`` read the candidates' ends from ``_pair_ends(n)``, so only the
+    loops build ``ordered_pairs(n)``.  ``present`` is a ``bytearray``, one
     0/1 byte per candidate: the loops index it as fast as a list, ``copy()``
     slices it, and numpy reads and writes it in place as a bool array."""
 
-    __slots__ = ("n", "_pairs", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
+    __slots__ = ("n", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
-    def __init__(
-        self, n: int, complete: bool, trace: TraceFn | None = None, pairs: list | None = None
-    ) -> None:
-        self.n, self._pairs, self.rounds, self.trace = n, pairs, 0, trace
-        self.present = bytearray([complete]) * (n * (n - 1) // 2 if pairs is None else len(pairs))
+    def __init__(self, n: int, complete: bool, trace: TraceFn | None = None) -> None:
+        self.n, self.rounds, self.trace = n, 0, trace
+        self.present = bytearray([complete]) * (n * (n - 1) // 2)
         if complete:  # vertex v has v - 1 predecessors and n - v successors
             self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
             self.sources = self.sinks = 1
@@ -235,21 +237,13 @@ class _State:
             self.sources = self.sinks = n
             self.edge_total = 0
 
-    @property
-    def pairs(self) -> list | tuple[tuple[int, int], ...]:
-        """The candidate edges, ``ordered_pairs(n)`` unless given, kept once
-        read."""
-        if self._pairs is None:
-            self._pairs = ordered_pairs(self.n)
-        return self._pairs
-
     def _present_mask(self) -> np.ndarray:
         """``present`` as a read-only numpy bool array over its bytes."""
         return np.frombuffer(memoryview(self.present).toreadonly(), np.bool_)
 
     def copy(self) -> _State:
         state = _State.__new__(_State)
-        state.n, state._pairs, state.trace, state.rounds = self.n, self._pairs, self.trace, self.rounds
+        state.n, state.trace, state.rounds = self.n, self.trace, self.rounds
         state.present, state.indeg, state.outdeg = self.present[:], self.indeg[:], self.outdeg[:]
         state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
         return state
@@ -261,9 +255,8 @@ class _State:
         sources above x or the sinks above y.  With a budget, halt at
         ``budget`` edges; return whether the budget was reached.  An inactive
         run does not move."""
-        pairs = self._pairs or self.pairs  # no call once built: the exact laws run many one-edge passes
-        present, indeg, outdeg, trace = self.present, self.indeg, self.outdeg, self.trace
-        sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
+        pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
+        sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
         if active and edges != budget:
             for idx in order:
                 if not present[idx]:
@@ -286,17 +279,17 @@ class _State:
         return edges == budget
 
     def last_edge_removal_pass(
-        self, order: np.ndarray, x: int, y: int, budget: int | None = None, active: bool = True
+        self, order: np.ndarray | list[int], x: int, y: int, budget: int | None = None, active: bool = True
     ) -> bool:
-        """``removal_pass`` for candidates ``ordered_pairs(n)`` and an int array
-        ``order``, without a trace.  Numpy finds each vertex's last present in-
-        and out-edge in the order; a loop decides only those positions, and
-        every other present edge is removed in one step.  With a budget, the
-        removals stop where their running count reaches it."""
+        """``removal_pass`` for candidates ``ordered_pairs(n)`` and any integer
+        ``order``.  Numpy finds each vertex's last present in- and out-edge in
+        the order; a loop decides only those positions, and every other
+        present edge is removed in one step.  With a budget, the removals stop
+        where their running count reaches it."""
         edges = self.edge_total
         if not active or edges == budget:
             return edges == budget
-        n, order = self.n, np.asarray(order)
+        n, order = self.n, np.asarray(order, dtype=np.intp)
         present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges < len(order):  # visit the present edges only
             order = order[present[order]]
@@ -320,6 +313,8 @@ class _State:
                 continue
             sources += lone_in
             sinks += lone_out
+        if self.trace is not None:  # every visit not kept is a removal, up to the budget
+            self._trace_moves("remove", np.delete(order, kept)[:need])
         if budget is None:  # every undecided edge goes: the kept ones are all there is
             present[:] = False  # the order visits every present edge
             present[order[kept]] = True
@@ -346,9 +341,8 @@ class _State:
         pass halted.  An inactive run does not move.  From an exact (x, y)
         profile this rule admits exactly the neutral additions, which keep
         every vertex's source/sink status."""
-        pairs = self._pairs or self.pairs  # no call once built: the exact laws run many one-edge passes
-        present, indeg, outdeg, trace = self.present, self.indeg, self.outdeg, self.trace
-        sources, sinks, edges, rounds = self.sources, self.sinks, self.edge_total, self.rounds
+        pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
+        sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, budget = x, y, -1
         else:  # halt at the edge count only
@@ -375,13 +369,13 @@ class _State:
         return (sources == tx and sinks == ty) or edges == budget
 
     def phase_addition_pass(
-        self, order: np.ndarray, x: int, y: int, budget: int | None = None, active: bool = True
+        self, order: np.ndarray | list[int], x: int, y: int, budget: int | None = None, active: bool = True
     ) -> bool:
-        """``addition_pass`` for candidates ``ordered_pairs(n)`` and an int array
-        ``order``, without a trace.  Keep the absent edges of the order; then,
-        by the phase lemma, each ``_addition_phase`` adds what its fixed rule
-        allows in one array step, and the next phase goes on after its last
-        addition.  At most 2 phases run without a budget, 3 with one."""
+        """``addition_pass`` for candidates ``ordered_pairs(n)`` and any integer
+        ``order``.  Keep the absent edges of the order; then, by the phase
+        lemma, each ``_addition_phase`` adds what its fixed rule allows in one
+        array step, and the next phase goes on after its last addition.  At
+        most 2 phases run without a budget, 3 with one."""
         sources, sinks, edges = self.sources, self.sinks, self.edge_total
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, stop = x, y, -1
@@ -389,7 +383,7 @@ class _State:
             tx, ty, stop = -1, -1, budget
         if not active or (sources == tx and sinks == ty) or edges == stop:
             return (sources == tx and sinks == ty) or edges == stop
-        n, order = self.n, np.asarray(order)
+        n, order = self.n, np.asarray(order, dtype=np.intp)
         present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges:  # visit the absent edges only
             order = order[~present[order]]
@@ -409,19 +403,34 @@ class _State:
                 break
             start += int(done[-1]) + 1
         count = edges - self.edge_total
+        if self.trace is not None:
+            self._trace_moves("add", order[added])
         if count:
             present[order[added]] = True
             self.indeg, self.outdeg = indeg.tolist(), outdeg.tolist()
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, self.rounds + count
         return (sources == tx and sinks == ty) or edges == stop
 
+    def _trace_moves(self, op: str, moved: np.ndarray) -> None:
+        """Call the trace once per move of a pass, at the candidates ``moved``
+        in order, with the running counts and rounds from the fields at the
+        pass start.  A count changes where a move takes a degree from 1 to 0
+        (removal) or from 0 to 1 (addition)."""
+        tails, heads = _pair_ends(self.n)
+        indeg, outdeg, sources, sinks = self.indeg[:], self.outdeg[:], self.sources, self.sinks
+        # per move: the degree change, and the degree before it that moves a count
+        step, edge = (-1, 1) if op == "remove" else (1, 0)
+        for rounds, (a, b) in enumerate(zip(tails[moved].tolist(), heads[moved].tolist()), self.rounds + 1):
+            sources -= step * (indeg[b] == edge)
+            sinks -= step * (outdeg[a] == edge)
+            indeg[b] += step
+            outdeg[a] += step
+            self.trace(rounds, op, a, b, sources, sinks)
+
     def graph(self) -> OrderedDag:
-        if self._pairs is None:  # the kept pair ends, in the order of ordered_pairs(n)
-            tails, heads = _pair_ends(self.n)
-            kept = np.flatnonzero(self._present_mask())
-            edges = set(zip(tails[kept].tolist(), heads[kept].tolist()))
-        else:
-            edges = set(compress(self._pairs, self.present))
+        tails, heads = _pair_ends(self.n)  # the kept pair ends, in the order of ordered_pairs(n)
+        kept = np.flatnonzero(self._present_mask())
+        edges = set(zip(tails[kept].tolist(), heads[kept].tolist()))
         return OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
 
     def outcome(self, cfg: ProcessConfig) -> ProcessOutcome:
@@ -619,27 +628,10 @@ class _Batch:
             self.present, zip(*(f.tolist() for f in fields))
         ):
             state = _State.__new__(_State)
-            state.n, state._pairs, state.trace, state.rounds = self.n, None, None, rounds
+            state.n, state.trace, state.rounds = self.n, None, rounds
             state.present, state.indeg, state.outdeg = bytearray(present), indeg, outdeg
             state.sources, state.sinks, state.edge_total = sources, sinks, edges
             yield state
-
-
-# Fewest positions the removal loop of one untraced run must visit for
-# _run_passes to call last_edge_removal_pass instead.  Per run, (1, 1) and
-# (3, 2) from the complete graph, the pass breaks even with the loop near
-# C(n, 2) = 153-190 and is 1.3x faster at 231 (n = 22), 2x at 435 and 3x at
-# 780; budgeted trims from (1, 1) addition results break even at 220-260
-# estimated visits (2-vCPU VM).
-_DECIDE_MIN = 231
-
-# Fewest positions in the order of one untraced run's addition pass for
-# _run_passes to call phase_addition_pass instead of the loop.  Per run, the
-# pass breaks even with the loop near C(n, 2) = 300 for (1, 1) from the empty
-# graph, 250 for fills that neutral additions cannot finish, and 500-561 for
-# (3, 2) from empty and (1, 1) fills to midway, whose loops stop early; at
-# 630 (n = 36) every case is 1.1-1.9x faster, at 780 1.2-2.3x (2-vCPU VM).
-_PHASE_MIN = 561
 
 
 def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
@@ -647,10 +639,10 @@ def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list 
     runs in lockstep.  Each phase takes its edge orders from ``draw()``: a
     permutation of the candidate-edge indices, or one per row of a batch.
     The combined process draws its second order only if some run hit (x, y).
-    One run takes its passes from ``_run_passes``."""
+    One run takes the lemma passes, a batch the lockstep kernel."""
     x, y, m = cfg.x, cfg.y, cfg.m
     if isinstance(state, _State):
-        add, remove = _run_passes(state)
+        add, remove = state.phase_addition_pass, state.last_edge_removal_pass
     else:
         add, remove = state.addition_pass, state.removal_pass
     if cfg.kind is ProcessKind.REMOVAL:
@@ -672,34 +664,6 @@ def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list 
         # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
         edges = np.max(stuck * state.edge_total)
         raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
-
-
-def _run_passes(state: _State) -> tuple[Callable[..., bool], Callable[..., bool]]:
-    """The addition and removal pass of one run, for ``_finish``.  The loops
-    take an array order as a list, which they index fastest.  An addition goes
-    through ``phase_addition_pass`` when the run is untraced and its order has
-    at least ``_PHASE_MIN`` positions.  A removal goes through
-    ``last_edge_removal_pass`` when the run is untraced and the loop would
-    visit at least ``_DECIDE_MIN`` positions: all C(n, 2) without a budget,
-    and with one about C(n, 2) * (edges - budget) / edges, since nearly every
-    present edge it visits is removed."""
-
-    def listed(order: list | np.ndarray) -> list:
-        return order.tolist() if isinstance(order, np.ndarray) else order
-
-    def add(order, x, y, budget=None, active=True):
-        if state.trace is None and len(order) >= _PHASE_MIN:
-            return state.phase_addition_pass(order, x, y, budget, active)
-        return state.addition_pass(listed(order), x, y, budget, active)
-
-    def remove(order, x, y, budget=None, active=True):
-        edges = state.edge_total
-        visits = len(order) if budget is None else len(order) * (edges - budget) // edges
-        if state.trace is None and visits >= _DECIDE_MIN:
-            return state.last_edge_removal_pass(order, x, y, budget, active)
-        return state.removal_pass(listed(order), x, y, budget, active)
-
-    return add, remove
 
 
 def _rows_per_run(kind: ProcessKind) -> int:
@@ -746,11 +710,20 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
 
 def _tree_state(n: int, draws: list[float], trace: TraceFn | None = None) -> _State:
     """The tree in which vertex s + 1 attaches to vertex int(u * s) + 1, uniform
-    on 1..s, for the s-th draw u.  Its n - 1 edges, in child order, are the
-    candidates of an empty state; caps of zero never bind, so one addition
-    pass adds them all, each traced as one move."""
-    state = _State(n, False, trace, [(int(u * s) + 1, s + 1) for s, u in enumerate(draws, 1)])
-    state.addition_pass(range(n - 1), 0, 0)
+    on 1..s, for the s-th draw u.  Its n - 1 edges are added to an empty state
+    in child order, each traced as one move: each takes away a source, its
+    head, and a sink if its tail had no out-edge yet."""
+    state = _State(n, False)
+    present, indeg, outdeg, sinks = state.present, state.indeg, state.outdeg, n
+    for s, u in enumerate(draws, 1):
+        a = int(u * s) + 1
+        present[(a - 1) * (2 * n - a) // 2 + s - a] = True  # (a, s + 1) in ordered_pairs(n)
+        sinks -= outdeg[a] == 0
+        indeg[s + 1], outdeg[a] = 1, outdeg[a] + 1
+        if trace is not None:
+            trace(s, "add", a, s + 1, n - s, sinks)
+    state.sources, state.sinks, state.edge_total = n - len(draws), sinks, len(draws)
+    state.rounds = len(draws)
     return state
 
 

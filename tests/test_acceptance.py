@@ -9,7 +9,7 @@ import math
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -294,9 +294,10 @@ def test_criterion_12_tree_harmonic_law():
     cfg = ProcessConfig(1, 1, n, ProcessKind.RANDOM_TREE, seed=0)
     sums = [0] * (n + 1)
     sq_sums = [0] * (n + 1)
+    pairs = ordered_pairs(n)
     for state in _trial_states(cfg, derive_seed(BASE_SEED, 12), trials):
         depth = [0] * (n + 1)
-        for a, b in state.pairs:  # in child order, so a's depth is known
+        for a, b in compress(pairs, state.present):  # in topological order, so a's depth is known
             depth[b] = depth[a] + 1
         for k in range(2, n + 1):
             sums[k] += depth[k]

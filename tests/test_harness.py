@@ -326,8 +326,7 @@ class TestLanes:
 def _graph_sums(cfg, state):
     """The four statistics of a final state, read off a graph built afresh
     from its kept candidates."""
-    pairs = ordered_pairs(state.n) if state._pairs is None else state._pairs
-    g = OrderedDag.from_edges(state.n, compress(pairs, state.present))
+    g = OrderedDag.from_edges(state.n, compress(ordered_pairs(state.n), state.present))
     prof = g.profile()
     success = prof.matches(cfg.x, cfg.y) and (cfg.m is None or g.edge_count == cfg.m)
     return success, g.edge_count, g.longest_path_length(), len(prof.isolated)
@@ -358,7 +357,6 @@ class TestStateStatistics:
         for n in (1, 2, 16, 100):
             cfg = _cfg(1, 1, n, ProcessKind.RANDOM_TREE)
             for state in harness._trial_states(cfg, 3, 20):
-                assert state._pairs is not None
                 assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
 
     @pytest.mark.parametrize("n", [13, 22, 40, 100])  # 13: the complete graph is at the crossover

@@ -1,14 +1,13 @@
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 import numpy as np
 import pytest
 
 from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value, is_minimal_xy, retention_probability_bound
-from taskdag.cli import main
 from taskdag.errors import CapacityError, ConfigError
 from taskdag.graph import OrderedDag, ordered_pairs
 from taskdag.harness import run_trials
@@ -613,14 +612,26 @@ def _fields(state):
     return tuple(getattr(state, name) for name in STATE_FIELDS)
 
 
+def _traced(state):
+    """A copy of ``state`` whose trace records its events, and that record."""
+    events = []
+    state = state.copy()
+    state.trace = lambda *event: events.append(event)
+    return state, events
+
+
 def _both_removals(state, order, x, y, budget=None, active=True):
-    """Run the removal loop and the last-edge pass from copies of ``state`` on
-    the same order; require equal fields and return values, and return the
-    loop's final state."""
-    loop, decided = state.copy(), state.copy()
-    expected = loop.removal_pass(order.tolist(), x, y, budget, active)
+    """Run the removal loop and the last-edge pass, untraced and traced, from
+    copies of ``state`` on the same order; require equal fields, return values
+    and trace events, and return the loop's final state."""
+    (loop, expected_events), (traced, events) = _traced(state), _traced(state)
+    expected = loop.removal_pass(np.asarray(order).tolist(), x, y, budget, active)
+    decided = state.copy()
     assert decided.last_edge_removal_pass(order, x, y, budget, active) == expected
-    assert _fields(decided) == _fields(loop)
+    assert traced.last_edge_removal_pass(order, x, y, budget, active) == expected
+    assert _fields(decided) == _fields(traced) == _fields(loop)
+    assert events == expected_events
+    loop.trace = None
     return loop
 
 
@@ -630,7 +641,7 @@ def _scanned_last_edges(state, order):
     last_in, last_out = {}, {}
     for idx in order.tolist():
         if state.present[idx]:
-            a, b = state.pairs[idx]
+            a, b = ordered_pairs(state.n)[idx]
             last_in[b] = last_out[a] = idx
     return set(last_in.values()) | set(last_out.values())
 
@@ -662,11 +673,9 @@ class TestLastEdgeRemoval:
         # whose next visit is decided, which the walk must then not decide
         state = _trim_start(n, x, y, seed=n + x + y)
         order = _rows(1, math.comb(n, 2), seed=n)[0]
-        events = []
-        traced = state.copy()
-        traced.trace = lambda *event: events.append(event)
+        traced, events = _traced(state)
         traced.removal_pass(order.tolist(), x, y)
-        index = {pair: i for i, pair in enumerate(state.pairs)}
+        index = {pair: i for i, pair in enumerate(ordered_pairs(n))}
         removed = [index[(a, b)] for _, _, a, b, _, _ in events]  # the k-th stops a budget of edges - k - 1
         visits = [i for i in order.tolist() if state.present[i]]
         next_visit, decided = dict(zip(visits, visits[1:])), _scanned_last_edges(state, order)
@@ -717,51 +726,14 @@ class TestLastEdgeRemoval:
             _both_removals(state, order, 1, 1)
             assert decided.pop() == expected <= 2 * n - 2
 
-    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.COMBINED])
-    def test_decide_minimum_changes_no_byte(self, kind, monkeypatch):
-        # orders with C(n, 2) just under, at and just over the minimum, and
-        # n = 40, give the bytes of the loop alone, through run_process and the
-        # harness's per-trial runs (too few trials for the lockstep kernel)
-        calls = []
-        real = _State.last_edge_removal_pass
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_any_integer_order(self, n):
+        # an empty list (no candidates at n = 1) and a list order
+        for x, y in product(range(1, n + 1), repeat=2):
+            _both_removals(_State(n, True), _rows(1, math.comb(n, 2), seed=n)[0].tolist(), x, y)
 
-        def counted(self, *args, **kwargs):
-            calls.append(self.n)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(_State, "last_edge_removal_pass", counted)
-        low = processes._DECIDE_MIN
-        at = next(n for n in range(2, 100) if math.comb(n, 2) >= low)
-        for n in (at - 1, at, at + 1, 40):
-            m = None
-            if kind is ProcessKind.COMBINED:  # trims from the addition result to the floor
-                m = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, 1, 1, n)
-            cfgs = [ProcessConfig(1, 1, n, kind, seed, m=m) for seed in range(20)]
-
-            def outputs():
-                runs = [run_process(cfg) for cfg in cfgs]
-                lines = [f"{out.graph.to_json()}|{out.rounds}|{out.halt_reason.value}" for out in runs]
-                return lines, run_trials(cfgs[0], 100, master_seed=n).to_json()
-
-            with monkeypatch.context() as patch:
-                patch.setattr(processes, "_DECIDE_MIN", 10**9)
-                loop = outputs()
-            del calls[:]
-            assert outputs() == loop, n
-            if kind is ProcessKind.REMOVAL:
-                assert bool(calls) == (math.comb(n, 2) >= low), n
-        assert calls  # at n = 40 both kinds remove through the pass
-
-    def test_exact_laws_and_traced_runs_never_enter(self, monkeypatch, capsys):
-        # both runs are long enough that, untraced, they remove through the pass
-        common = ["--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
-        removal = ["generate", "--process", "removal", *common]
-        combined = ["generate", "--process", "combined", "--m", "76", *common]
-        untraced = []
-        for args in (removal, combined):
-            assert main(args) == 0
-            untraced.append(capsys.readouterr().out)
-
+    def test_exact_laws_never_enter(self, monkeypatch):
+        # the exact flow's one-edge passes take the loop
         def refuse(*args, **kwargs):
             raise AssertionError("last_edge_removal_pass was called")
 
@@ -769,21 +741,20 @@ class TestLastEdgeRemoval:
         for n in range(1, 6):
             for x, y in product(range(1, n + 1), repeat=2):
                 exact_process_distribution(ProcessKind.REMOVAL, x, y, n)
-        for args, graph in zip((removal, combined), untraced):
-            assert main([*args, "--trace"]) == 0
-            out, err = capsys.readouterr()
-            assert out == graph
-            assert ",remove," in err
 
 
 def _both_additions(state, order, x, y, budget=None, active=True):
-    """Run the addition loop and the phase pass from copies of ``state`` on the
-    same order; require equal fields and return values, and return the loop's
-    final state."""
-    loop, phased = state.copy(), state.copy()
-    expected = loop.addition_pass(order.tolist(), x, y, budget, active)
+    """Run the addition loop and the phase pass, untraced and traced, from
+    copies of ``state`` on the same order; require equal fields, return values
+    and trace events, and return the loop's final state."""
+    (loop, expected_events), (traced, events) = _traced(state), _traced(state)
+    expected = loop.addition_pass(np.asarray(order).tolist(), x, y, budget, active)
+    phased = state.copy()
     assert phased.phase_addition_pass(order, x, y, budget, active) is expected
-    assert _fields(phased) == _fields(loop)
+    assert traced.phase_addition_pass(order, x, y, budget, active) is expected
+    assert _fields(phased) == _fields(traced) == _fields(loop)
+    assert events == expected_events
+    loop.trace = None
     return loop
 
 
@@ -861,55 +832,19 @@ class TestPhaseAddition:
             for budget, counts in ((None, unbudgeted), (math.comb(n, 2), budgeted)):
                 phases.append(0)
                 _both_additions(_State(n, False), order, x, y, budget)
-                counts.append(phases[-1])
+                counts.append(phases[-1] / 2)  # the untraced and the traced pass
         assert max(unbudgeted) == 2
         assert max(budgeted) == 3
 
-    @pytest.mark.parametrize("kind", [ProcessKind.ADDITION, ProcessKind.COMBINED])
-    def test_phase_minimum_changes_no_byte(self, kind, monkeypatch):
-        # orders with C(n, 2) just under, at and just over the minimum, and
-        # n = 40, give the bytes of the loop alone, through run_process and the
-        # harness's per-trial runs (too few trials for the lockstep kernel)
-        calls = []
-        real = _State.phase_addition_pass
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_any_integer_order(self, n):
+        # an empty list (no candidates at n = 1) and a list order
+        for x, y in product(range(1, n + 1), repeat=2):
+            _both_additions(_State(n, False), _rows(1, math.comb(n, 2), seed=n)[0].tolist(), x, y)
 
-        def counted(self, order, x, y, budget, active):
-            calls.append(budget)
-            return real(self, order, x, y, budget, active)
-
-        monkeypatch.setattr(_State, "phase_addition_pass", counted)
-        low = processes._PHASE_MIN
-        at = next(n for n in range(2, 100) if math.comb(n, 2) >= low)
-        for n in (at - 1, at, at + 1, 40):
-            m = None
-            if kind is ProcessKind.COMBINED:  # most runs fill towards the complete graph
-                m = math.comb(n, 2) - n
-            cfgs = [ProcessConfig(1, 1, n, kind, seed, m=m) for seed in range(20)]
-
-            def outputs():
-                runs = [run_process(cfg) for cfg in cfgs]
-                lines = [f"{out.graph.to_json()}|{out.rounds}|{out.halt_reason.value}" for out in runs]
-                return lines, run_trials(cfgs[0], 100, master_seed=n).to_json()
-
-            with monkeypatch.context() as patch:
-                patch.setattr(processes, "_PHASE_MIN", 10**9)
-                loop = outputs()
-            del calls[:]
-            assert outputs() == loop, n
-            assert bool(calls) == (math.comb(n, 2) >= low), n
-            if kind is ProcessKind.COMBINED and calls:  # some runs fill through the pass
-                assert m in calls, n
-
-    def test_exact_laws_traced_runs_and_trees_never_enter(self, monkeypatch, capsys):
-        # both runs are long enough that, untraced, they add through the pass
-        common = ["--x", "1", "--y", "1", "--n", "40", "--seed", "5"]
-        addition = ["generate", "--process", "addition", *common]
-        combined = ["generate", "--process", "combined", "--m", "700", *common]
-        untraced = []
-        for args in (addition, combined):
-            assert main(args) == 0
-            untraced.append(capsys.readouterr().out)
-
+    def test_exact_laws_and_trees_never_enter(self, monkeypatch):
+        # the exact flow's one-edge passes take the loop; a tree adds its
+        # edges directly
         def refuse(*args, **kwargs):
             raise AssertionError("phase_addition_pass was called")
 
@@ -917,39 +852,34 @@ class TestPhaseAddition:
         for n in range(1, 6):
             for x, y in product(range(1, n + 1), repeat=2):
                 exact_process_distribution(ProcessKind.ADDITION, x, y, n)
-        for args, graph in zip((addition, combined), untraced):
-            assert main([*args, "--trace"]) == 0
-            out, err = capsys.readouterr()
-            assert out == graph
-            assert ",add," in err
-        n = processes._PHASE_MIN + 1  # n - 1 tree edges, one addition pass
-        assert random_directed_tree(n, 7).edge_count == n - 1
-        run_trials(ProcessConfig(1, 1, n, ProcessKind.RANDOM_TREE, 0), 3, master_seed=7)
+        assert random_directed_tree(40, 7).edge_count == 39
+        run_trials(ProcessConfig(1, 1, 40, ProcessKind.RANDOM_TREE, 0), 3, master_seed=7)
 
 
 class TestCandidatePairs:
-    def test_untraced_array_runs_never_build_ordered_pairs(self, monkeypatch):
-        # removal takes the last-edge pass and addition the phase pass; graph()
-        # reads the kept edges off the pair ends
-        n = 57
-        assert math.comb(n, 2) >= max(processes._DECIDE_MIN, processes._PHASE_MIN)
-        cfgs = [ProcessConfig(x, 2, n, kind, seed=2) for kind in (ProcessKind.REMOVAL, ProcessKind.ADDITION) for x in (1, 3)]
-        ordered_pairs.cache_clear()
-        outs = [run_process(cfg) for cfg in cfgs]
-        assert ordered_pairs.cache_info().misses == 0
-        monkeypatch.setattr(processes, "_DECIDE_MIN", 10**9)
-        monkeypatch.setattr(processes, "_PHASE_MIN", 10**9)
-        for cfg, out in zip(cfgs, outs):  # the loops read ordered_pairs(n)
-            loop = run_process(cfg)
-            assert (out.graph.to_json(), out.rounds) == (loop.graph.to_json(), loop.rounds)
-        assert ordered_pairs.cache_info().misses == 1
+    def test_untraced_array_runs_never_build_ordered_pairs(self):
+        # removal takes the last-edge pass, addition the phase pass, and the
+        # tree its edges' indices, traced or not; graph() reads the kept edges
+        # off the pair ends.  The loops read ordered_pairs(n)
+        for n in (5, 57):
+            kinds = (ProcessKind.REMOVAL, ProcessKind.ADDITION)
+            cfgs = [ProcessConfig(x, 2, n, kind, seed=2) for kind in kinds for x in (1, 3)]
+            ordered_pairs.cache_clear()
+            outs = [run_process(cfg) for cfg in cfgs]
+            assert [run_process(cfg, lambda *event: None) for cfg in cfgs] == outs
+            random_directed_tree(n, 3)
+            assert ordered_pairs.cache_info().misses == 0
+            for cfg, out in zip(cfgs, outs):
+                loop = _State(n, cfg.kind is ProcessKind.REMOVAL)
+                run = _State.removal_pass if cfg.kind is ProcessKind.REMOVAL else _State.addition_pass
+                run(loop, processes._rng(cfg.seed).permutation(math.comb(n, 2)).tolist(), cfg.x, cfg.y)
+                assert (out.graph.to_json(), out.rounds) == (loop.graph().to_json(), loop.rounds)
+            assert ordered_pairs.cache_info().misses == 1
 
     def test_graph_from_pair_ends_equals_graph_from_pairs(self):
         n = 30
         state = _State(n, False)
         state.phase_addition_pass(_rows(1, math.comb(n, 2), seed=4)[0], 2, 3)
-        listed = state.copy()
-        listed._pairs = list(ordered_pairs(n))
-        graph, expected = state.graph(), listed.graph()
+        graph, expected = state.graph(), OrderedDag.from_edges(n, compress(ordered_pairs(n), state.present))
         assert graph == expected and graph.to_json() == expected.to_json()
         assert (graph._indeg, graph._outdeg) == (state.indeg, state.outdeg)
