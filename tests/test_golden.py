@@ -5,12 +5,13 @@ holding the graph JSON, the round count, the halt reason and the target flag.
 A change to any process kernel that alters a single edge, round count or halt
 reason of any of these runs changes the digest.  The orders above 16 (removal
 and addition at n = 40 and 60, the combined trim at n = 30 and fill at n = 40)
-and the two growth series at n = 40 and 100 are the only digests whose runs
+and the growth series at n = 24, 40 and 100 are the only digests whose runs
 have hundreds of candidate edges.
 
 Each harness digest is the sha256 of one experiment's output text: a
 ``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
-success-ratio table and a growth series.  They pin the block streams: block k
+success-ratio table and growth series: (1, 1) at n = 40 and 100, and removal
+and addition under caps (2, 3), (4, 1) and (3, 3) at n = 24, 40 and 100.  They pin the block streams: block k
 of a cell draws from the generator keyed (master seed, k).
 
 The exact-law digest is the sha256 over every removal and addition law
@@ -179,6 +180,17 @@ def test_large_order_growth_matches_golden_digest():
 def test_large_order_addition_growth_matches_golden_digest():
     csv = growth_experiment(ProcessKind.ADDITION, 1, 1, [40, 100], 64, master_seed=11)
     assert _sha(csv) == "8b0033151411285cfaf52db6b63a775b3db7e3766c2f36464fabba0fff9b639b"
+
+
+def test_capped_growth_matches_golden_digest():
+    # 50 trials at n = 24, 40 and 100 run as lone trials, below the lockstep
+    # kernel's minimum; caps above 1 bar vertices from their first edge
+    h = hashlib.sha256()
+    for kind in (ProcessKind.REMOVAL, ProcessKind.ADDITION):
+        for x, y in ((2, 3), (4, 1), (3, 3)):
+            csv = growth_experiment(kind, x, y, [24, 40, 100], 50, master_seed=7)
+            h.update(f"{kind.value}|{x}|{y}\n{csv}".encode("ascii"))
+    assert h.hexdigest() == "120553942f6357558179112238e50518c368c05f8b8d19006ea690e87ca6f19b"
 
 
 def test_exact_laws_match_golden_digest():
