@@ -4,12 +4,15 @@ Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
 seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
-whole trials.  ``processes._finish`` runs the phases of every removal,
-addition or combined trial: a sub-batch of at least ``_KERNEL_MIN`` of them as
-one ``_Batch``, which moves all its trials in lockstep with numpy and gives the
-statistics from its arrays, and any other trial as its own ``_State``, whose
-removals take the last-edge pass and additions (the addition phase and the
-combined fill) the phase pass.  A kernel step gathers both ends'
+whole trials.  A sub-batch of at least ``_KERNEL_MIN`` removal, addition or
+combined trials runs as one ``_Batch`` (``processes._finish``), which moves
+all its trials in lockstep with numpy and gives the statistics from its
+arrays.  A smaller removal or addition sub-batch runs as one stack of lone
+trials (``processes._removal_stack``, ``_addition_stack``): the lemma passes
+of all its rows at once, yielding one ``_State`` per trial.  A smaller
+combined sub-batch runs each trial as its own ``_State`` through
+``_finish``, whose removals and trims take the last-edge pass and additions
+and fills the phase pass.  A kernel step gathers both ends'
 degrees of every trial's candidate from one paired int8 degree array, tests
 them against per-trial thresholds of the caps and scatters them back; a pass
 reads the present mask once and writes it once.  A batch's longest paths come
@@ -52,9 +55,11 @@ from .processes import (
     SEED_MAX,
     ProcessConfig,
     ProcessKind,
+    _addition_stack,
     _Batch,
     _finish,
     _pair_ends,
+    _removal_stack,
     _rows_per_run,
     _State,
     _tree_state,
@@ -66,13 +71,14 @@ _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker c
 # 2.7 MB for the blocks, by tracemalloc).
 MAX_TRIALS = 10**7
 _DRAW_CAP = 2**17  # entries per sub-batch of drawn rows, to bound a block's memory
-# Fewest trials in a sub-batch that run in lockstep.  Per trial, with its
-# statistics, the kernel breaks even with the _State passes near 32 trials at
-# n = 14, 64 at n = 24 and 64-96 at n = 32, and is 1.7-2.9x faster at 128
-# ((1, 1) removal and addition, 2-vCPU VM).  Sub-batches of 128 trials need
-# C(n, 2) <= _DRAW_CAP / 128: n <= 45, or n <= 32 for combined.  There the
-# lone passes catch up: 1.1-1.5x at n = 40 (128-168 trials) and even at
-# n = 45 (132 trials).
+# Fewest trials in a sub-batch that run in lockstep; smaller removal and
+# addition sub-batches run as stacks of lone trials.  Per (1, 1) trial with its
+# statistics (best of 15, 2-vCPU VM), the kernel against the stack at 64 / 128
+# / 256 trials: removal 1.0x / 1.7x / 2.5x faster at n = 22, 0.7x / 1.3x /
+# 2.3x at n = 32 and 0.6x / 1.0x / 1.6x at n = 40; addition 0.6x / 1.0x /
+# 1.6x at n = 22, 0.4x / 0.8x / 1.1x at n = 32 and 0.3x / 0.6x / 1.0x at
+# n = 40.  Sub-batches of 128 trials need C(n, 2) <= _DRAW_CAP / 128:
+# n <= 45, or n <= 32 for combined, which has no stack.
 _KERNEL_MIN = 128
 
 # The process's one lane set, as (parallelism, [(lane, caller's end), ...]),
@@ -154,8 +160,9 @@ def _block_states(
     rows in order: two for the combined process, whether or not its second
     phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
     removal, addition or combined trials runs in lockstep and comes as one
-    ``_Batch``; every other trial runs the ``_State`` passes on its rows as
-    arrays and comes alone."""
+    ``_Batch``.  A smaller removal or addition sub-batch runs as one stack
+    and a smaller combined one trial by trial, through the ``_State``
+    passes; their trials, and every random tree, come alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
@@ -166,11 +173,13 @@ def _block_states(
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
             _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
             yield batch
-        else:
+        elif cfg.kind is ProcessKind.COMBINED:
             for i in range(0, len(rows), per_trial):
-                state = _State(cfg.n, complete)
+                state = _State(cfg.n, False)
                 _finish(cfg, state, iter(rows[i : i + per_trial]).__next__)
                 yield state
+        else:
+            yield from (_removal_stack if complete else _addition_stack)(cfg.n, rows, cfg.x, cfg.y)
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:

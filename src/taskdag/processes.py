@@ -17,18 +17,24 @@ Phase lemma.  An addition is cancelled only when its head has in-degree 0 and
 the sources are at most x, or its tail has out-degree 0 and the sinks are at
 most y.  Sources and sinks only fall, so in one addition pass each cap starts
 to bind at most once, when its count reaches it, and in between the rule is
-fixed: a vertex barred from its first in-edge (out-edge) stays barred.  So a
-pass falls into phases, and each phase adds every absent edge its rule allows
-up to the first edge at which a count reaches its cap, the profile is exactly
-(x, y), or the edge count reaches the budget.  Below its cap a count falls at
-each first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
-budget the second cap to bind ends the pass at (x, y): at most 2 phases; with
-one, a third phase runs to the budget.
+fixed: a vertex barred from its first in-edge (out-edge) stays barred.  A
+count at a cap of 1 bars nothing: the one source left is vertex 1, never a
+head (the one sink is vertex n, never a tail).  So a pass falls into phases, and each phase adds every absent edge its rule
+allows up to the first edge at which a count reaches a cap above 1, the
+profile is exactly (x, y), or the edge count reaches the budget.  Below its
+cap a count falls at each first visit to a head of in-degree 0 (tail of
+out-degree 0).  Without a budget the second cap to bind ends the pass at
+(x, y): at most 2 phases, and one for (1, 1); with one, a third phase runs
+to the budget.
 
-Every single run, traced or not, takes these two passes; a batch of runs moves
-in lockstep (``_Batch``).  The visit-every-position loops
-``_State.removal_pass`` and ``addition_pass`` are the reference for both, and
-the exact flow's one-edge step.
+Every single run, traced or not, takes these two passes.  Lone removal or
+addition runs from one draw of rows take them as one stack, each row a run
+(``_removal_stack``, ``_addition_stack``): one inverse permutation per row
+and one pair of ``reduceat`` calls give every row's last or first visits, so
+the numpy calls are paid once per stack; a single run's pass is a stack of
+one.  A batch of runs moves in lockstep (``_Batch``).  The visit-every-position
+loops ``_State.removal_pass`` and ``addition_pass`` are the reference for all
+three, and the exact flow's one-edge step.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -132,37 +139,88 @@ def _end_runs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tail_starts, by_head, head_starts
 
 
-def _last_edges(n: int, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For candidates of ``ordered_pairs(n)`` visited in ``order``, each at
-    most once: each vertex's last visit as a head and as a tail (-1 if none),
-    read off the inverse permutation, and the visits that are one of these,
-    ascending: at most 2n - 2."""
+def _inverse(n: int, orders: np.ndarray, none: int) -> np.ndarray:
+    """``(B, C(n, 2))``: where each row of ``orders`` (a ``(B, L)`` array of
+    candidates of ``ordered_pairs(n)``, each visited at most once per row)
+    visits each candidate, or ``none`` where it does not."""
+    shape, steps = (len(orders), n * (n - 1) // 2), np.arange(orders.shape[1])
+    visit = np.empty(shape, int) if len(steps) == shape[1] else np.full(shape, none)  # all visited, or not
+    for row, order in zip(visit, orders):  # a 2-D scatter took 5x as long on 2 rows at n = 100
+        row[order] = steps
+    return visit
+
+
+def _end_reduce(n: int, ufunc: np.ufunc, values: np.ndarray, none: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ufunc.reduceat`` of each row of ``values`` (``(B, C(n, 2))``, one
+    value per candidate) over each vertex's candidates as a head and as a
+    tail: two ``(B, n + 1)`` int arrays, ``none`` at the vertices that are no
+    such end (0, 1 as a head, n as a tail).  Over visits, ``np.maximum`` gives
+    each vertex's last visits and ``np.minimum`` its first; over a present
+    mask, ``np.add`` gives its degrees."""
     tail_starts, by_head, head_starts = _end_runs(n)
-    visit = np.full(n * (n - 1) // 2, -1)
-    visit[order] = np.arange(len(order))
-    last_in, last_out = np.full(n + 1, -1), np.full(n + 1, -1)
-    last_out[1:n] = np.maximum.reduceat(visit, tail_starts)
-    last_in[2:] = np.maximum.reduceat(visit[by_head], head_starts)
-    # distinct and without -1 (vertex 0 has no visit); np.unique would cost
-    # a lone run ~1.5 MB of resident memory on its first call
-    last = np.sort(np.concatenate((last_in, last_out)))
-    return last_in, last_out, last[1:][last[1:] != last[:-1]]
+    ends_in, ends_out = np.full((2, len(values), n + 1), none)
+    if n > 1:
+        ufunc.reduceat(np.take(values, by_head, axis=1), head_starts, axis=1, out=ends_in[:, 2:])
+        ufunc.reduceat(values, tail_starts, axis=1, out=ends_out[:, 1:n])
+    return ends_in, ends_out
 
 
-def _first_visits(n: int, ends: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """For each vertex that ``fresh`` (a mask over 0..n) marks, the index of its
-    first visit in ``ends``, or len(ends) if there is none; ascending."""
-    first = np.full(n + 1, len(ends))
-    np.minimum.at(first, ends, np.arange(len(ends)))
-    first = first[fresh]
-    first.sort()
-    return first
+def _last_edges(n: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For rows of candidates of ``ordered_pairs(n)`` (``(B, L)``, each
+    visiting a candidate at most once): each vertex's last visit as a head
+    and as a tail (``(B, n + 1)``, -1 if none), read off the inverse
+    permutations, and each row's last visits of both kinds together,
+    ascending: at most 2n - 2 distinct ones after the -1s."""
+    last_in, last_out = _end_reduce(n, np.maximum, _inverse(n, orders, -1), -1)
+    last = np.concatenate((last_in, last_out), axis=1)
+    last.sort(axis=1)
+    return last_in, last_out, last
+
+
+def _decide_removals(
+    n: int, orders: np.ndarray, x: int, y: int, sources: int, sinks: int, need: int
+) -> list[tuple[int, int, list[int], list[int], list[int]]]:
+    """The last-edge lemma's decisions for removal passes from one state with
+    ``sources`` and ``sinks``, one per row of ``orders``: rows of that state's
+    present candidates, all of them, in visit order.  A loop decides each
+    row's last visits (``_last_edges``) in order, up to the first before which
+    ``need`` removals were made.  Per row: the sources and sinks after them,
+    the visits kept (ascending), and the kept edges' in- and out-degrees.
+    Every visit not kept is a removal, up to the ``need``-th."""
+    if not orders.shape[1]:  # no edge to decide
+        return [(sources, sinks, [], [0] * (n + 1), [0] * (n + 1)) for _ in orders]
+    tails, heads = _pair_ends(n)
+    last_in, last_out, last = _last_edges(n, orders)
+    decided = orders[np.arange(len(orders))[:, None], last]  # -1 reads the row's end, and is skipped
+    decisions = []
+    for row_in, row_out, steps, row_tails, row_heads in zip(
+        last_in.tolist(), last_out.tolist(), last.tolist(), tails[decided].tolist(), heads[decided].tolist()
+    ):
+        kept_in, kept_out, kept, row_sources, row_sinks = [0] * (n + 1), [0] * (n + 1), [], sources, sinks
+        done, stop = -1, need  # the last visit decided; the first whose removals before it reach need
+        for i, a, b in zip(steps, row_tails, row_heads):
+            if i <= done:  # -1, or a visit that is both a head's and a tail's last
+                continue
+            if i >= stop:  # the removals before visit i reached the budget
+                break
+            done = i
+            lone_in = row_in[b] == i and not kept_in[b]
+            lone_out = row_out[a] == i and not kept_out[a]
+            if (lone_in and row_sources >= x) or (lone_out and row_sinks >= y):
+                kept_in[b] += 1
+                kept_out[a] += 1
+                kept.append(i)
+                stop += 1
+                continue
+            row_sources += lone_in
+            row_sinks += lone_out
+        decisions.append((row_sources, row_sinks, kept, kept_in, kept_out))
+    return decisions
 
 
 def _addition_phase(
     n: int,
-    tail: np.ndarray,
-    head: np.ndarray,
+    order: np.ndarray,
     indeg: np.ndarray,
     outdeg: np.ndarray,
     sources: int,
@@ -170,40 +228,54 @@ def _addition_phase(
     x: int,
     y: int,
     room: int,
+    halt: bool,
 ) -> tuple[np.ndarray, int, int]:
-    """One phase of ``_State.phase_addition_pass`` on the absent edges left in
-    its order (``tail``, ``head``), under the rule that holds at its start:
-    add each edge the rule allows, up to the first where a cap starts to bind
-    or, if ``room`` is positive, the room-th one.  Add to ``indeg`` and
-    ``outdeg`` in place; return the positions added and the new source and
-    sink counts."""
+    """One phase of ``_State.phase_addition_pass`` on the absent candidates
+    left in its ``order``, under the rule that holds at its start: add each
+    edge the rule allows, up to the first where a cap above 1 starts to bind,
+    where the profile is exactly (x, y) if ``halt``, or, if ``room`` is
+    positive, the room-th one.  Add to ``indeg`` and ``outdeg`` in place;
+    return the positions added and the new source and sink counts."""
     # at its cap, a vertex without in-edges (out-edges) stays so all phase;
-    # vertex 1 is such a vertex but no head, vertex n no tail
-    bar_in, bar_out = 1 < sources <= x, 1 < sinks <= y
-    steps = np.arange(len(head))
-    if bar_in or bar_out:
-        allowed = np.ones(len(head), bool)
-        if bar_in:
-            allowed &= indeg[head] > 0
-        if bar_out:
-            allowed &= outdeg[tail] > 0
+    # vertex 1 is such a vertex but no head, vertex n no tail, so a cap of 1
+    # bars nothing
+    tails, heads = _pair_ends(n)
+    steps = np.arange(len(order))
+    if 1 < sources <= x or 1 < sinks <= y:
+        allowed = np.ones(len(order), bool)
+        if 1 < sources <= x:
+            allowed &= indeg[heads[order]] > 0
+        if 1 < sinks <= y:
+            allowed &= outdeg[tails[order]] > 0
         (steps,) = allowed.nonzero()
-        tail, head = tail[steps], head[steps]
-    end = min(len(head), room) if room > 0 else len(head)  # the phase adds steps[:end]
+        order = order[steps]
+    end = min(len(order), room) if room > 0 else len(order)  # the phase adds steps[:end]
     # below its cap, each first visit to a vertex without in-edges (out-edges)
-    # loses a source (sink); the cap binds at the visit that reaches it
-    lost_in = _first_visits(n, head, indeg == 0) if sources > x else None
-    lost_out = _first_visits(n, tail, outdeg == 0) if sinks > y else None
-    if lost_in is not None:
-        end = min(end, int(lost_in[sources - x - 1]) + 1)
-    if lost_out is not None:
-        end = min(end, int(lost_out[sinks - y - 1]) + 1)
+    # loses a source (sink); a count reaches its cap at the visit that loses
+    # its last vertex above the cap, or at -1 if it is there
+    lost_in = lost_out = None
+    if sources > x or sinks > y:
+        first_in, first_out = _end_reduce(n, np.minimum, _inverse(n, order[None], len(order)), len(order))
+        if sources > x:
+            lost_in = first_in[0][indeg == 0]
+            lost_in.sort()
+        if sinks > y:
+            lost_out = first_out[0][outdeg == 0]
+            lost_out.sort()
+    reach_in = -1 if lost_in is None else int(lost_in[sources - x - 1])
+    reach_out = -1 if lost_out is None else int(lost_out[sinks - y - 1])
+    if x > 1 and lost_in is not None:
+        end = min(end, reach_in + 1)
+    if y > 1 and lost_out is not None:
+        end = min(end, reach_out + 1)
+    if halt and sources >= x and sinks >= y:
+        end = min(end, max(reach_in, reach_out) + 1)
     if lost_in is not None:
         sources -= int(lost_in.searchsorted(end))
     if lost_out is not None:
         sinks -= int(lost_out.searchsorted(end))
-    indeg += np.bincount(head[:end], minlength=n + 1)
-    outdeg += np.bincount(tail[:end], minlength=n + 1)
+    indeg += np.bincount(heads[order[:end]], minlength=n + 1)
+    outdeg += np.bincount(tails[order[:end]], minlength=n + 1)
     return steps[:end], sources, sinks
 
 
@@ -293,26 +365,11 @@ class _State:
         present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges < len(order):  # visit the present edges only
             order = order[present[order]]
-        tails, heads = _pair_ends(n)
-        last_in, last_out, steps = _last_edges(n, order)
         # removals that reach the budget; edges + 1 (never reached) when there is none
         need = edges + 1 if budget is None or edges < budget else edges - budget
-        sources, sinks, kept = self.sources, self.sinks, []
-        last_in, last_out = last_in.tolist(), last_out.tolist()
-        kept_in, kept_out = [0] * (n + 1), [0] * (n + 1)
-        decided = order[steps]
-        for i, a, b in zip(steps.tolist(), tails[decided].tolist(), heads[decided].tolist()):
-            if i - len(kept) >= need:  # the removals before visit i reached the budget
-                break
-            lone_in = last_in[b] == i and not kept_in[b]
-            lone_out = last_out[a] == i and not kept_out[a]
-            if (lone_in and sources >= x) or (lone_out and sinks >= y):
-                kept_in[b] += 1
-                kept_out[a] += 1
-                kept.append(i)
-                continue
-            sources += lone_in
-            sinks += lone_out
+        ((sources, sinks, kept, kept_in, kept_out),) = _decide_removals(
+            n, order[None], x, y, self.sources, self.sinks, need
+        )
         if self.trace is not None:  # every visit not kept is a removal, up to the budget
             self._trace_moves("remove", np.delete(order, kept)[:need])
         if budget is None:  # every undecided edge goes: the kept ones are all there is
@@ -325,6 +382,7 @@ class _State:
             gone[np.flatnonzero(gone)[need:]] = False
             present[order[gone]] = False
             left = order[~gone]
+            tails, heads = _pair_ends(n)
             self.indeg = np.bincount(heads[left], minlength=n + 1).tolist()
             self.outdeg = np.bincount(tails[left], minlength=n + 1).tolist()
             count = int(np.count_nonzero(gone))
@@ -374,8 +432,10 @@ class _State:
         """``addition_pass`` for candidates ``ordered_pairs(n)`` and any integer
         ``order``.  Keep the absent edges of the order; then, by the phase
         lemma, each ``_addition_phase`` adds what its fixed rule allows in one
-        array step, and the next phase goes on after its last addition.  At
-        most 2 phases run without a budget, 3 with one."""
+        array step, and the next phase goes on after its last addition.  A
+        phase ends only where a cap above 1 starts to bind, at the (x, y)
+        halt or at the budget: at most 2 phases run without a budget (one
+        for (1, 1)), 3 with one."""
         sources, sinks, edges = self.sources, self.sinks, self.edge_total
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, stop = x, y, -1
@@ -387,19 +447,17 @@ class _State:
         present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges:  # visit the absent edges only
             order = order[~present[order]]
-        tails, heads = _pair_ends(n)
-        order_tail, order_head = tails[order], heads[order]
         indeg, outdeg = np.array(self.indeg), np.array(self.outdeg)
         added, start = np.zeros(len(order), bool), 0
         while True:
-            rule = (sources <= x, sinks <= y)
+            bars = (1 < sources <= x, 1 < sinks <= y)
             done, sources, sinks = _addition_phase(
-                n, order_tail[start:], order_head[start:], indeg, outdeg, sources, sinks, x, y, stop - edges
+                n, order[start:], indeg, outdeg, sources, sinks, x, y, stop - edges, budget is None
             )
             added[start + done] = True
             edges += len(done)
-            # a phase the rule did not end added every edge it will ever allow
-            if rule == (sources <= x, sinks <= y) or (sources == tx and sinks == ty) or edges == stop:
+            # a phase whose end bars nothing new added every edge it will ever allow
+            if bars == (1 < sources <= x, 1 < sinks <= y) or (sources == tx and sinks == ty) or edges == stop:
                 break
             start += int(done[-1]) + 1
         count = edges - self.edge_total
@@ -624,14 +682,84 @@ class _Batch:
     def states(self) -> Iterator[_State]:
         """Each row as a ``_State``, in row order."""
         fields = (self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
-        for present, (indeg, outdeg, sources, sinks, edges, rounds) in zip(
-            self.present, zip(*(f.tolist() for f in fields))
-        ):
-            state = _State.__new__(_State)
-            state.n, state.trace, state.rounds = self.n, None, rounds
-            state.present, state.indeg, state.outdeg = bytearray(present), indeg, outdeg
-            state.sources, state.sinks, state.edge_total = sources, sinks, edges
-            yield state
+        return _row_states(self.n, self.present, zip(*(f.tolist() for f in fields)))
+
+
+def _row_states(n: int, present: np.ndarray, fields: Iterable[tuple]) -> Iterator[_State]:
+    """One untraced ``_State`` per row of a ``(B, C(n, 2))`` present mask,
+    with the row's (indeg, outdeg, sources, sinks, edge_total, rounds)."""
+    for row, (indeg, outdeg, sources, sinks, edges, rounds) in zip(present, fields):
+        state = _State.__new__(_State)
+        state.n, state.trace, state.rounds = n, None, rounds
+        state.present, state.indeg, state.outdeg = bytearray(row), indeg, outdeg
+        state.sources, state.sinks, state.edge_total = sources, sinks, edges
+        yield state
+
+
+def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_State]:
+    """Final states of removal runs from the complete graph without a budget,
+    one per row of ``orders`` (each a permutation of the candidates): the
+    last-edge pass of every row at once.  Every undecided edge goes, so a
+    row's kept edges are its graph and their counts its degrees."""
+    width = orders.shape[1]
+    decisions = _decide_removals(n, orders, x, y, 1, 1, width + 1)
+    kept = [row[2] for row in decisions]
+    rows = np.repeat(np.arange(len(orders)), [len(visits) for visits in kept])
+    present = np.zeros(orders.shape, bool)
+    present[rows, orders[rows, np.fromiter(chain.from_iterable(kept), np.intp, len(rows))]] = True
+    fields = (
+        (kept_in, kept_out, sources, sinks, len(visits), width - len(visits))
+        for sources, sinks, visits, kept_in, kept_out in decisions
+    )
+    return _row_states(n, present, fields)
+
+
+def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_State]:
+    """Final states of addition runs from the empty graph without a budget,
+    one per row of ``orders`` (each a permutation of the candidates): the
+    phase pass of every row at once, its at most 2 phase ends in closed form
+    from first visits.  The first phase adds every edge up to the (x, y) halt,
+    where the later of the two counts reaches its cap, since a cap of 1 bars
+    nothing; but where a cap above 1 is the first to bind, the second phase
+    adds only the edges into (out of) vertices that have one by then, up to
+    where the other count reaches its cap."""
+    rows, width = orders.shape
+    if n <= max(x, y):  # at (x, y), or the rule bars every head (tail): no move
+        return (_State(n, False) for _ in range(rows))
+    visit = _inverse(n, orders, width)
+    first = _end_reduce(n, np.minimum, visit, width)
+    # where each count reaches its cap with nothing barred: the sources at
+    # the (n - x)-th first visit to a head (2..n), the sinks likewise
+    reach_in = np.partition(first[0][:, 2:], n - x - 1, axis=1)[:, n - x - 1]
+    reach_out = np.partition(first[1][:, 1:n], n - y - 1, axis=1)[:, n - y - 1]
+    end = np.maximum(reach_in, reach_out) + 1
+    bar_in, bar_out = (reach_in < reach_out) & (x > 1), (reach_out < reach_in) & (y > 1)
+    present = visit < end[:, None]
+    if bar_in.any() or bar_out.any():
+        tails, heads = _pair_ends(n)
+        start = np.minimum(reach_in, reach_out)[:, None] + 1  # where the second phase starts
+        has_in, has_out = (visits < start for visits in first)
+        allowed = ~(bar_in[:, None] & ~np.take(has_in, heads, axis=1))
+        allowed &= ~(bar_out[:, None] & ~np.take(has_out, tails, axis=1))
+        later_in, later_out = _end_reduce(n, np.minimum, np.where(allowed & (visit >= start), visit, width), width)
+        # a barred row halts where the other count loses the last vertex above its cap
+        for barred, later, has, cap in ((bar_in, later_out, has_out, y), (bar_out, later_in, has_in, x)):
+            if barred.any():
+                losses = np.sort(np.where(has, width, later), axis=1)
+                left = np.maximum(n - np.count_nonzero(has, axis=1) - cap - 1, 0)
+                end = np.where(barred, np.take_along_axis(losses, left[:, None], axis=1)[:, 0] + 1, end)
+        present = (visit < start) | (allowed & (visit < end[:, None]))
+    indeg, outdeg = _end_reduce(n, np.add, present, 0)
+    edges = np.count_nonzero(present, axis=1).tolist()
+    fields = zip(
+        indeg.tolist(),
+        outdeg.tolist(),
+        np.count_nonzero(indeg[:, 1:] == 0, axis=1).tolist(),
+        np.count_nonzero(outdeg[:, 1:] == 0, axis=1).tolist(),
+        edges,
+        edges,
+    )
+    return _row_states(n, present, fields)
 
 
 def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:

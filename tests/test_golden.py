@@ -172,7 +172,7 @@ def test_growth_matches_golden_digest():
 
 def test_large_order_growth_matches_golden_digest():
     # 64 trials at n = 40 and 100 are sub-batches too small for the lockstep
-    # kernel, so every trial runs as its own _State
+    # kernel, so they run as stacks of lone trials
     csv = growth_experiment(ProcessKind.REMOVAL, 1, 1, [40, 100], 64, master_seed=11)
     assert _sha(csv) == "7f563e78eff67dd23e34e50133353ca6bb989bd7c3a8d7bce84fdfa5084cdc66"
 

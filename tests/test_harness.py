@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from itertools import compress, product
 
 import numpy as np
@@ -27,6 +28,19 @@ from taskdag.processes import _BATCH_MAX_ORDER, ProcessConfig, ProcessKind, _Bat
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
     return ProcessConfig(x, y, n, kind, seed=0, **kw)
+
+
+def _per_run_stack(complete):
+    """A stand-in for ``_removal_stack`` or ``_addition_stack``: each row
+    runs its own ``_State`` through the per-run lemma pass."""
+
+    def stack(n, orders, x, y):
+        for order in orders:
+            state = _State(n, complete)
+            (state.last_edge_removal_pass if complete else state.phase_addition_pass)(order, x, y)
+            yield state
+
+    return stack
 
 
 def _child_streams(body, timeout=120):
@@ -184,15 +198,37 @@ class TestRunTrials:
     )
     def test_kernel_minimum_changes_no_byte(self, cfg, monkeypatch):
         # blocks of one trial under, at and just over the kernel minimum, alone
-        # or after a full block, give the bytes of the per-trial loop alone,
-        # serially and in the pool
+        # or after a full block at n = 7, and blocks of 1 to 129 trials at
+        # n = 40 (a sub-batch holds 168 removal or addition trials) and n = 50
+        # (107: never the kernel), give the bytes of the per-run lemma passes
+        # alone, serially and in the pool
         low = harness._KERNEL_MIN
-        for trials in (low - 1, low, low + 1, *(harness._CHUNK + t for t in (low - 1, low, low + 1))):
+        runs = [(cfg, t) for t in (low - 1, low, low + 1, *(harness._CHUNK + t for t in (low - 1, low, low + 1)))]
+        for n, m in ((40, 480), (50, 770)):
+            larger = replace(cfg, n=n, m=m if cfg.m else None)
+            runs += [(larger, t) for t in (1, 2, low - 1, low, low + 1)]
+        for c, trials in runs:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_KERNEL_MIN", 10**9)
-                loop = run_trials(cfg, trials, master_seed=6).to_json()
+                patch.setattr(harness, "_removal_stack", _per_run_stack(True))
+                patch.setattr(harness, "_addition_stack", _per_run_stack(False))
+                loop = run_trials(c, trials, master_seed=6).to_json()
             for parallelism in (1, 2):
-                assert run_trials(cfg, trials, 6, parallelism).to_json() == loop, (trials, parallelism)
+                assert run_trials(c, trials, 6, parallelism).to_json() == loop, (c.n, trials, parallelism)
+
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION], ids=lambda k: k.value)
+    def test_lone_sub_batches_never_take_the_per_run_passes(self, kind, monkeypatch):
+        # removal and addition trials below the kernel minimum run as stacks:
+        # (1, 1) and capped points at n = 7, 40 and 100, and the 107-trial
+        # sub-batches of a two-block cell at n = 50
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-run lemma pass was called")
+
+        monkeypatch.setattr(_State, "last_edge_removal_pass", refuse)
+        monkeypatch.setattr(_State, "phase_addition_pass", refuse)
+        for x, y in ((1, 1), (2, 3), (4, 1)):
+            for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
+                assert run_trials(_cfg(x, y, n, kind), trials, master_seed=3).trials == trials
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)

@@ -18,8 +18,10 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     ProcessOutcome,
+    _addition_stack,
     _Batch,
     _finish,
+    _removal_stack,
     _State,
     combined_process,
     edge_addition_process,
@@ -713,10 +715,10 @@ class TestLastEdgeRemoval:
     def test_at_most_2n_minus_2_positions_decided(self, n, complete, monkeypatch):
         decided = []
 
-        def spy(n, order):
-            last_in, last_out, steps = real(n, order)
-            decided.append(len(steps))
-            return last_in, last_out, steps
+        def spy(n, orders):
+            last_in, last_out, last = real(n, orders)
+            decided.append(len(set(last[0].tolist()) - {-1}))
+            return last_in, last_out, last
 
         real = processes._last_edges
         monkeypatch.setattr(processes, "_last_edges", spy)
@@ -827,14 +829,17 @@ class TestPhaseAddition:
 
         real = processes._addition_phase
         monkeypatch.setattr(processes, "_addition_phase", spy)
-        unbudgeted, budgeted = [], []
+        unbudgeted, budgeted, capped_at_1 = [], [], []
         for order, (x, y) in zip(_rows(6, math.comb(n, 2), seed=n), [(1, 1), (2, 3), (4, 1)] * 2):
             for budget, counts in ((None, unbudgeted), (math.comb(n, 2), budgeted)):
                 phases.append(0)
                 _both_additions(_State(n, False), order, x, y, budget)
                 counts.append(phases[-1] / 2)  # the untraced and the traced pass
+            if (x, y) == (1, 1):
+                capped_at_1.append(unbudgeted[-1])
         assert max(unbudgeted) == 2
         assert max(budgeted) == 3
+        assert capped_at_1 == [1, 1]  # a count that reaches a cap of 1 bars nothing
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_any_integer_order(self, n):
@@ -854,6 +859,52 @@ class TestPhaseAddition:
                 exact_process_distribution(ProcessKind.ADDITION, x, y, n)
         assert random_directed_tree(40, 7).edge_count == 39
         run_trials(ProcessConfig(1, 1, 40, ProcessKind.RANDOM_TREE, 0), 3, master_seed=7)
+
+
+class TestStackedPasses:
+    """The stacks of lone removal and addition runs against the ``_State``
+    loops, row by row."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 12])
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
+    def test_stack_rows_equal_loops(self, x, y, kind, rows):
+        # n = 1 has no candidate edges; at n = max(x, y) an addition adds none
+        complete = kind is ProcessKind.REMOVAL
+        stack = _removal_stack if complete else _addition_stack
+        for n in sorted({1, 2, max(x, y), 5, 22, 40, 100}):
+            if n < max(x, y):
+                continue
+            orders = _rows(rows, math.comb(n, 2), seed=1000 * n + 100 * x + 10 * y + rows)
+            states = list(stack(n, orders, x, y))
+            assert len(states) == rows
+            for t, (order, state) in enumerate(zip(orders, states)):
+                loop = _State(n, complete)
+                (loop.removal_pass if complete else loop.addition_pass)(order.tolist(), x, y)
+                assert _fields(state) == _fields(loop), (n, t)
+
+    def test_one_stack_bars_heads_bars_tails_or_ties(self):
+        # with both caps above 1, the rows of one stack differ in which count
+        # reaches its cap first, with nothing barred: the sources (the second
+        # phase bars heads), the sinks (it bars tails), or both at one edge
+        # (no second phase); each row must still equal its loop
+        n, x, y = 12, 3, 3
+        orders = _rows(200, math.comb(n, 2), seed=5)
+        first = set()
+        for order, state in zip(orders, _addition_stack(n, orders, x, y)):
+            heads, tails, reach = set(), set(), {}
+            for i, (a, b) in enumerate(ordered_pairs(n)[idx] for idx in order.tolist()):
+                heads.add(b)
+                tails.add(a)
+                if len(heads) == n - x:
+                    reach.setdefault("in", i)
+                if len(tails) == n - y:
+                    reach.setdefault("out", i)
+            first.add("tie" if reach["in"] == reach["out"] else min(reach, key=reach.get))
+            loop = _State(n, False)
+            loop.addition_pass(order.tolist(), x, y)
+            assert _fields(state) == _fields(loop)
+        assert first == {"in", "out", "tie"}
 
 
 class TestCandidatePairs:
