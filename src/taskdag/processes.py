@@ -19,13 +19,13 @@ most y.  Sources and sinks only fall, so in one addition pass each cap starts
 to bind at most once, when its count reaches it, and in between the rule is
 fixed: a vertex barred from its first in-edge (out-edge) stays barred.  A
 count at a cap of 1 bars nothing: the one source left is vertex 1, never a
-head (the one sink is vertex n, never a tail).  So a pass falls into phases, and each phase adds every absent edge its rule
-allows up to the first edge at which a count reaches a cap above 1, the
-profile is exactly (x, y), or the edge count reaches the budget.  Below its
-cap a count falls at each first visit to a head of in-degree 0 (tail of
-out-degree 0).  Without a budget the second cap to bind ends the pass at
-(x, y): at most 2 phases, and one for (1, 1); with one, a third phase runs
-to the budget.
+head (the one sink is vertex n, never a tail).  So a pass falls into phases,
+and each phase adds every absent edge its rule allows up to the first edge
+at which a count reaches a cap above 1, the profile is exactly (x, y), or
+the edge count reaches the budget.  Below its cap a count falls at each
+first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
+budget the second cap to bind ends the pass at (x, y): at most 2 phases, and
+one for (1, 1); with one, a third phase runs to the budget.
 
 Every single run, traced or not, takes these two passes.  Lone removal or
 addition runs from one draw of rows take them as one stack, each row a run
@@ -734,14 +734,16 @@ def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_Sta
     reach_out = np.partition(first[1][:, 1:n], n - y - 1, axis=1)[:, n - y - 1]
     end = np.maximum(reach_in, reach_out) + 1
     bar_in, bar_out = (reach_in < reach_out) & (x > 1), (reach_out < reach_in) & (y > 1)
-    present = visit < end[:, None]
-    if bar_in.any() or bar_out.any():
+    if not (bar_in.any() or bar_out.any()):
+        present = visit < end[:, None]
+    else:
         tails, heads = _pair_ends(n)
         start = np.minimum(reach_in, reach_out)[:, None] + 1  # where the second phase starts
         has_in, has_out = (visits < start for visits in first)
         allowed = ~(bar_in[:, None] & ~np.take(has_in, heads, axis=1))
         allowed &= ~(bar_out[:, None] & ~np.take(has_out, tails, axis=1))
-        later_in, later_out = _end_reduce(n, np.minimum, np.where(allowed & (visit >= start), visit, width), width)
+        second = np.where(allowed & (visit >= start), visit, width)  # the second phase's visits
+        later_in, later_out = _end_reduce(n, np.minimum, second, width)
         # a barred row halts where the other count loses the last vertex above its cap
         for barred, later, has, cap in ((bar_in, later_out, has_out, y), (bar_out, later_in, has_in, x)):
             if barred.any():

@@ -203,7 +203,8 @@ class TestRunTrials:
         # (107: never the kernel), give the bytes of the per-run lemma passes
         # alone, serially and in the pool
         low = harness._KERNEL_MIN
-        runs = [(cfg, t) for t in (low - 1, low, low + 1, *(harness._CHUNK + t for t in (low - 1, low, low + 1)))]
+        near = (low - 1, low, low + 1)
+        runs = [(cfg, t) for t in (*near, *(harness._CHUNK + t for t in near))]
         for n, m in ((40, 480), (50, 770)):
             larger = replace(cfg, n=n, m=m if cfg.m else None)
             runs += [(larger, t) for t in (1, 2, low - 1, low, low + 1)]
