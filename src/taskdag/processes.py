@@ -27,14 +27,16 @@ first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
 budget the second cap to bind ends the pass at (x, y): at most 2 phases, and
 one for (1, 1); with one, a third phase runs to the budget.
 
-Every single run, traced or not, takes these two passes.  Lone removal or
-addition runs from one draw of rows take them as one stack, each row a run
-(``_removal_stack``, ``_addition_stack``): one inverse permutation per row
-and one pair of ``reduceat`` calls give every row's last or first visits, so
-the numpy calls are paid once per stack; a single run's pass is a stack of
-one.  A batch of runs moves in lockstep (``_Batch``).  The visit-every-position
-loops ``_State.removal_pass`` and ``addition_pass`` are the reference for all
-three, and the exact flow's one-edge step.
+Both passes run on a stack of runs from one state, a row each: one inverse
+permutation per row and one pair of ``reduceat`` calls give every row's last
+visits (``_decide_removals``) or, per phase, first visits
+(``_addition_phases``), so the numpy calls are paid once per stack.  A single
+run, traced or not, is a stack of one (``_State.last_edge_removal_pass``,
+``phase_addition_pass``); lone removal or addition runs from one draw of rows
+are one stack (``_removal_stack``, ``_addition_stack``).  A batch of runs
+moves in lockstep (``_Batch``).  The visit-every-position loops
+``_State.removal_pass`` and ``addition_pass`` are the reference for the
+passes and the batch, and the exact flow's one-edge step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -150,19 +153,23 @@ def _inverse(n: int, orders: np.ndarray, none: int) -> np.ndarray:
     return visit
 
 
-def _end_reduce(n: int, ufunc: np.ufunc, values: np.ndarray, none: int) -> tuple[np.ndarray, np.ndarray]:
+def _end_reduce(
+    n: int, ufunc: np.ufunc, values: np.ndarray, none: int, sides: tuple[bool, bool] = (True, True)
+) -> np.ndarray:
     """``ufunc.reduceat`` of each row of ``values`` (``(B, C(n, 2))``, one
     value per candidate) over each vertex's candidates as a head and as a
-    tail: two ``(B, n + 1)`` int arrays, ``none`` at the vertices that are no
-    such end (0, 1 as a head, n as a tail).  Over visits, ``np.maximum`` gives
-    each vertex's last visits and ``np.minimum`` its first; over a present
-    mask, ``np.add`` gives its degrees."""
+    tail, for the ``sides`` asked for: a ``(2, B, n + 1)`` int array, heads
+    first, ``none`` on a side not asked for and at the vertices that are no
+    such end (0, 1 as a head, n as a tail).  Over visits, ``np.maximum``
+    gives each vertex's last visits and ``np.minimum`` its first; over a
+    present mask, ``np.add`` gives its degrees."""
     tail_starts, by_head, head_starts = _end_runs(n)
-    ends_in, ends_out = np.full((2, len(values), n + 1), none)
-    if n > 1:
-        ufunc.reduceat(np.take(values, by_head, axis=1), head_starts, axis=1, out=ends_in[:, 2:])
-        ufunc.reduceat(values, tail_starts, axis=1, out=ends_out[:, 1:n])
-    return ends_in, ends_out
+    ends = np.full((2, len(values), n + 1), none)
+    if n > 1 and sides[0]:
+        ufunc.reduceat(np.take(values, by_head, axis=1), head_starts, axis=1, out=ends[0, :, 2:])
+    if n > 1 and sides[1]:
+        ufunc.reduceat(values, tail_starts, axis=1, out=ends[1, :, 1:n])
+    return ends
 
 
 def _last_edges(n: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,63 +227,116 @@ def _decide_removals(
 
 def _addition_phase(
     n: int,
-    order: np.ndarray,
-    indeg: np.ndarray,
-    outdeg: np.ndarray,
+    visit: np.ndarray,
+    start: np.ndarray | None,
+    bars: list[tuple[bool, bool]],
+    has: np.ndarray | None,
+    counts: list[list[int]],
+    x: int,
+    y: int,
+    left: list[int] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One phase of ``_addition_phases`` on each row of a stack, under the
+    rule that holds at its start.  A row's phase adds the visits (``visit``,
+    ``(B, C(n, 2))``) from its ``start`` on (0 if None) that the rule
+    allows, up to the first at which a count reaches a cap above 1, the
+    profile is exactly (x, y) (if ``left`` is None) or the row's additions
+    reach its ``left``.  ``bars`` tells per row whether the sources and the
+    sinks are at a cap above 1, ``has`` (``(2, B, n + 1)``, or None for no
+    edges) marks the vertices with in- and out-edges, and ``counts`` holds
+    each row's sources and sinks, updated in place.  Return the additions,
+    as a ``(B, C(n, 2))`` mask, the new ``has``, and where each row's phase
+    ended."""
+    width = visit.shape[1]
+    # at its cap, a vertex without in-edges (out-edges) stays so all phase;
+    # vertex 1 is such a vertex but no head, vertex n no tail, so a cap of 1
+    # bars nothing
+    if start is not None:
+        allowed = visit >= start[:, None]
+        for barred, has_end, ends in zip(zip(*bars), has, _pair_ends(n)[::-1]):
+            if any(barred):  # a barred row's vertices stay open if they have an edge
+                allowed &= np.take(has_end | ~np.array(barred)[:, None], ends, axis=1)
+        visit = np.where(allowed, visit, width)
+    # below its cap, each first visit to a vertex without in-edges (out-edges)
+    # loses a source (sink); a count reaches its cap at the visit that loses
+    # its last vertex above the cap, or at -1 if it is there.  A side at or
+    # below its cap in every row loses nothing, and no vertex gains its first
+    # edge of that side, so its first visits are not needed
+    above = [any(row_counts[side] > cap for row_counts in counts) for side, cap in enumerate((x, y))]
+    first = _end_reduce(n, np.minimum, visit, width, above)
+    lost = np.sort(first if has is None else np.where(has, width, first), axis=2)
+    ends = []
+    for row, (row_counts, lost_in, lost_out) in enumerate(zip(counts, *lost.tolist())):
+        sources, sinks = row_counts
+        reach_in = lost_in[sources - x - 1] if sources > x else -1
+        reach_out = lost_out[sinks - y - 1] if sinks > y else -1
+        end = width
+        if sources > x > 1:
+            end = min(end, reach_in + 1)
+        if sinks > y > 1:
+            end = min(end, reach_out + 1)
+        if left is None:
+            if sources >= x and sinks >= y:
+                end = min(end, max(reach_in, reach_out) + 1)
+        elif 0 < left[row] <= np.count_nonzero(visit[row] < end):
+            end = int(np.partition(visit[row], left[row] - 1)[left[row] - 1]) + 1
+        end = min(end, width)  # a count that never reaches its cap reads width
+        row_counts[:] = sources - bisect_left(lost_in, end), sinks - bisect_left(lost_out, end)
+        ends.append(end)
+    end = np.array(ends)[:, None]
+    reached = first < end
+    return visit < end, reached if has is None else reached | has, end[:, 0]
+
+
+def _addition_phases(
+    n: int,
+    orders: np.ndarray,
+    indeg: list[int],
+    outdeg: list[int],
     sources: int,
     sinks: int,
     x: int,
     y: int,
-    room: int,
-    halt: bool,
-) -> tuple[np.ndarray, int, int]:
-    """One phase of ``_State.phase_addition_pass`` on the absent candidates
-    left in its ``order``, under the rule that holds at its start: add each
-    edge the rule allows, up to the first where a cap above 1 starts to bind,
-    where the profile is exactly (x, y) if ``halt``, or, if ``room`` is
-    positive, the room-th one.  Add to ``indeg`` and ``outdeg`` in place;
-    return the positions added and the new source and sink counts."""
-    # at its cap, a vertex without in-edges (out-edges) stays so all phase;
-    # vertex 1 is such a vertex but no head, vertex n no tail, so a cap of 1
-    # bars nothing
-    tails, heads = _pair_ends(n)
-    steps = np.arange(len(order))
-    if 1 < sources <= x or 1 < sinks <= y:
-        allowed = np.ones(len(order), bool)
-        if 1 < sources <= x:
-            allowed &= indeg[heads[order]] > 0
-        if 1 < sinks <= y:
-            allowed &= outdeg[tails[order]] > 0
-        (steps,) = allowed.nonzero()
-        order = order[steps]
-    end = min(len(order), room) if room > 0 else len(order)  # the phase adds steps[:end]
-    # below its cap, each first visit to a vertex without in-edges (out-edges)
-    # loses a source (sink); a count reaches its cap at the visit that loses
-    # its last vertex above the cap, or at -1 if it is there
-    lost_in = lost_out = None
-    if sources > x or sinks > y:
-        first_in, first_out = _end_reduce(n, np.minimum, _inverse(n, order[None], len(order)), len(order))
-        if sources > x:
-            lost_in = first_in[0][indeg == 0]
-            lost_in.sort()
-        if sinks > y:
-            lost_out = first_out[0][outdeg == 0]
-            lost_out.sort()
-    reach_in = -1 if lost_in is None else int(lost_in[sources - x - 1])
-    reach_out = -1 if lost_out is None else int(lost_out[sinks - y - 1])
-    if x > 1 and lost_in is not None:
-        end = min(end, reach_in + 1)
-    if y > 1 and lost_out is not None:
-        end = min(end, reach_out + 1)
-    if halt and sources >= x and sinks >= y:
-        end = min(end, max(reach_in, reach_out) + 1)
-    if lost_in is not None:
-        sources -= int(lost_in.searchsorted(end))
-    if lost_out is not None:
-        sinks -= int(lost_out.searchsorted(end))
-    indeg += np.bincount(heads[order[:end]], minlength=n + 1)
-    outdeg += np.bincount(tails[order[:end]], minlength=n + 1)
-    return steps[:end], sources, sinks
+    room: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+    """The phase pass of addition runs from one state, one per row of
+    ``orders`` (``(B, L)``, rows of that state's absent candidates in visit
+    order): each ``_addition_phase`` adds every edge its fixed rule allows,
+    and a row's next phase goes on after its last addition.  A phase ends
+    only where a cap above 1 starts to bind, at the (x, y) halt if ``room``
+    is None, or else at the room-th addition of the pass: at most 2 phases
+    run without a budget (one for (1, 1)), 3 with one.  Per row: the edges
+    added, as a ``(B, C(n, 2))`` mask, the in- and out-degrees after them
+    and the sources and sinks."""
+    rows, width = len(orders), n * (n - 1) // 2
+    visit = _inverse(n, orders, width)
+    start = np.zeros(rows, int) if 1 < sources <= x or 1 < sinks <= y else None
+    has = None
+    if start is not None or any(indeg) or any(outdeg):
+        has = np.repeat((np.array([indeg, outdeg]) > 0)[:, None], rows, axis=1)
+    counts = [[sources, sinks] for _ in range(rows)]
+    left = None if room is None else [room] * rows
+    added = None
+    while True:
+        bars = [(1 < row_sources <= x, 1 < row_sinks <= y) for row_sources, row_sinks in counts]
+        taken, has, end = _addition_phase(n, visit, start, bars, has, counts, x, y, left)
+        added = taken if added is None else added | taken
+        if left is not None:
+            left = [k - count for k, count in zip(left, np.count_nonzero(taken, axis=1).tolist())]
+        # a phase whose end bars nothing new added every edge it will ever allow
+        go = [
+            bar != (1 < row_sources <= x, 1 < row_sinks <= y)
+            and ((row_sources, row_sinks) != (x, y) if left is None else left[row] > 0)
+            for row, (bar, (row_sources, row_sinks)) in enumerate(zip(bars, counts))
+        ]
+        if not any(go):
+            break
+        start = np.where(go, end, width)  # a row that is done visits nothing more
+    degrees = _end_reduce(n, np.add, added, 0)
+    if any(indeg):  # the state has edges
+        degrees += np.array([indeg, outdeg])[:, None]
+    sources_after, sinks_after = (list(side) for side in zip(*counts))
+    return added, degrees[0], degrees[1], sources_after, sinks_after
 
 
 class _State:
@@ -430,12 +490,8 @@ class _State:
         self, order: np.ndarray | list[int], x: int, y: int, budget: int | None = None, active: bool = True
     ) -> bool:
         """``addition_pass`` for candidates ``ordered_pairs(n)`` and any integer
-        ``order``.  Keep the absent edges of the order; then, by the phase
-        lemma, each ``_addition_phase`` adds what its fixed rule allows in one
-        array step, and the next phase goes on after its last addition.  A
-        phase ends only where a cap above 1 starts to bind, at the (x, y)
-        halt or at the budget: at most 2 phases run without a budget (one
-        for (1, 1)), 3 with one."""
+        ``order``: the phase pass of ``_addition_phases`` on the absent edges
+        of the order, as a stack of one."""
         sources, sinks, edges = self.sources, self.sinks, self.edge_total
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, stop = x, y, -1
@@ -447,27 +503,18 @@ class _State:
         present = np.frombuffer(self.present, np.bool_)  # written in place
         if edges:  # visit the absent edges only
             order = order[~present[order]]
-        indeg, outdeg = np.array(self.indeg), np.array(self.outdeg)
-        added, start = np.zeros(len(order), bool), 0
-        while True:
-            bars = (1 < sources <= x, 1 < sinks <= y)
-            done, sources, sinks = _addition_phase(
-                n, order[start:], indeg, outdeg, sources, sinks, x, y, stop - edges, budget is None
-            )
-            added[start + done] = True
-            edges += len(done)
-            # a phase whose end bars nothing new added every edge it will ever allow
-            if bars == (1 < sources <= x, 1 < sinks <= y) or (sources == tx and sinks == ty) or edges == stop:
-                break
-            start += int(done[-1]) + 1
-        count = edges - self.edge_total
+        room = None if budget is None else budget - edges
+        (added,), (indeg,), (outdeg,), (sources,), (sinks,) = _addition_phases(
+            n, order[None], self.indeg, self.outdeg, sources, sinks, x, y, room
+        )
+        moved = order[added[order]]  # in visit order
         if self.trace is not None:
-            self._trace_moves("add", order[added])
-        if count:
-            present[order[added]] = True
-            self.indeg, self.outdeg = indeg.tolist(), outdeg.tolist()
-        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, self.rounds + count
-        return (sources == tx and sinks == ty) or edges == stop
+            self._trace_moves("add", moved)
+        present |= added
+        self.indeg, self.outdeg = indeg.tolist(), outdeg.tolist()
+        self.sources, self.sinks, self.edge_total = int(sources), int(sinks), edges + len(moved)
+        self.rounds += len(moved)
+        return (self.sources == tx and self.sinks == ty) or self.edge_total == stop
 
     def _trace_moves(self, op: str, moved: np.ndarray) -> None:
         """Call the trace once per move of a pass, at the candidates ``moved``
@@ -717,50 +764,13 @@ def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_Stat
 def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_State]:
     """Final states of addition runs from the empty graph without a budget,
     one per row of ``orders`` (each a permutation of the candidates): the
-    phase pass of every row at once, its at most 2 phase ends in closed form
-    from first visits.  The first phase adds every edge up to the (x, y) halt,
-    where the later of the two counts reaches its cap, since a cap of 1 bars
-    nothing; but where a cap above 1 is the first to bind, the second phase
-    adds only the edges into (out of) vertices that have one by then, up to
-    where the other count reaches its cap."""
-    rows, width = orders.shape
-    if n <= max(x, y):  # at (x, y), or the rule bars every head (tail): no move
-        return (_State(n, False) for _ in range(rows))
-    visit = _inverse(n, orders, width)
-    first = _end_reduce(n, np.minimum, visit, width)
-    # where each count reaches its cap with nothing barred: the sources at
-    # the (n - x)-th first visit to a head (2..n), the sinks likewise
-    reach_in = np.partition(first[0][:, 2:], n - x - 1, axis=1)[:, n - x - 1]
-    reach_out = np.partition(first[1][:, 1:n], n - y - 1, axis=1)[:, n - y - 1]
-    end = np.maximum(reach_in, reach_out) + 1
-    bar_in, bar_out = (reach_in < reach_out) & (x > 1), (reach_out < reach_in) & (y > 1)
-    if not (bar_in.any() or bar_out.any()):
-        present = visit < end[:, None]
-    else:
-        tails, heads = _pair_ends(n)
-        start = np.minimum(reach_in, reach_out)[:, None] + 1  # where the second phase starts
-        has_in, has_out = (visits < start for visits in first)
-        allowed = ~(bar_in[:, None] & ~np.take(has_in, heads, axis=1))
-        allowed &= ~(bar_out[:, None] & ~np.take(has_out, tails, axis=1))
-        second = np.where(allowed & (visit >= start), visit, width)  # the second phase's visits
-        later_in, later_out = _end_reduce(n, np.minimum, second, width)
-        # a barred row halts where the other count loses the last vertex above its cap
-        for barred, later, has, cap in ((bar_in, later_out, has_out, y), (bar_out, later_in, has_in, x)):
-            if barred.any():
-                losses = np.sort(np.where(has, width, later), axis=1)
-                left = np.maximum(n - np.count_nonzero(has, axis=1) - cap - 1, 0)
-                end = np.where(barred, np.take_along_axis(losses, left[:, None], axis=1)[:, 0] + 1, end)
-        present = (visit < start) | (allowed & (visit < end[:, None]))
-    indeg, outdeg = _end_reduce(n, np.add, present, 0)
-    edges = np.count_nonzero(present, axis=1).tolist()
-    fields = zip(
-        indeg.tolist(),
-        outdeg.tolist(),
-        np.count_nonzero(indeg[:, 1:] == 0, axis=1).tolist(),
-        np.count_nonzero(outdeg[:, 1:] == 0, axis=1).tolist(),
-        edges,
-        edges,
+    phase pass of every row at once."""
+    start = _State(n, False)
+    present, indeg, outdeg, sources, sinks = _addition_phases(
+        n, orders, start.indeg, start.outdeg, start.sources, start.sinks, x, y, None
     )
+    edges = np.count_nonzero(present, axis=1).tolist()
+    fields = zip(indeg.tolist(), outdeg.tolist(), sources, sinks, edges, edges)
     return _row_states(n, present, fields)
 
 

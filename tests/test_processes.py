@@ -906,6 +906,32 @@ class TestStackedPasses:
             assert _fields(state) == _fields(loop)
         assert first == {"in", "out", "tie"}
 
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_phases_from_any_state_equal_loops(self, n):
+        # the phase pass on a stack of rows from one state: the empty graph, a
+        # (1, 1) pass cut at a budget, and an exact (x, y) profile; with and
+        # without a budget, so rows end their phases in different places and
+        # a row that is done must not move in the others' later phases
+        width = math.comb(n, 2)
+        first, *orders = _rows(9, width, seed=n)
+        for x, y in product((1, 2, 4), repeat=2):
+            starts = [_State(n, False), _trim_start(n, x, y, seed=n + x + y)]
+            for budget in (3, width // 5):
+                starts.append(_State(n, False))
+                starts[-1].addition_pass(first.tolist(), 1, 1, budget=budget)
+            for start, room in product(starts, (None, 1, width // 4, width)):
+                mask = np.frombuffer(start.present, bool)
+                stack = np.array([order[~mask[order]] for order in orders])
+                added, indeg, outdeg, sources, sinks = processes._addition_phases(
+                    n, stack, start.indeg, start.outdeg, start.sources, start.sinks, x, y, room
+                )
+                for row, order in enumerate(orders):
+                    loop = start.copy()
+                    loop.addition_pass(order.tolist(), x, y, None if room is None else start.edge_total + room)
+                    assert bytearray(added[row] | mask) == loop.present
+                    assert (indeg[row].tolist(), outdeg[row].tolist()) == (loop.indeg, loop.outdeg)
+                    assert (sources[row], sinks[row]) == (loop.sources, loop.sinks)
+
 
 class TestCandidatePairs:
     def test_untraced_array_runs_never_build_ordered_pairs(self):
