@@ -10,9 +10,8 @@ all its trials in lockstep with numpy and gives the statistics from its
 arrays.  A smaller removal or addition sub-batch runs as one stack of lone
 trials (``processes._removal_stack``, ``_addition_stack``): the lemma passes
 of all its rows at once, yielding one ``_State`` per trial.  A smaller
-combined sub-batch runs each trial as its own ``_State`` through
-``_finish``, whose removals and trims take the last-edge pass and additions
-and fills the phase pass.  A kernel step gathers both ends'
+combined sub-batch runs its addition phase as such a stack, and then each
+trial's fill or trim as a stack of one (``processes._adjust``).  A kernel step gathers both ends'
 degrees of every trial's candidate from one paired int8 degree array, tests
 them against per-trial thresholds of the caps and scatters them back; a pass
 reads the present mask once and writes it once.  A batch's longest paths come
@@ -56,6 +55,7 @@ from .processes import (
     ProcessConfig,
     ProcessKind,
     _addition_stack,
+    _adjust,
     _Batch,
     _finish,
     _pair_ends,
@@ -160,9 +160,9 @@ def _block_states(
     rows in order: two for the combined process, whether or not its second
     phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
     removal, addition or combined trials runs in lockstep and comes as one
-    ``_Batch``.  A smaller removal or addition sub-batch runs as one stack
-    and a smaller combined one trial by trial, through the ``_State``
-    passes; their trials, and every random tree, come alone."""
+    ``_Batch``.  A smaller removal or addition sub-batch runs as one stack,
+    and so does a smaller combined one's addition phase, before each trial's
+    fill or trim; their trials, and every random tree, come alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
@@ -173,10 +173,9 @@ def _block_states(
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
             _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
             yield batch
-        elif cfg.kind is ProcessKind.COMBINED:
-            for i in range(0, len(rows), per_trial):
-                state = _State(cfg.n, False)
-                _finish(cfg, state, iter(rows[i : i + per_trial]).__next__)
+        elif cfg.kind is ProcessKind.COMBINED:  # the addition phase as one stack
+            for state, order in zip(_addition_stack(cfg.n, rows[::2], cfg.x, cfg.y), rows[1::2]):
+                _adjust(cfg, state, (state.sources, state.sinks) == (cfg.x, cfg.y), iter((order,)).__next__)
                 yield state
         else:
             yield from (_removal_stack if complete else _addition_stack)(cfg.n, rows, cfg.x, cfg.y)

@@ -166,7 +166,7 @@ def _end_reduce(
     tail_starts, by_head, head_starts = _end_runs(n)
     ends = np.full((2, len(values), n + 1), none)
     if n > 1 and sides[0]:
-        ufunc.reduceat(np.take(values, by_head, axis=1), head_starts, axis=1, out=ends[0, :, 2:])
+        ufunc.reduceat(values.take(by_head, axis=1), head_starts, axis=1, out=ends[0, :, 2:])
     if n > 1 and sides[1]:
         ufunc.reduceat(values, tail_starts, axis=1, out=ends[1, :, 1:n])
     return ends
@@ -298,7 +298,7 @@ def _addition_phases(
     x: int,
     y: int,
     room: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+) -> tuple[np.ndarray, list[int], list[int]]:
     """The phase pass of addition runs from one state, one per row of
     ``orders`` (``(B, L)``, rows of that state's absent candidates in visit
     order): each ``_addition_phase`` adds every edge its fixed rule allows,
@@ -306,8 +306,7 @@ def _addition_phases(
     only where a cap above 1 starts to bind, at the (x, y) halt if ``room``
     is None, or else at the room-th addition of the pass: at most 2 phases
     run without a budget (one for (1, 1)), 3 with one.  Per row: the edges
-    added, as a ``(B, C(n, 2))`` mask, the in- and out-degrees after them
-    and the sources and sinks."""
+    added, as a ``(B, C(n, 2))`` mask, and the sources and sinks after them."""
     rows, width = len(orders), n * (n - 1) // 2
     visit = _inverse(n, orders, width)
     start = np.zeros(rows, int) if 1 < sources <= x or 1 < sinks <= y else None
@@ -332,11 +331,24 @@ def _addition_phases(
         if not any(go):
             break
         start = np.where(go, end, width)  # a row that is done visits nothing more
-    degrees = _end_reduce(n, np.add, added, 0)
-    if any(indeg):  # the state has edges
-        degrees += np.array([indeg, outdeg])[:, None]
     sources_after, sinks_after = (list(side) for side in zip(*counts))
-    return added, degrees[0], degrees[1], sources_after, sinks_after
+    return added, sources_after, sinks_after
+
+
+def _neutral_additions(
+    n: int, order: np.ndarray, indeg: list[int], outdeg: list[int], x: int, y: int
+) -> np.ndarray:
+    """The absent candidates of ``order`` that the addition rule allows from
+    an exact (x, y) profile, in order.  A count at a cap above 1 bars every
+    edge into (out of) a vertex without in-edges (out-edges), and a cap of 1
+    bars nothing; no edge allowed changes a count, so the rule holds all
+    pass."""
+    tails, heads = _pair_ends(n)
+    if x > 1:
+        order = order[np.asarray(indeg)[heads[order]] > 0]
+    if y > 1:
+        order = order[np.asarray(outdeg)[tails[order]] > 0]
+    return order
 
 
 class _State:
@@ -491,7 +503,9 @@ class _State:
     ) -> bool:
         """``addition_pass`` for candidates ``ordered_pairs(n)`` and any integer
         ``order``: the phase pass of ``_addition_phases`` on the absent edges
-        of the order, as a stack of one."""
+        of the order, as a stack of one.  A fill, a pass with a budget from an
+        exact (x, y) profile, is one phase that ``_neutral_additions`` gives
+        whole."""
         sources, sinks, edges = self.sources, self.sinks, self.edge_total
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, stop = x, y, -1
@@ -504,17 +518,22 @@ class _State:
         if edges:  # visit the absent edges only
             order = order[~present[order]]
         room = None if budget is None else budget - edges
-        (added,), (indeg,), (outdeg,), (sources,), (sinks,) = _addition_phases(
-            n, order[None], self.indeg, self.outdeg, sources, sinks, x, y, room
-        )
-        moved = order[added[order]]  # in visit order
+        if room is not None and (sources, sinks) == (x, y):  # a fill: one phase, cut at the budget
+            moved = _neutral_additions(n, order, self.indeg, self.outdeg, x, y)[:room]
+        else:
+            (added,), (sources,), (sinks,) = _addition_phases(
+                n, order[None], self.indeg, self.outdeg, sources, sinks, x, y, room
+            )
+            moved = order[added[order]]  # in visit order
         if self.trace is not None:
             self._trace_moves("add", moved)
-        present |= added
-        self.indeg, self.outdeg = indeg.tolist(), outdeg.tolist()
-        self.sources, self.sinks, self.edge_total = int(sources), int(sinks), edges + len(moved)
+        present[moved] = True
+        tails, heads = _pair_ends(n)
+        self.indeg = (np.bincount(heads[moved], minlength=n + 1) + self.indeg).tolist()
+        self.outdeg = (np.bincount(tails[moved], minlength=n + 1) + self.outdeg).tolist()
+        self.sources, self.sinks, self.edge_total = sources, sinks, edges + len(moved)
         self.rounds += len(moved)
-        return (self.sources == tx and self.sinks == ty) or self.edge_total == stop
+        return (sources == tx and sinks == ty) or self.edge_total == stop
 
     def _trace_moves(self, op: str, moved: np.ndarray) -> None:
         """Call the trace once per move of a pass, at the candidates ``moved``
@@ -766,12 +785,20 @@ def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_Sta
     one per row of ``orders`` (each a permutation of the candidates): the
     phase pass of every row at once."""
     start = _State(n, False)
-    present, indeg, outdeg, sources, sinks = _addition_phases(
+    present, sources, sinks = _addition_phases(
         n, orders, start.indeg, start.outdeg, start.sources, start.sinks, x, y, None
     )
+    indeg, outdeg = _end_reduce(n, np.add, present, 0)
     edges = np.count_nonzero(present, axis=1).tolist()
     fields = zip(indeg.tolist(), outdeg.tolist(), sources, sinks, edges, edges)
     return _row_states(n, present, fields)
+
+
+def _passes(state: _State | _Batch) -> tuple[Callable, Callable]:
+    """The addition and removal passes of one run or of a batch."""
+    if isinstance(state, _State):
+        return state.phase_addition_pass, state.last_edge_removal_pass
+    return state.addition_pass, state.removal_pass
 
 
 def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
@@ -780,17 +807,25 @@ def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list 
     permutation of the candidate-edge indices, or one per row of a batch.
     The combined process draws its second order only if some run hit (x, y).
     One run takes the lemma passes, a batch the lockstep kernel."""
-    x, y, m = cfg.x, cfg.y, cfg.m
-    if isinstance(state, _State):
-        add, remove = state.phase_addition_pass, state.last_edge_removal_pass
-    else:
-        add, remove = state.addition_pass, state.removal_pass
+    x, y = cfg.x, cfg.y
+    add, remove = _passes(state)
     if cfg.kind is ProcessKind.REMOVAL:
         remove(draw(), x, y)
         return
     hit = add(draw(), x, y)
-    if cfg.kind is ProcessKind.ADDITION or not np.any(hit):
+    if cfg.kind is ProcessKind.COMBINED:
+        _adjust(cfg, state, hit, draw)
+
+
+def _adjust(cfg: ProcessConfig, state: _State | _Batch, hit, draw: Callable[[], list | np.ndarray]) -> None:
+    """The combined process's second phase on ``state`` after its addition
+    phase, on the runs that ``hit`` (a bool, or one per row of a batch) marks
+    as at (x, y): neutral additions or capped removals to m edges, in an
+    order from ``draw()``, drawn only if some run hit."""
+    if not np.any(hit):
         return
+    x, y, m = cfg.x, cfg.y, cfg.m
+    add, remove = _passes(state)
     # masks with &, not ~: on a single run's bools ~ gives -1 or -2
     fill, trim = hit & (state.edge_total < m), hit & (state.edge_total > m)
     order = draw()

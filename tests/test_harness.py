@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from taskdag import harness
+from taskdag.analysis import ExtremalKind, extremal_value
 from taskdag.errors import ConfigError
 from taskdag.graph import OrderedDag, empty_graph, ordered_pairs
 from taskdag.harness import (
@@ -230,6 +231,24 @@ class TestRunTrials:
         for x, y in ((1, 1), (2, 3), (4, 1)):
             for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
                 assert run_trials(_cfg(x, y, n, kind), trials, master_seed=3).trials == trials
+
+    def test_lone_combined_sub_batches_stack_their_addition_phase(self, monkeypatch):
+        # combined trials below the kernel minimum run their addition phase as
+        # one stack; only a fill, an addition with a budget, runs on its own
+        budgets, real = [], _State.phase_addition_pass
+
+        def spy(state, order, x, y, budget=None, active=True):
+            budgets.append(budget)
+            return real(state, order, x, y, budget, active)
+
+        monkeypatch.setattr(_State, "phase_addition_pass", spy)
+        for x, y in ((1, 1), (2, 3)):
+            for n, trials in ((7, 100), (40, 12), (50, 200)):
+                lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, x, y, n)
+                hi = extremal_value(ExtremalKind.MAX_EDGES, x, y, n)
+                cfg = _cfg(x, y, n, kind=ProcessKind.COMBINED, m=(lo + hi) // 2)
+                assert run_trials(cfg, trials, master_seed=3).trials == trials
+        assert budgets and None not in budgets
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)

@@ -922,14 +922,13 @@ class TestStackedPasses:
             for start, room in product(starts, (None, 1, width // 4, width)):
                 mask = np.frombuffer(start.present, bool)
                 stack = np.array([order[~mask[order]] for order in orders])
-                added, indeg, outdeg, sources, sinks = processes._addition_phases(
+                added, sources, sinks = processes._addition_phases(
                     n, stack, start.indeg, start.outdeg, start.sources, start.sinks, x, y, room
                 )
                 for row, order in enumerate(orders):
                     loop = start.copy()
                     loop.addition_pass(order.tolist(), x, y, None if room is None else start.edge_total + room)
                     assert bytearray(added[row] | mask) == loop.present
-                    assert (indeg[row].tolist(), outdeg[row].tolist()) == (loop.indeg, loop.outdeg)
                     assert (sources[row], sinks[row]) == (loop.sources, loop.sinks)
 
 
