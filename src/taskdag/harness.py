@@ -7,14 +7,16 @@ seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
 whole trials.  A sub-batch of at least ``_KERNEL_MIN`` removal, addition or
 combined trials runs as one ``_Batch`` (``processes._finish``), which moves
 all its trials in lockstep with numpy and gives the statistics from its
-arrays.  A smaller removal or addition sub-batch runs as one stack of lone
-trials (``processes._removal_stack``, ``_addition_stack``): the lemma passes
-of all its rows at once, yielding one ``_State`` per trial.  A smaller
+arrays.  A smaller removal or addition sub-batch runs as stacks of lone
+trials (``processes._removal_stack``, ``_addition_stack``), each small
+enough to stay under ``_STACK_CAP`` entries: the lemma passes of all a
+stack's rows at once, yielding one ``_State`` per trial.  A smaller
 combined sub-batch runs its addition phase as such a stack, and then each
-trial's fill or trim as a stack of one (``processes._adjust``).  A kernel step gathers both ends'
-degrees of every trial's candidate from one paired int8 degree array, tests
-them against per-trial thresholds of the caps and scatters them back; a pass
-reads the present mask once and writes it once.  A batch's longest paths come
+trial's fill or trim on its own ``_State`` (``processes._adjust``).  A
+kernel step gathers both ends' degrees of every trial's candidate from one
+paired int8 degree array, tests them against per-trial thresholds of the
+caps and scatters them back; a pass reads the present mask once and writes
+it once.  A batch's longest paths come
 from one column DP over a uint8 copy of its present mask.  Under
 ``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
 combined process, and the kernel takes sub-batches up to n = 45, or n = 32,
@@ -78,8 +80,14 @@ _DRAW_CAP = 2**17  # entries per sub-batch of drawn rows, to bound a block's mem
 # 2.3x at n = 32 and 0.6x / 1.0x / 1.6x at n = 40; addition 0.6x / 1.0x /
 # 1.6x at n = 22, 0.4x / 0.8x / 1.1x at n = 32 and 0.3x / 0.6x / 1.0x at
 # n = 40.  Sub-batches of 128 trials need C(n, 2) <= _DRAW_CAP / 128:
-# n <= 45, or n <= 32 for combined, which has no stack.
+# n <= 45, or n <= 32 for combined.
 _KERNEL_MIN = 128
+# Most entries in a stack's (rows, C(n, 2)) arrays: 128 KB of int64, glibc's
+# mmap threshold.  Larger temporaries are mapped afresh for every stack and
+# faulted in page by page: with whole 26-row sub-batches at n = 100 a
+# 104-trial removal cell took 2132 minor faults against the per-run passes'
+# 471, and ran 1.1-1.3x slower per trial; with stacks of 3 rows it takes 471.
+_STACK_CAP = 2**14
 
 # The process's one lane set, as (parallelism, [(lane, caller's end), ...]),
 # and the lock a parallel experiment holds while it uses it.  A forked child
@@ -160,9 +168,10 @@ def _block_states(
     rows in order: two for the combined process, whether or not its second
     phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
     removal, addition or combined trials runs in lockstep and comes as one
-    ``_Batch``.  A smaller removal or addition sub-batch runs as one stack,
-    and so does a smaller combined one's addition phase, before each trial's
-    fill or trim; their trials, and every random tree, come alone."""
+    ``_Batch``.  A smaller removal or addition sub-batch runs as stacks of
+    at most ``_STACK_CAP`` candidate entries, and so does a smaller combined
+    one's addition phase, before each trial's fill or trim; their trials, and
+    every random tree, come alone."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
@@ -173,12 +182,16 @@ def _block_states(
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
             _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
             yield batch
-        elif cfg.kind is ProcessKind.COMBINED:  # the addition phase as one stack
-            for state, order in zip(_addition_stack(cfg.n, rows[::2], cfg.x, cfg.y), rows[1::2]):
-                _adjust(cfg, state, (state.sources, state.sinks) == (cfg.x, cfg.y), iter((order,)).__next__)
-                yield state
         else:
-            yield from (_removal_stack if complete else _addition_stack)(cfg.n, rows, cfg.x, cfg.y)
+            size = max(1, _STACK_CAP // max(1, rows.shape[1])) * per_trial  # n = 1 has no candidates
+            for part in (rows[i : i + size] for i in range(0, len(rows), size)):
+                if cfg.kind is not ProcessKind.COMBINED:
+                    yield from (_removal_stack if complete else _addition_stack)(cfg.n, part, cfg.x, cfg.y)
+                    continue
+                # the addition phases as one stack, then each trial's fill or trim
+                for state, order in zip(_addition_stack(cfg.n, part[::2], cfg.x, cfg.y), part[1::2]):
+                    _adjust(cfg, state, (state.sources, state.sinks) == (cfg.x, cfg.y), iter((order,)).__next__)
+                    yield state
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:

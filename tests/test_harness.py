@@ -232,6 +232,32 @@ class TestRunTrials:
             for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
                 assert run_trials(_cfg(x, y, n, kind), trials, master_seed=3).trials == trials
 
+    def test_stacks_stay_under_their_cap(self, monkeypatch):
+        # a sub-batch whose rows pass _STACK_CAP entries runs as several
+        # stacks, and every trial still runs once
+        shapes = []
+
+        def spy(real):
+            def stack(n, orders, x, y):
+                shapes.append(orders.shape)
+                return real(n, orders, x, y)
+
+            return stack
+
+        monkeypatch.setattr(harness, "_removal_stack", spy(harness._removal_stack))
+        monkeypatch.setattr(harness, "_addition_stack", spy(harness._addition_stack))
+        for kind, n, trials, m in (
+            (ProcessKind.REMOVAL, 100, 104, None),
+            (ProcessKind.ADDITION, 50, 107, None),
+            (ProcessKind.COMBINED, 50, 60, 700),
+            (ProcessKind.REMOVAL, 7, 100, None),
+            (ProcessKind.ADDITION, 1, 5, None),
+        ):
+            shapes.clear()
+            assert run_trials(_cfg(1, 1, n, kind, m=m), trials, master_seed=3).trials == trials
+            assert sum(rows for rows, _ in shapes) == trials
+            assert all(rows * width <= harness._STACK_CAP or rows == 1 for rows, width in shapes)
+
     def test_lone_combined_sub_batches_stack_their_addition_phase(self, monkeypatch):
         # combined trials below the kernel minimum run their addition phase as
         # one stack; only a fill, an addition with a budget, runs on its own
