@@ -75,10 +75,10 @@ MAX_TRIALS = 10**7
 _DRAW_CAP = 2**17  # entries per sub-batch of drawn rows, to bound a block's memory
 # Fewest trials in a sub-batch that run in lockstep; smaller removal and
 # addition sub-batches run as stacks of lone trials.  Per (1, 1) trial with its
-# statistics (best of 15, 2-vCPU VM), the kernel against the stack at 64 / 128
-# / 256 trials: removal 1.0x / 1.7x / 2.5x faster at n = 22, 0.7x / 1.3x /
-# 2.3x at n = 32 and 0.6x / 1.0x / 1.6x at n = 40; addition 0.6x / 1.0x /
-# 1.6x at n = 22, 0.4x / 0.8x / 1.1x at n = 32 and 0.3x / 0.6x / 1.0x at
+# statistics (best of 21, 2-vCPU VM), the kernel against the stacks at 64 /
+# 128 / 256 trials: removal 1.0x / 1.7x / 2.5x faster at n = 22, 0.8x / 1.3x
+# / 1.9x at n = 32 and 0.6x / 1.1x / 1.6x at n = 40; addition 0.7x / 1.2x /
+# 1.8x at n = 22, 0.5x / 0.8x / 1.3x at n = 32 and 0.4x / 0.7x / 1.1x at
 # n = 40.  Sub-batches of 128 trials need C(n, 2) <= _DRAW_CAP / 128:
 # n <= 45, or n <= 32 for combined.
 _KERNEL_MIN = 128
@@ -86,7 +86,7 @@ _KERNEL_MIN = 128
 # mmap threshold.  Larger temporaries are mapped afresh for every stack and
 # faulted in page by page: with whole 26-row sub-batches at n = 100 a
 # 104-trial removal cell took 2132 minor faults against the per-run passes'
-# 471, and ran 1.1-1.3x slower per trial; with stacks of 3 rows it takes 471.
+# 471, and ran up to 1.4x slower per trial; with stacks of 3 rows it takes 471.
 _STACK_CAP = 2**14
 
 # The process's one lane set, as (parallelism, [(lane, caller's end), ...]),
@@ -190,7 +190,8 @@ def _block_states(
                     continue
                 # the addition phases as one stack, then each trial's fill or trim
                 for state, order in zip(_addition_stack(cfg.n, part[::2], cfg.x, cfg.y), part[1::2]):
-                    _adjust(cfg, state, (state.sources, state.sinks) == (cfg.x, cfg.y), iter((order,)).__next__)
+                    hit = (state.sources, state.sinks) == (cfg.x, cfg.y)
+                    _adjust(cfg, state, hit, iter((order,)).__next__)
                     yield state
 
 
