@@ -32,9 +32,10 @@ permutation per row and one pair of ``reduceat`` calls give every row's last
 visits (``_decide_removals``) or, per phase, first visits
 (``_addition_phases``), so the numpy calls are paid once per stack.  A single
 run, traced or not, is a stack of one (``_State.last_edge_removal_pass``,
-``phase_addition_pass``); lone removal or addition runs from one draw of rows
-are one stack (``_removal_stack``, ``_addition_stack``).  A batch of runs
-moves in lockstep (``_Batch``).  The visit-every-position loops
+``phase_addition_pass``), but for a fill, whose one phase needs no first
+visits (``_neutral_additions``); lone runs from one draw of rows are stacked
+(``_removal_stack``, ``_addition_stack``).  A batch of runs moves in
+lockstep (``_Batch``).  The visit-every-position loops
 ``_State.removal_pass`` and ``addition_pass`` are the reference for the
 passes and the batch, and the exact flow's one-edge step.
 """
