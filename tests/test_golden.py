@@ -12,7 +12,9 @@ Each harness digest is the sha256 of one experiment's output text: a
 ``run_trials`` JSON record over three trial blocks at parallelism 1 and 2, a
 success-ratio table and growth series: (1, 1) at n = 40 and 100, and removal
 and addition under caps (2, 3), (4, 1) and (3, 3) at n = 24, 40 and 100.  They pin the block streams: block k
-of a cell draws from the generator keyed (master seed, k).
+of a cell draws from the generator keyed (master seed, k).  More ``run_trials``
+records pin trees at n = 255-257 and 300 and lone combined cells at n = 40
+and 50, below the lockstep kernel's minimum.
 
 The exact-law digest is the sha256 over every removal and addition law
 ``exact_process_distribution(kind, x, y, n)`` with x, y <= n <= 4, one line
@@ -140,6 +142,50 @@ HARNESS_TRIALS = [
 ]
 
 
+# Trees past the uint8 depth bound (n = 255, 256 and 257: one block in one
+# sub-batch at n <= 256, and 512 rows at n = 257), trees in two sub-batches per
+# block (n = 300), and lone combined cells below the lockstep kernel's minimum:
+# 100 trials in sub-batches of 84 (n = 40) and 53 (n = 50) trials
+HARNESS_LARGE = [
+    (
+        "tree-255",
+        ProcessConfig(1, 1, 255, ProcessKind.RANDOM_TREE, 0),
+        1100,
+        "45cc6c372249ea73fb394b835f7f55c50cff6aa295939c71cb7017d1ada5f41a",
+    ),
+    (
+        "tree-256",
+        ProcessConfig(1, 1, 256, ProcessKind.RANDOM_TREE, 0),
+        1100,
+        "433e432a71c85a23683b4b8692410554e58a8bb34f18b2c4541abd54449a2345",
+    ),
+    (
+        "tree-257",
+        ProcessConfig(1, 1, 257, ProcessKind.RANDOM_TREE, 0),
+        1100,
+        "ff47febe4bf17912d78012ca9f08deb8835c8ed2d44cb97b3660ce4c244b98f1",
+    ),
+    (
+        "tree-300",
+        ProcessConfig(1, 1, 300, ProcessKind.RANDOM_TREE, 0),
+        1100,
+        "266fbc7334514896df56edbf60e9dcea0e0a0b562b1a00825bed8bd0fa313416",
+    ),
+    (
+        "combined-1-1-40-m120",
+        ProcessConfig(1, 1, 40, ProcessKind.COMBINED, 0, m=120),
+        100,
+        "90463f791a9f239276b3ffb127f7a6c0c8ef0a4a5965c842bbed96f9663bbf31",
+    ),
+    (
+        "combined-1-1-50-m150",
+        ProcessConfig(1, 1, 50, ProcessKind.COMBINED, 0, m=150),
+        100,
+        "5ccd0c8c145efc26c58beee1491d83584b9702aa5f22f376c88131b011997dd4",
+    ),
+]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -150,6 +196,15 @@ def _sha(text: str) -> str:
 )
 def test_run_trials_match_golden_digest(cfg, digest, parallelism):
     summary = run_trials(cfg, 1100, master_seed=42, parallelism=parallelism)
+    assert _sha(summary.to_json()) == digest
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "cfg,trials,digest", [(c, t, d) for _, c, t, d in HARNESS_LARGE], ids=[t[0] for t in HARNESS_LARGE]
+)
+def test_large_trees_and_lone_combined_trials_match_golden_digest(cfg, trials, digest, parallelism):
+    summary = run_trials(cfg, trials, master_seed=42, parallelism=parallelism)
     assert _sha(summary.to_json()) == digest
 
 
