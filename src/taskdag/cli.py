@@ -22,6 +22,10 @@ _PROCESS_TOKENS = {kind.value: kind for kind in ProcessKind}
 # table and growth build every cell without a budget m, which combined requires
 _GRID_TOKENS = sorted(set(_PROCESS_TOKENS) - {ProcessKind.COMBINED.value})
 _ORACLE_KINDS = {kind.value: kind for kind in analysis.ExtremalKind}
+# Most bytes analyze reads from --input.  The largest valid graph, complete on
+# MAX_ORDER = 1000 vertices, is 4,888,127 bytes of compact JSON and 26,866,145
+# bytes written by json.dumps with indent=4; longer input is refused unread.
+MAX_INPUT_BYTES = 2**25
 
 
 def _report(error: str, message: str) -> None:
@@ -179,14 +183,16 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if (args.x is None) != (args.y is None):
         raise ConfigError("analyze classifies only when given both --x and --y")
-    if args.input == "-":
-        data = getattr(sys.stdin, "buffer", sys.stdin).read()  # bytes, or text if stdin has no buffer
+    if args.input == "-":  # bytes, or text if stdin has no buffer
+        data = getattr(sys.stdin, "buffer", sys.stdin).read(MAX_INPUT_BYTES + 1)
     else:
         try:
             with open(args.input, "rb") as f:
-                data = f.read()
+                data = f.read(MAX_INPUT_BYTES + 1)
         except OSError as exc:
             raise ConfigError(f"cannot read --input {args.input!r}: {exc.strerror or exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise ConfigError(f"--input {args.input!r} is longer than {MAX_INPUT_BYTES} bytes, the most analyze reads")
     g = OrderedDag.from_json(data)
     prof = g.profile()
     record: dict[str, object] = {

@@ -4,28 +4,23 @@ Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
 seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
-whole trials.  A sub-batch of at least ``_KERNEL_MIN`` removal, addition or
-combined trials runs as one ``_Batch`` (``processes._finish``), which moves
-all its trials in lockstep with numpy and gives the statistics from its
-arrays.  A smaller removal or addition sub-batch runs as stacks of lone
-trials (``processes._removal_stack``, ``_addition_stack``), each small
-enough to stay under ``_STACK_CAP`` entries: the lemma passes of all a
-stack's rows at once, yielding one ``_State`` per trial.  A smaller
-combined sub-batch runs its addition phase as such a stack, and then each
-trial's fill or trim on its own ``_State`` (``processes._adjust``).  A
-kernel step gathers both ends' degrees of every trial's candidate from one
-paired int8 degree array, tests them against per-trial thresholds of the
-caps and scatters them back; a pass reads the present mask once and writes
-it once.  A batch's longest paths come
-from one column DP over a uint8 copy of its present mask.  Under
+whole trials, and every engine returns a sub-batch's final states as records
+of arrays, ``_Batch``es.  A sub-batch of at least ``_KERNEL_MIN`` removal,
+addition or combined trials moves in lockstep (``processes._finish``): under
 ``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
-combined process, and the kernel takes sub-batches up to n = 45, or n = 32,
-far under the int8 bound of ``_Batch``.  All give equal final
-states on equal draws, and every aggregate is reduced from integer sums, so
-results are identical bytes for any parallelism level and any block execution
-order.  A lone trial's statistics come from its final state's present mask:
-the longest path walks a sparse graph's edges and reads a dense graph's vertex
-depths off per-depth bitsets (``_longest_path``).
+combined process, and the kernel takes sub-batches up to n = 45, or n = 32.
+A smaller removal or addition sub-batch runs as stacks of at most
+``_STACK_CAP`` entries, the lemma passes of all a stack's rows at once
+(``processes._removal_stack``, ``_addition_stack``).  A smaller combined
+sub-batch stacks its addition phase, and then runs each trial's fill or trim
+on its own ``_State`` (``processes._adjust``).  Random trees are built in
+array form (``processes._tree_batch``).  All give equal final states on equal
+draws.  One function reads the statistics of any record (``_record_sums``):
+success, edges and isolated vertices over all rows at once, and the longest
+paths by a column DP over the rows, or row by row (``_longest_path``) on a
+record of fewer than ``_DP_ROWS_PER_VERTEX * n`` rows.  Every aggregate is
+reduced from integer sums, so results are identical bytes for any parallelism
+level and any block execution order.
 
 At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
 processes, each behind one duplex pipe, sends each lane a block, runs the next
@@ -64,7 +59,7 @@ from .processes import (
     _removal_stack,
     _rows_per_run,
     _State,
-    _tree_state,
+    _tree_batch,
 )
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
@@ -159,47 +154,48 @@ def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int)
             yield rng.permuted(np.broadcast_to(np.arange(width), shape), axis=1)
 
 
-def _block_states(
-    cfg: ProcessConfig, master_seed: int, start: int, stop: int
-) -> Iterator[_State | _Batch]:
-    """Final states of trials ``start..stop-1`` of one cell, in trial order,
-    where ``start`` opens block ``start // _CHUNK``.  The block has one
-    generator, keyed (master_seed, block index), and each trial takes its next
-    rows in order: two for the combined process, whether or not its second
-    phase runs.  A sub-batch of ``_draw_rows`` with at least ``_KERNEL_MIN``
-    removal, addition or combined trials runs in lockstep and comes as one
-    ``_Batch``.  A smaller removal or addition sub-batch runs as stacks of
-    at most ``_STACK_CAP`` candidate entries, and so does a smaller combined
-    one's addition phase, before each trial's fill or trim; their trials, and
-    every random tree, come alone."""
+def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -> Iterator[_Batch]:
+    """Records of the final states of trials ``start..stop-1`` of one cell, in
+    trial order, where ``start`` opens block ``start // _CHUNK``.  The block
+    has one generator, keyed (master_seed, block index), and each trial takes
+    its next rows in order: two for the combined process, whether or not its
+    second phase runs.  A sub-batch of ``_draw_rows`` with at least
+    ``_KERNEL_MIN`` removal, addition or combined trials runs in lockstep.  A
+    smaller one runs as stacks of at most ``_STACK_CAP`` candidate entries;
+    the combined process stacks its addition phase, and runs each hit trial's
+    fill or trim on its row's ``_State``.  Random trees come in records of at
+    most ``_DRAW_CAP`` candidate entries."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
+    tree, width = cfg.kind is ProcessKind.RANDOM_TREE, cfg.n * (cfg.n - 1) // 2
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
-        if cfg.kind is ProcessKind.RANDOM_TREE:
-            for row in rows:
-                yield _tree_state(cfg.n, row.tolist())
-        elif len(rows) >= _KERNEL_MIN * per_trial:
+        if not tree and len(rows) >= _KERNEL_MIN * per_trial:
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
             _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
             yield batch
-        else:
-            size = max(1, _STACK_CAP // max(1, rows.shape[1])) * per_trial  # n = 1 has no candidates
-            for part in (rows[i : i + size] for i in range(0, len(rows), size)):
-                if cfg.kind is not ProcessKind.COMBINED:
-                    yield from (_removal_stack if complete else _addition_stack)(cfg.n, part, cfg.x, cfg.y)
-                    continue
-                # the addition phases as one stack, then each trial's fill or trim
-                for state, order in zip(_addition_stack(cfg.n, part[::2], cfg.x, cfg.y), part[1::2]):
-                    hit = (state.sources, state.sinks) == (cfg.x, cfg.y)
-                    _adjust(cfg, state, hit, iter((order,)).__next__)
-                    yield state
+            continue
+        cap = _DRAW_CAP if tree else _STACK_CAP
+        size = max(1, cap // max(1, width)) * per_trial  # n = 1 has no candidates
+        for part in (rows[i : i + size] for i in range(0, len(rows), size)):
+            if tree:
+                yield _tree_batch(cfg.n, part)
+            elif cfg.kind is not ProcessKind.COMBINED:
+                yield (_removal_stack if complete else _addition_stack)(cfg.n, part, cfg.x, cfg.y)
+            else:  # the addition phases as one stack, then each hit trial's fill or trim
+                record = _addition_stack(cfg.n, part[::2], cfg.x, cfg.y)
+                for row, (state, order) in enumerate(zip(record.states(), part[1::2])):
+                    if (state.sources, state.sinks) == (cfg.x, cfg.y):  # a fill or trim keeps the counts
+                        _adjust(cfg, state, True, iter((order,)).__next__)
+                        record.present[row], record.degrees[row] = state._present_mask(), (state.indeg, state.outdeg)
+                        record.edge_total[row], record.rounds[row] = state.edge_total, state.rounds
+                yield record
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:
     """Final states of trials ``0..trials-1`` of one cell, block after block."""
     for start in range(0, trials, _CHUNK):
-        for item in _block_states(cfg, master_seed, start, min(start + _CHUNK, trials)):
-            yield from item.states() if isinstance(item, _Batch) else (item,)
+        for record in _block_states(cfg, master_seed, start, min(start + _CHUNK, trials)):
+            yield from record.states()
 
 
 # Fewest edges per vertex at which _longest_path reads depths off bitsets
@@ -210,6 +206,13 @@ def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator
 # n = 22, 40 and 100) take the bitsets, 1.5x, 2.4x and 4.7x faster than the
 # walk; (1, 1) removals (E/n < 1.5) walk, 2.3-3.8x faster than the bitsets.
 _BITSET_MIN = 6
+# Fewest rows per vertex at which a record's longest paths come from the
+# column DP instead of row by row.  On (1, 1) stack records (best of 31, 2-vCPU
+# VM) the DP took, against the rows, 0.33-0.78x as little time per row at n/2
+# rows for n = 7-40 (1.8x and 2.7x at n = 100); at n rows 0.75x (removals at
+# n = 7) to 7.2x (additions at n = 100); and at 2n rows 1.35-9.0x, for both
+# kinds at n = 7, 22, 40 and 100.  Stacks of 12 rows at n = 40 stay per row.
+_DP_ROWS_PER_VERTEX = 2
 
 
 def _walk_longest_path(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -248,45 +251,37 @@ def _longest_path(n: int, mask: np.ndarray) -> int:
     return len(levels)  # each level holds an edge into a vertex one deeper
 
 
-def _state_sums(cfg: ProcessConfig, state: _State) -> tuple[int, ...]:
-    """The four statistics of one final state."""
-    n = state.n
-    success = (state.sources, state.sinks) == (cfg.x, cfg.y) and (cfg.m is None or state.edge_total == cfg.m)
-    longest = _longest_path(n, state._present_mask())
-    # index 0 of the degree lists is no vertex, but reads as isolated
-    isolated = sum(1 for i, o in zip(state.indeg, state.outdeg) if i == o == 0) - 1
-    return success, state.edge_total, longest, isolated
-
-
-def _batch_sums(cfg: ProcessConfig, batch: _Batch) -> tuple[int, ...]:
-    """The four statistics summed over the rows of a batch, from its arrays.
-    The longest path is a column DP over vertices in order, on one contiguous
-    ``(C, B)`` uint8 copy of the present mask: ``depth[v]`` is each row's
-    longest path into v, at most n - 1."""
-    n, rows = batch.n, len(batch.present)
-    success = (batch.sources == cfg.x) & (batch.sinks == cfg.y)
+def _record_sums(cfg: ProcessConfig, record: _Batch) -> tuple[int, ...]:
+    """The four statistics summed over the rows of a record, from its arrays.
+    From ``_DP_ROWS_PER_VERTEX * n`` rows on, the longest paths come from a
+    column DP over vertices in order, on one contiguous ``(C, B)`` uint8 copy
+    of the present mask: ``depth[v]`` is each row's longest path into v, at
+    most n - 1, so the narrowest unsigned dtype that holds n (uint8 up to
+    n = 255) holds every depth and its rise.  Else they come row by row
+    (``_longest_path``)."""
+    n, rows = record.n, len(record.present)
+    success = (record.sources == cfg.x) & (record.sinks == cfg.y)
     if cfg.m is not None:
-        success &= batch.edge_total == cfg.m
-    present = np.ascontiguousarray(batch.present.T).view(np.uint8)
-    depth, rise = np.zeros((n + 1, rows), np.uint8), np.empty(rows, np.uint8)
-    reach = np.empty((n - 1, rows), np.uint8)
-    for a in range(1, n):  # vertex order is topological; a's out-edges are n - a rows from c
-        c = (a - 1) * (2 * n - a) // 2
-        np.add(depth[a], 1, out=rise)
-        np.multiply(present[c : c + n - a], rise, out=reach[: n - a])
-        np.maximum(depth[a + 1 :], reach[: n - a], out=depth[a + 1 :])
-    isolated = (batch.indeg[:, 1:] == 0) & (batch.outdeg[:, 1:] == 0)
-    return tuple(int(a.sum()) for a in (success, batch.edge_total, depth.max(axis=0), isolated))
+        success &= record.edge_total == cfg.m
+    if rows >= _DP_ROWS_PER_VERTEX * n:
+        dtype, present = np.min_scalar_type(n), np.ascontiguousarray(record.present.T).view(np.uint8)
+        depth, rise, reach = np.zeros((n + 1, rows), dtype), np.empty(rows, dtype), np.empty((n - 1, rows), dtype)
+        for a in range(1, n):  # vertex order is topological; a's out-edges are n - a rows from c
+            c = (a - 1) * (2 * n - a) // 2
+            np.add(depth[a], 1, out=rise)
+            np.multiply(present[c : c + n - a], rise, out=reach[: n - a])
+            np.maximum(depth[a + 1 :], reach[: n - a], out=depth[a + 1 :])
+        longest = int(depth.max(axis=0).sum())
+    else:
+        longest = sum(_longest_path(n, mask) for mask in record.present)
+    isolated = np.count_nonzero((record.indeg[:, 1:] | record.outdeg[:, 1:]) == 0)
+    return int(np.count_nonzero(success)), int(record.edge_total.sum()), longest, int(isolated)
 
 
 def _block_sums(args: tuple[ProcessConfig, int, int, int]) -> tuple[int, ...]:
     """Column sums of trials ``start..stop-1`` of one cell: the unit of work.
     Per trial: success, edges, longest path, isolated vertices."""
-    cfg = args[0]
-    parts = (
-        _batch_sums(cfg, item) if isinstance(item, _Batch) else _state_sums(cfg, item)
-        for item in _block_states(*args)
-    )
+    parts = (_record_sums(args[0], record) for record in _block_states(*args))
     return tuple(sum(col) for col in zip(*parts))
 
 

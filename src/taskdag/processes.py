@@ -35,7 +35,8 @@ run, traced or not, is a stack of one (``_State.last_edge_removal_pass``,
 ``phase_addition_pass``), but for a fill, whose one phase needs no first
 visits (``_neutral_additions``); lone runs from one draw of rows are stacked
 (``_removal_stack``, ``_addition_stack``).  A batch of runs moves in
-lockstep (``_Batch``).  The visit-every-position loops
+lockstep (``_Batch``), the one record of final runs that stacks and random
+trees (``_tree_batch``) also give.  The visit-every-position loops
 ``_State.removal_pass`` and ``addition_pass`` are the reference for the
 passes and the batch, and the exact flow's one-edge step.
 """
@@ -577,14 +578,16 @@ _BATCH_MAX_ORDER = np.iinfo(np.int8).max
 class _Batch:
     """Runs of ``_State`` from the same start, one per row, moved in lockstep:
     the same fields as arrays, and the same two passes, which move every row
-    by one position of its own permutation per step.  ``present`` is
-    ``(B, C(n, 2))``.  A row's two degree lists share one ``(B, 2, n + 1)``
-    int8 array, ``degrees``; the source and sink counts share one ``(2, B)``
-    int8 array, ``counts``.  ``indeg``, ``outdeg``, ``sources`` and ``sinks``
-    are views of them.  So a step reads both ends' degrees of every row's
-    candidate in one gather and writes them back in one scatter.  Degrees,
-    counts and thresholds all lie in [-n, n], so an order above
-    ``_BATCH_MAX_ORDER`` is refused.
+    by one position of its own permutation per step.  It is also every
+    engine's record of final runs, adopted from the stacks' and the trees'
+    arrays (``_adopt``); ``states()`` gives each row as a ``_State``.
+    ``present`` is ``(B, C(n, 2))``.  A row's two degree lists share one
+    ``(B, 2, n + 1)`` int8 array, ``degrees`` (any integer dtype if adopted);
+    the source and sink counts share one ``(2, B)`` int8 array, ``counts``.
+    ``indeg``, ``outdeg``, ``sources`` and ``sinks`` are views of them.  So a
+    step reads both ends' degrees of every row's candidate in one gather and
+    writes them back in one scatter.  Degrees, counts and thresholds all lie
+    in [-n, n], so an order above ``_BATCH_MAX_ORDER`` is refused.
 
     Each step tests both ends against a per-row threshold of their side.  The
     cancel rule blocks a move at an end whose degree would leave or enter 0
@@ -607,19 +610,24 @@ class _Batch:
     cancel rule and halts where it does, row by row, and the tests require
     equal fields for every row."""
 
-    __slots__ = ("n", "tails", "heads", "present", "degrees", "counts", "edge_total", "rounds")
+    __slots__ = ("n", "present", "degrees", "counts", "edge_total", "rounds")
 
     def __init__(self, n: int, complete: bool, count: int) -> None:
         check_int(CapacityError, 1, _BATCH_MAX_ORDER, n=n)
         start = _State(n, complete)
-        self.n, (self.tails, self.heads) = n, (ends.astype(np.intp) for ends in _pair_ends(n))
-        self.present = np.full((count, len(self.tails)), complete)
-        self.degrees = np.empty((count, 2, n + 1), np.int8)
-        self.degrees[:] = np.array((start.indeg, start.outdeg), np.int8)
-        self.counts = np.empty((2, count), np.int8)
-        self.counts[:] = [[start.sources], [start.sinks]]
-        self.edge_total = np.full(count, start.edge_total, np.int64)
-        self.rounds = np.zeros(count, np.int64)
+        self.n, self.present = n, np.full((count, n * (n - 1) // 2), complete)
+        self.degrees = np.tile(np.array((start.indeg, start.outdeg), np.int8), (count, 1, 1))
+        self.counts = np.tile(np.array([[start.sources], [start.sinks]], np.int8), count)
+        self.edge_total, self.rounds = np.full(count, start.edge_total, np.int64), np.zeros(count, np.int64)
+
+    @classmethod
+    def _adopt(cls, n: int, present, degrees, counts, edge_total, rounds) -> _Batch:
+        """A record of final runs, one per row, from arrays trusted as they are,
+        in the shapes of the fields; ``degrees`` may have any integer dtype."""
+        record = cls.__new__(cls)
+        record.n, record.present, record.degrees, record.counts = n, present, degrees, counts
+        record.edge_total, record.rounds = edge_total, rounds
+        return record
 
     indeg = property(lambda self: self.degrees[:, 0])
     outdeg = property(lambda self: self.degrees[:, 1])
@@ -635,7 +643,7 @@ class _Batch:
         rows = np.flatnonzero(live)
         # step-major and contiguous: a combined cell's orders are every other row
         steps = np.ascontiguousarray((orders if len(rows) == len(orders) else orders[rows]).T)
-        cells = steps + rows * len(self.tails)
+        cells = steps + rows * self.present.shape[1]
         held = None
         if np.any(self.edge_total[rows] != start):
             held = self.present.reshape(-1)[cells]
@@ -646,13 +654,14 @@ class _Batch:
         each row's candidate's head in-degree and tail out-degree.  They are
         built 16 steps at a time into one buffer, which a whole pass's worth
         would make large enough to be faulted in afresh for every pass."""
+        tails, heads = (ends.astype(np.intp) for ends in _pair_ends(self.n))
         base = rows * (2 * (self.n + 1))
         buffer = np.empty((16, 2, len(rows)), np.intp)
         for first in range(0, len(steps), len(buffer)):
             part = steps[first : first + len(buffer)]
             index = buffer[: len(part)]
-            np.add(self.heads[part], base, out=index[:, 0])
-            np.add(self.tails[part], base + self.n + 1, out=index[:, 1])
+            np.add(heads[part], base, out=index[:, 0])
+            np.add(tails[part], base + self.n + 1, out=index[:, 1])
             yield from index
 
     def _store(self, rows: np.ndarray, cells: np.ndarray, held, counts, moved: np.ndarray, sign: int) -> None:
@@ -676,7 +685,7 @@ class _Batch:
             live &= active
         if not live.any():
             return self.edge_total == stop
-        rows, steps, cells, held, counts = self._sub_batch(orders, live, len(self.tails))
+        rows, steps, cells, held, counts = self._sub_batch(orders, live, self.present.shape[1])
         threshold = np.minimum(counts - np.array([[x], [y]], np.int8) + 1, 1)
         counts -= threshold  # the counts, less the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
@@ -747,52 +756,45 @@ class _Batch:
         return halted()
 
     def states(self) -> Iterator[_State]:
-        """Each row as a ``_State``, in row order."""
+        """Each row as an untraced ``_State``, in row order."""
         fields = (self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
-        return _row_states(self.n, self.present, zip(*(f.tolist() for f in fields)))
+        for present, indeg, outdeg, sources, sinks, edges, rounds in zip(self.present, *(f.tolist() for f in fields)):
+            state = _State.__new__(_State)
+            state.n, state.trace, state.rounds = self.n, None, rounds
+            state.present, state.indeg, state.outdeg = bytearray(present), indeg, outdeg
+            state.sources, state.sinks, state.edge_total = sources, sinks, edges
+            yield state
 
 
-def _row_states(n: int, present: np.ndarray, fields: Iterable[tuple]) -> Iterator[_State]:
-    """One untraced ``_State`` per row of a ``(B, C(n, 2))`` present mask,
-    with the row's (indeg, outdeg, sources, sinks, edge_total, rounds)."""
-    for row, (indeg, outdeg, sources, sinks, edges, rounds) in zip(present, fields):
-        state = _State.__new__(_State)
-        state.n, state.trace, state.rounds = n, None, rounds
-        state.present, state.indeg, state.outdeg = bytearray(row), indeg, outdeg
-        state.sources, state.sinks, state.edge_total = sources, sinks, edges
-        yield state
-
-
-def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_State]:
-    """Final states of removal runs from the complete graph without a budget,
+def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
+    """The record of removal runs from the complete graph without a budget,
     one per row of ``orders`` (each a permutation of the candidates): the
     last-edge pass of every row at once.  Every undecided edge goes, so a
     row's kept edges are its graph and their counts its degrees."""
-    width = orders.shape[1]
-    decisions = _decide_removals(n, orders, x, y, 1, 1, width + 1)
-    kept = [row[2] for row in decisions]
+    sources, sinks, kept, _, _ = zip(*_decide_removals(n, orders, x, y, 1, 1, orders.shape[1] + 1))
     rows = np.repeat(np.arange(len(orders)), [len(visits) for visits in kept])
+    edges = orders[rows, np.fromiter(chain.from_iterable(kept), np.intp, len(rows))]
     present = np.zeros(orders.shape, bool)
-    present[rows, orders[rows, np.fromiter(chain.from_iterable(kept), np.intp, len(rows))]] = True
-    fields = (
-        (kept_in, kept_out, sources, sinks, len(visits), width - len(visits))
-        for sources, sinks, visits, kept_in, kept_out in decisions
-    )
-    return _row_states(n, present, fields)
+    present[rows, edges] = True
+    tails, heads = _pair_ends(n)
+    base, size = rows * (2 * (n + 1)), len(orders) * 2 * (n + 1)  # flat indices of degrees' rows
+    ends = np.concatenate((heads[edges] + base, tails[edges] + base + n + 1))
+    degrees = np.bincount(ends, minlength=size).reshape(len(orders), 2, n + 1)
+    count = np.bincount(rows, minlength=len(orders))
+    return _Batch._adopt(n, present, degrees, np.array([sources, sinks]), count, orders.shape[1] - count)
 
 
-def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> Iterator[_State]:
-    """Final states of addition runs from the empty graph without a budget,
-    one per row of ``orders`` (each a permutation of the candidates): the
-    phase pass of every row at once."""
+def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
+    """The record of addition runs from the empty graph without a budget, one
+    per row of ``orders`` (each a permutation of the candidates): the phase
+    pass of every row at once."""
     start = _State(n, False)
     present, sources, sinks = _addition_phases(
         n, orders, start.indeg, start.outdeg, start.sources, start.sinks, x, y, None
     )
-    indeg, outdeg = _end_reduce(n, np.add, present, 0)
-    edges = np.count_nonzero(present, axis=1).tolist()
-    fields = zip(indeg.tolist(), outdeg.tolist(), sources, sinks, edges, edges)
-    return _row_states(n, present, fields)
+    degrees = _end_reduce(n, np.add, present, 0).transpose(1, 0, 2)
+    edges = np.count_nonzero(present, axis=1)
+    return _Batch._adopt(n, present, degrees, np.array([sources, sinks]), edges, edges.copy())
 
 
 def _passes(state: _State | _Batch) -> tuple[Callable, Callable]:
@@ -854,7 +856,11 @@ def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> Proces
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
     rng = _rng(cfg.seed)
     if kind is ProcessKind.RANDOM_TREE:
-        state = _tree_state(cfg.n, rng.random(cfg.n - 1).tolist(), trace)
+        record = _tree_batch(cfg.n, rng.random((1, cfg.n - 1)))
+        if trace is not None:  # its edges in child order: one into each vertex but 1
+            edges = np.flatnonzero(record.present[0])
+            _State(cfg.n, False, trace)._trace_moves("add", edges[np.argsort(_pair_ends(cfg.n)[1][edges])])
+        (state,) = record.states()
     else:
         state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
         _finish(cfg, state, lambda: rng.permutation(len(state.present)))
@@ -884,23 +890,21 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     return _run(cfg, ProcessKind.COMBINED, trace)
 
 
-def _tree_state(n: int, draws: list[float], trace: TraceFn | None = None) -> _State:
-    """The tree in which vertex s + 1 attaches to vertex int(u * s) + 1, uniform
-    on 1..s, for the s-th draw u.  Its n - 1 edges are added to an empty state
-    in child order, each traced as one move: each takes away a source, its
-    head, and a sink if its tail had no out-edge yet."""
-    state = _State(n, False)
-    present, indeg, outdeg, sinks = state.present, state.indeg, state.outdeg, n
-    for s, u in enumerate(draws, 1):
-        a = int(u * s) + 1
-        present[(a - 1) * (2 * n - a) // 2 + s - a] = True  # (a, s + 1) in ordered_pairs(n)
-        sinks -= outdeg[a] == 0
-        indeg[s + 1], outdeg[a] = 1, outdeg[a] + 1
-        if trace is not None:
-            trace(s, "add", a, s + 1, n - s, sinks)
-    state.sources, state.sinks, state.edge_total = n - len(draws), sinks, len(draws)
-    state.rounds = len(draws)
-    return state
+def _tree_batch(n: int, draws: np.ndarray) -> _Batch:
+    """The record of one tree per row of ``draws`` (``(B, n - 1)`` uniforms):
+    vertex s + 1 attaches to vertex int(u * s) + 1, uniform on 1..s, for the
+    s-th draw u of the row.  A tree's n - 1 edges leave one source, vertex 1,
+    and a sink at each vertex that no draw picks."""
+    rows, s = len(draws), np.arange(1, n)
+    tails = (draws * s).astype(np.intp) + 1  # the float product that int(u * s) truncates
+    width, first = n * (n - 1) // 2, np.arange(rows)[:, None]
+    present = np.zeros((rows, width), bool)
+    present[first, (tails - 1) * (2 * n - tails) // 2 + s - tails] = True  # (a, s + 1) in ordered_pairs(n)
+    degrees = np.zeros((rows, 2, n + 1), np.intp)
+    degrees[:, 0, 2:] = 1
+    degrees[:, 1] = np.bincount((tails + first * (n + 1)).ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    counts = np.array([np.ones(rows, np.intp), np.count_nonzero(degrees[:, 1, 1:] == 0, axis=1)])
+    return _Batch._adopt(n, present, degrees, counts, np.full(rows, n - 1), np.full(rows, n - 1))
 
 
 def random_directed_tree(n: int, seed: int) -> OrderedDag:
@@ -911,7 +915,7 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     """
     check_int(ConfigError, 0, SEED_MAX, seed=seed)
     check_int(GraphError, 1, MAX_ORDER, n=n)
-    return _tree_state(n, _rng(seed).random(n - 1).tolist()).graph()
+    return next(_tree_batch(n, _rng(seed).random((1, n - 1))).states()).graph()
 
 
 def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from taskdag import harness
+from taskdag import cli, harness
 from taskdag.cli import main
 from taskdag.graph import MAX_ORDER
 
@@ -341,6 +341,35 @@ class TestAnalyze:
             "error": "ConfigError",
             "message": f"cannot read --input {str(path)!r}: {reason}",
         }
+
+    def test_input_past_the_bound_is_config_error_naming_it(self, capsys, tmp_path, monkeypatch):
+        # a file or stdin one byte past the bound is refused after reading at
+        # most the bound plus one byte; at the bound, whitespace and all, it
+        # is read; the real bound holds the largest graph with room to spare
+        assert cli.MAX_INPUT_BYTES >= 5 * 4_888_127
+        text = '{"n":2,"edges":[[1,2]]}'
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(text) + 8)
+        path = tmp_path / "g.json"
+        path.write_text(text + " " * 8)
+        assert run_cli(capsys, "analyze", "--input", str(path))[0] == 0
+        reads = []
+
+        class Source(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        for name in (str(path), "-"):
+            path.write_text(text + " " * 9)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Source((text + " " * 9).encode())))
+            code, out, err = run_cli(capsys, "analyze", "--input", name)
+            assert code == 2 and out == ""
+            (line,) = err.splitlines()
+            assert json.loads(line) == {
+                "error": "ConfigError",
+                "message": f"--input {name!r} is longer than {len(text) + 8} bytes, the most analyze reads",
+            }
+        assert reads == [len(text) + 9]
 
     def test_profile_mismatch(self, capsys, tmp_path):
         path = tmp_path / "g.json"

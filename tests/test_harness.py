@@ -24,7 +24,7 @@ from taskdag.harness import (
     run_trials,
     table_experiment,
 )
-from taskdag.processes import _BATCH_MAX_ORDER, ProcessConfig, ProcessKind, _Batch, _finish, _State
+from taskdag.processes import _BATCH_MAX_ORDER, ProcessConfig, ProcessKind, _Batch, _finish, _State, _tree_batch
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
@@ -33,13 +33,14 @@ def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
 
 def _per_run_stack(complete):
     """A stand-in for ``_removal_stack`` or ``_addition_stack``: each row
-    runs its own ``_State`` through the per-run lemma pass."""
+    runs its own ``_State`` through the per-run lemma pass, and the record
+    holds their fields."""
 
     def stack(n, orders, x, y):
-        for order in orders:
-            state = _State(n, complete)
+        states = [_State(n, complete) for _ in orders]
+        for state, order in zip(states, orders):
             (state.last_edge_removal_pass if complete else state.phase_addition_pass)(order, x, y)
-            yield state
+        return _record(n, states)
 
     return stack
 
@@ -155,6 +156,27 @@ class TestRunTrials:
         s = run_trials(cfg, trials, master_seed=master, parallelism=2)
         expected = tuple(sum(col) / trials for col in zip(*rows))
         assert (s.success_ratio, s.mean_edges, s.mean_longest_path, s.mean_isolated) == expected
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _cfg(2, 3, 40),
+            _cfg(2, 3, 40, kind=ProcessKind.ADDITION),
+            _cfg(1, 1, 40, kind=ProcessKind.COMBINED, m=120),
+            _cfg(1, 1, 40, kind=ProcessKind.COMBINED, m=700),
+        ],
+        ids=["removal", "addition", "combined-trim", "combined-fill"],
+    )
+    def test_record_rows_equal_state_runs(self, cfg):
+        # every field of each row of the stacks' records, lone fills and trims
+        # included, equals a _State run on the trial's draws
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0]))
+        draws = 2 if cfg.kind is ProcessKind.COMBINED else 1
+        fields = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+        for row in harness._trial_states(cfg, 5, 30):
+            state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
+            _finish(cfg, state, iter([rng.permutation(math.comb(cfg.n, 2)) for _ in range(draws)]).__next__)
+            assert [getattr(row, name) for name in fields] == [getattr(state, name) for name in fields]
 
     @pytest.mark.parametrize(
         "kind,n",
@@ -421,25 +443,103 @@ def _random_mask(n, edges, seed):
     return mask
 
 
+def _record(n, states):
+    """The record whose rows are the fields of ``states``."""
+    fields = [[getattr(state, name) for state in states] for name in ("sources", "sinks", "edge_total", "rounds")]
+    present = np.array([np.frombuffer(state.present, bool) for state in states]).reshape(len(states), -1)
+    degrees = np.array([(state.indeg, state.outdeg) for state in states]).reshape(len(states), 2, n + 1)
+    return _Batch._adopt(n, present, degrees, np.array(fields[:2]), *map(np.array, fields[2:]))
+
+
+def _rows_of(record):
+    """Each row of ``record`` as a record of its own."""
+    for i in range(len(record.present)):
+        cut = slice(i, i + 1)
+        yield _Batch._adopt(
+            record.n, record.present[cut], record.degrees[cut], record.counts[:, cut],
+            record.edge_total[cut], record.rounds[cut],
+        )
+
+
+def _check_sums(cfg, record):
+    """``_record_sums`` against a graph built afresh from each row, on the
+    whole record and row by row, with the crossover forcing the column DP
+    and then the per-row paths; the sums must be Python ints."""
+    expected = [_graph_sums(cfg, state) for state in record.states()]
+    assert len(expected) == len(record.present)
+    for dp_rows in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_DP_ROWS_PER_VERTEX", dp_rows)
+            for row, sums in zip(_rows_of(record), expected):
+                assert harness._record_sums(cfg, row) == sums, dp_rows
+            sums = harness._record_sums(cfg, record)
+            assert sums == tuple(sum(col) for col in zip(*expected)), dp_rows
+            assert {type(total) for total in sums} == {int}  # so the means are Python floats
+
+
+def _stack_record(cfg, rows, seed):
+    """A ``_removal_stack`` or ``_addition_stack`` record of ``rows`` runs of
+    ``cfg`` on random orders."""
+    width = math.comb(cfg.n, 2)
+    orders = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(width), (rows, width)), axis=1)
+    stack = harness._removal_stack if cfg.kind is ProcessKind.REMOVAL else harness._addition_stack
+    return stack(cfg.n, orders, cfg.x, cfg.y)
+
+
 class TestStateStatistics:
-    """``_state_sums`` and ``_longest_path`` against the graph of each state."""
+    """``_record_sums`` on the records of every engine, by either method, and
+    ``_longest_path``, against the graph of each row."""
 
     @pytest.mark.parametrize("n,trials", [(22, 200), (40, 12), (100, 3)])
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION, ProcessKind.COMBINED])
     def test_final_states_match_their_graphs(self, kind, n, trials):
-        # at n = 22 most trials come from a lockstep batch; (1, 1) additions
-        # and the larger budget read the bitsets, the rest walk
+        # at n = 22 the trials come from a lockstep batch, else from stacks
+        # and, for the combined process, fills and trims on lone states; row
+        # by row, (1, 1) additions and the larger budget read the bitsets
         budgets = (3 * n, 8 * n) if kind is ProcessKind.COMBINED else (None,)
         for (x, y), m in product([(1, 1), (2, 3)], budgets):
             cfg = _cfg(x, y, n, kind, m=m)
-            for state in harness._trial_states(cfg, 7, trials):
-                assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+            records = list(harness._block_states(cfg, 7, 0, trials))
+            assert sum(len(record.present) for record in records) == trials
+            for record in records:
+                _check_sums(cfg, record)
+
+    @pytest.mark.parametrize("rows", [1, 2, 12])
+    @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
+    def test_stack_rows_match_their_graphs(self, kind, rows):
+        for (x, y), n in product([(1, 1), (2, 3), (4, 1)], (1, 5, 22, 40, 100)):
+            if n >= max(x, y):
+                cfg = _cfg(x, y, n, kind)
+                _check_sums(cfg, _stack_record(cfg, rows, seed=n + rows))
 
     def test_tree_states_walk_their_own_edges(self):
-        for n in (1, 2, 16, 100):
+        # random trees, and chains (every draw close to 1 picks the vertex
+        # before), whose depth n - 1 reaches uint8's 255 at n = 256 and passes
+        # it at n = 257
+        for n in (1, 2, 16, 100, 255, 256, 257):
             cfg = _cfg(1, 1, n, ProcessKind.RANDOM_TREE)
-            for state in harness._trial_states(cfg, 3, 20):
-                assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+            for record in harness._block_states(cfg, 3, 0, 20 if n < 255 else 4):
+                _check_sums(cfg, record)
+            chains = _tree_batch(n, np.full((2, n - 1), 1 - 2**-20))
+            _check_sums(cfg, chains)
+            assert harness._record_sums(cfg, chains)[2] == 2 * (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 255, 256, 257])
+    def test_tree_rows_take_their_drawn_parents(self, n):
+        # vertex s + 1's parent is int(u * s) + 1 for its row's s-th draw u,
+        # including draws 0 (a star) and close to 1 (a chain)
+        draws = np.random.default_rng(n).random((5, n - 1))
+        draws[3], draws[4] = 0.0, 1 - 2**-20
+        pairs = ordered_pairs(n)
+        for state, row in zip(_tree_batch(n, draws).states(), draws.tolist()):
+            edges = [(int(u * s) + 1, s + 1) for s, u in enumerate(row, 1)]
+            outdeg = [0] * (n + 1)
+            for a, _ in edges:
+                outdeg[a] += 1
+            assert [pairs[i] for i in np.flatnonzero(np.frombuffer(state.present, bool))] == sorted(edges)
+            assert state.indeg == [0, 0, *[1] * (n - 1)] and state.outdeg == outdeg
+            assert (state.sources, state.sinks) == (1, outdeg[1:].count(0))
+            assert state.edge_total == state.rounds == n - 1
 
     @pytest.mark.parametrize("n", [13, 22, 40, 100])  # 13: the complete graph is at the crossover
     def test_method_flips_at_the_crossover(self, n, monkeypatch):
@@ -478,10 +578,8 @@ class TestStateStatistics:
         width = math.comb(n, 2)
         assert harness._longest_path(n, np.zeros(width, bool)) == 0
         assert harness._longest_path(n, np.ones(width, bool)) == n - 1
-        for complete in (False, True):  # the untouched start states
-            cfg = _cfg(1, 1, n)
-            state = _State(n, complete)
-            assert harness._state_sums(cfg, state) == _graph_sums(cfg, state)
+        for complete in (False, True):  # the untouched start states, as records of one
+            _check_sums(_cfg(1, 1, n), _record(n, [_State(n, complete)]))
 
 
 def _kernel_batch(cfg, trials, seed):
@@ -494,13 +592,8 @@ def _kernel_batch(cfg, trials, seed):
     return batch
 
 
-def _row_sums(cfg, batch):
-    """Column sums of ``_state_sums`` over the rows of ``batch``."""
-    return tuple(sum(col) for col in zip(*(harness._state_sums(cfg, state) for state in batch.states())))
-
-
 class TestBatchStatistics:
-    """``_batch_sums`` against ``_state_sums`` row by row, up to the orders
+    """``_record_sums`` on lockstep batches by either method, up to the orders
     where the kernel's int8 degrees and the uint8 depths are largest."""
 
     @pytest.mark.parametrize("n", [5, 14, 23, 45])
@@ -508,23 +601,20 @@ class TestBatchStatistics:
     def test_single_pass_batches(self, kind, n):
         for x, y in [(1, 1), (1, 2), (3, 2)]:
             cfg = _cfg(x, y, n, kind)
-            batch = _kernel_batch(cfg, 64, seed=10 * n + x + y)
-            assert harness._batch_sums(cfg, batch) == _row_sums(cfg, batch), (x, y)
+            _check_sums(cfg, _kernel_batch(cfg, 64, seed=10 * n + x + y))
 
     @pytest.mark.parametrize("x,y,n,m", [(1, 1, 12, 30), (2, 2, 12, 25), (1, 2, 32, 325), (2, 2, 32, 226)])
     def test_combined_batches(self, x, y, n, m):
         cfg = _cfg(x, y, n, ProcessKind.COMBINED, m=m)
-        batch = _kernel_batch(cfg, 64, seed=m)
-        assert harness._batch_sums(cfg, batch) == _row_sums(cfg, batch)
+        _check_sums(cfg, _kernel_batch(cfg, 64, seed=m))
 
     @pytest.mark.parametrize("n", [1, 2, 14, 45, _BATCH_MAX_ORDER])
     @pytest.mark.parametrize("complete", [True, False])
     def test_untouched_batches(self, complete, n):
         cfg, trials = _cfg(1, 1, n), 3
         batch = _Batch(n, complete, trials)
-        sums = harness._batch_sums(cfg, batch)
-        assert sums == _row_sums(cfg, batch)
-        assert sums[2] == trials * (n - 1 if complete else 0)
+        _check_sums(cfg, batch)
+        assert harness._record_sums(cfg, batch)[2] == trials * (n - 1 if complete else 0)
 
 
 class TestDerivedSeeds:

@@ -876,7 +876,7 @@ class TestStackedPasses:
             if n < max(x, y):
                 continue
             orders = _rows(rows, math.comb(n, 2), seed=1000 * n + 100 * x + 10 * y + rows)
-            states = list(stack(n, orders, x, y))
+            states = list(stack(n, orders, x, y).states())
             assert len(states) == rows
             for t, (order, state) in enumerate(zip(orders, states)):
                 loop = _State(n, complete)
@@ -891,7 +891,7 @@ class TestStackedPasses:
         n, x, y = 12, 3, 3
         orders = _rows(200, math.comb(n, 2), seed=5)
         first = set()
-        for order, state in zip(orders, _addition_stack(n, orders, x, y)):
+        for order, state in zip(orders, _addition_stack(n, orders, x, y).states()):
             heads, tails, reach = set(), set(), {}
             for i, (a, b) in enumerate(ordered_pairs(n)[idx] for idx in order.tolist()):
                 heads.add(b)
