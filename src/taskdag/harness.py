@@ -4,13 +4,16 @@ Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
 seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
-whole trials, and every engine returns a sub-batch's final states as records
-of arrays, ``_Batch``es.  A sub-batch of at least ``_KERNEL_MIN`` removal,
-addition or combined trials moves in lockstep (``processes._finish``): under
+whole trials (``_draw_rows``): rows of the candidate indices, shuffled in
+place, one row per edge order, each equal to one ``permutation`` call.
+Every engine returns a sub-batch's final states as records of arrays,
+``_Batch``es.  A sub-batch of at least ``_kernel_min`` removal, addition or
+combined trials moves in lockstep (``processes._finish``): under
 ``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
-combined process, and the kernel takes sub-batches up to n = 45, or n = 32.
-A smaller removal or addition sub-batch runs as stacks of at most
-``_STACK_CAP`` entries, the lemma passes of all a stack's rows at once
+combined process, and the kernel takes sub-batches up to n = 32 for
+additions and the combined process and n = 38 for removals.  A smaller
+removal or addition sub-batch runs as stacks of at most ``_STACK_CAP``
+entries, the lemma passes of all a stack's rows at once
 (``processes._removal_stack``, ``_addition_stack``).  A smaller combined
 sub-batch stacks its addition phase, and then runs each trial's fill or trim
 on its own ``_State`` (``processes._adjust``).  Random trees are built in
@@ -39,6 +42,8 @@ import threading
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from itertools import repeat
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Iterable, Iterator, Sequence
@@ -68,14 +73,10 @@ _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker c
 # 2.7 MB for the blocks, by tracemalloc).
 MAX_TRIALS = 10**7
 _DRAW_CAP = 2**17  # entries per sub-batch of drawn rows, to bound a block's memory
-# Fewest trials in a sub-batch that run in lockstep; smaller removal and
-# addition sub-batches run as stacks of lone trials.  Per (1, 1) trial with its
-# statistics (best of 21, 2-vCPU VM), the kernel against the stacks at 64 /
-# 128 / 256 trials: removal 1.0x / 1.7x / 2.5x faster at n = 22, 0.8x / 1.3x
-# / 1.9x at n = 32 and 0.6x / 1.1x / 1.6x at n = 40; addition 0.7x / 1.2x /
-# 1.8x at n = 22, 0.5x / 0.8x / 1.3x at n = 32 and 0.4x / 0.7x / 1.1x at
-# n = 40.  Sub-batches of 128 trials need C(n, 2) <= _DRAW_CAP / 128:
-# n <= 45, or n <= 32 for combined.
+# Fewest trials in a sub-batch that run in lockstep, for any kind; smaller
+# removal and addition sub-batches run as stacks of lone trials, and
+# ``_kernel_min`` raises the floor with n for those two kinds.  Sub-batches of
+# 128 trials need C(n, 2) <= _DRAW_CAP / 128: n <= 45, or n <= 32 for combined.
 _KERNEL_MIN = 128
 # Most entries in a stack's (rows, C(n, 2)) arrays: 128 KB of int64, glibc's
 # mmap threshold.  Larger temporaries are mapped afresh for every stack and
@@ -83,6 +84,26 @@ _KERNEL_MIN = 128
 # 104-trial removal cell took 2132 minor faults against the per-run passes'
 # 471, and ran up to 1.4x slower per trial; with stacks of 3 rows it takes 471.
 _STACK_CAP = 2**14
+
+
+def _kernel_min(kind: ProcessKind, n: int) -> int:
+    """Fewest trials in a sub-batch of ``kind`` at order n that run in
+    lockstep: ``_KERNEL_MIN``, or C(n, 2) / 2 for additions and C(n, 2) / 4
+    for removals if more.  So whole sub-batches take the kernel up to n = 32
+    for additions and n = 38 for removals.  The kernel's time per trial over
+    the stacks', statistics included, on whole sub-batches (best of 21,
+    2-vCPU VM): (1, 1) additions 0.88 at n = 14, 0.97 at 16, 1.27 at 24,
+    1.84 at 32, 1.50 at 36 and 1.93 at 40; (2, 3) additions 0.42 at 14, 0.66
+    at 24, 0.76 at 32, 0.87 at 36 and 1.05 at 40; removals, (1, 1) / (2, 3),
+    0.79 / 0.80 at 32, 0.92 / 0.92 at 36, 0.99 / 0.98 at 38, 1.07 / 1.08 at
+    40 and 1.28 / 1.29 at 45."""
+    width = n * (n - 1) // 2
+    if kind is ProcessKind.ADDITION:
+        return max(_KERNEL_MIN, width // 2)
+    if kind is ProcessKind.REMOVAL:
+        return max(_KERNEL_MIN, width // 4)
+    return _KERNEL_MIN
+
 
 # The process's one lane set, as (parallelism, [(lane, caller's end), ...]),
 # and the lock a parallel experiment holds while it uses it.  A forked child
@@ -141,17 +162,22 @@ def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int)
     uniforms for the tree, else permutations of the C(n, 2) candidate-edge
     indices, one row per trial or two for the combined process.  Row i
     equals the i-th ``random(n - 1)`` / ``permutation(C(n, 2))`` call on
-    ``rng``.  Each array holds whole trials and at most ``_DRAW_CAP`` entries
-    (one trial if its rows are longer), which changes no row."""
+    ``rng``: the candidate indices are shuffled in place, row by row.  An
+    array of at least ``_kernel_min`` trials is laid out step-major, as the
+    lockstep kernel reads it; the stacks read rows.  Each array holds whole
+    trials and at most ``_DRAW_CAP`` entries (one trial if its rows are
+    longer), which changes no row."""
     width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
-    per_trial = _rows_per_run(kind)
+    per_trial, lockstep = _rows_per_run(kind), _kernel_min(kind, n)
     step = max(1, _DRAW_CAP // max(width * per_trial, 1))
     for done in range(0, trials, step):
-        shape = (min(step, trials - done) * per_trial, width)
+        count = min(step, trials - done)
         if kind is ProcessKind.RANDOM_TREE:
-            yield rng.random(shape)
+            yield rng.random((count, width))
         else:
-            yield rng.permuted(np.broadcast_to(np.arange(width), shape), axis=1)
+            rows = np.empty((count * per_trial, width), np.intp, order="F" if count >= lockstep else "C")
+            rows[...] = np.arange(width)
+            yield rng.permuted(rows, axis=1, out=rows)
 
 
 def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -> Iterator[_Batch]:
@@ -160,16 +186,17 @@ def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -
     has one generator, keyed (master_seed, block index), and each trial takes
     its next rows in order: two for the combined process, whether or not its
     second phase runs.  A sub-batch of ``_draw_rows`` with at least
-    ``_KERNEL_MIN`` removal, addition or combined trials runs in lockstep.  A
+    ``_kernel_min`` removal, addition or combined trials runs in lockstep.  A
     smaller one runs as stacks of at most ``_STACK_CAP`` candidate entries;
     the combined process stacks its addition phase, and runs each hit trial's
     fill or trim on its row's ``_State``.  Random trees come in records of at
     most ``_DRAW_CAP`` candidate entries."""
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, start // _CHUNK]))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, start // _CHUNK])))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     tree, width = cfg.kind is ProcessKind.RANDOM_TREE, cfg.n * (cfg.n - 1) // 2
+    lockstep = _kernel_min(cfg.kind, cfg.n) * per_trial
     for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
-        if not tree and len(rows) >= _KERNEL_MIN * per_trial:
+        if not tree and len(rows) >= lockstep:  # drawn step-major
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
             _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
             yield batch
@@ -225,29 +252,42 @@ def _walk_longest_path(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return max(dist)
 
 
-def _longest_path(n: int, mask: np.ndarray) -> int:
-    """Edges on a longest path of the graph whose edges ``mask`` marks among
-    ``ordered_pairs(n)``.  Below ``_BITSET_MIN`` edges per vertex, walk the
-    kept edges, in lexicographic and so topological order.  Else go through
-    the vertices in order, keeping per depth k the bits of the heads of edges
-    out of vertices at depth k: a vertex's depth is one more than the highest
-    k whose bits hold it, or 0."""
-    if np.count_nonzero(mask) < _BITSET_MIN * n:
+@lru_cache(maxsize=2)
+def _bitset_steps(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per tail a = 1..n-1 of ``ordered_pairs(n)``, for ``_longest_path``'s
+    bitsets: its run's length n - a and low mask, its bit, and the shift
+    that puts its run's heads a + 1..n at their bits."""
+    return tuple((n - a, (1 << (n - a)) - 1, 1 << a, a + 1) for a in range(1, n))
+
+
+def _longest_path(n: int, mask: np.ndarray, edges: int | None = None) -> int:
+    """Edges on a longest path of the graph whose ``edges`` edges (counted if
+    None) ``mask`` marks among ``ordered_pairs(n)``.  Below ``_BITSET_MIN``
+    edges per vertex, walk the kept edges, in lexicographic and so
+    topological order.  Else go through the vertices in order, keeping per
+    depth k the bits of the heads of edges out of vertices at depth k: a
+    vertex's depth is one more than the highest k whose bits hold it, or 0."""
+    if (np.count_nonzero(mask) if edges is None else edges) < _BITSET_MIN * n:
         tails, heads = _pair_ends(n)
         kept = mask.nonzero()[0]
         return _walk_longest_path(n, zip(tails[kept].tolist(), heads[kept].tolist()))
     bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
     levels: list[int] = []  # bit v of levels[k]: an edge into v leaves a vertex at depth k
-    for a in range(1, n):
-        run = bits & ((1 << (n - a)) - 1)  # a's out-edges, to heads a + 1..n
-        bits >>= n - a
-        if run:
-            depth, bit = len(levels), 1 << a
-            while depth and not levels[depth - 1] & bit:
-                depth -= 1
-            if depth == len(levels):
-                levels.append(0)
-            levels[depth] |= run << (a + 1)
+    top = -1  # the deepest level; -1 holds every vertex while there is none
+    for width, low, bit, shift in _bitset_steps(n):
+        run = bits & low  # a's out-edges, to heads a + 1..n
+        bits >>= width
+        if not run:
+            continue
+        if top & bit:  # a is at the deepest depth: its edges open the next level
+            top = run << shift
+            levels.append(top)
+            continue
+        depth = len(levels) - 1
+        while depth and not levels[depth - 1] & bit:
+            depth -= 1
+        levels[depth] |= run << shift
+        top = levels[-1]
     return len(levels)  # each level holds an edge into a vertex one deeper
 
 
@@ -273,7 +313,7 @@ def _record_sums(cfg: ProcessConfig, record: _Batch) -> tuple[int, ...]:
             np.maximum(depth[a + 1 :], reach[: n - a], out=depth[a + 1 :])
         longest = int(depth.max(axis=0).sum())
     else:
-        longest = sum(_longest_path(n, mask) for mask in record.present)
+        longest = sum(map(_longest_path, repeat(n), record.present, record.edge_total.tolist()))
     isolated = np.count_nonzero((record.indeg[:, 1:] | record.outdeg[:, 1:]) == 0)
     return int(np.count_nonzero(success)), int(record.edge_total.sum()), longest, int(isolated)
 
@@ -393,7 +433,7 @@ def _run_cells(
         raise ConfigError("an experiment needs at least one cell, got none")
     for cfg, master_seed in cells:
         check_int(ConfigError, 0, SEED_MAX, master_seed=master_seed)
-        replace(cfg, seed=0).validate()
+        (cfg if cfg.seed == 0 else replace(cfg, seed=0)).validate()
     blocks = [
         (cfg, master_seed, start, min(start + _CHUNK, trials))
         for cfg, master_seed in cells

@@ -36,7 +36,8 @@ run, traced or not, is a stack of one (``_State.last_edge_removal_pass``,
 visits (``_neutral_additions``); lone runs from one draw of rows are stacked
 (``_removal_stack``, ``_addition_stack``).  A batch of runs moves in
 lockstep (``_Batch``), the one record of final runs that stacks and random
-trees (``_tree_batch``) also give.  The visit-every-position loops
+trees (``_tree_batch``) also give; a single tree goes from its parents
+straight to its graph (``_lone_tree``).  The visit-every-position loops
 ``_State.removal_pass`` and ``addition_pass`` are the reference for the
 passes and the batch, and the exact flow's one-edge step.
 """
@@ -120,7 +121,7 @@ class ProcessOutcome:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 @lru_cache(maxsize=2)
@@ -793,7 +794,7 @@ def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
         n, orders, start.indeg, start.outdeg, start.sources, start.sinks, x, y, None
     )
     degrees = _end_reduce(n, np.add, present, 0).transpose(1, 0, 2)
-    edges = np.count_nonzero(present, axis=1)
+    edges = degrees[:, 0].sum(axis=1)  # one in-degree per edge
     return _Batch._adopt(n, present, degrees, np.array([sources, sinks]), edges, edges.copy())
 
 
@@ -855,15 +856,11 @@ def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> Proces
     if cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
     rng = _rng(cfg.seed)
-    if kind is ProcessKind.RANDOM_TREE:
-        record = _tree_batch(cfg.n, rng.random((1, cfg.n - 1)))
-        if trace is not None:  # its edges in child order: one into each vertex but 1
-            edges = np.flatnonzero(record.present[0])
-            _State(cfg.n, False, trace)._trace_moves("add", edges[np.argsort(_pair_ends(cfg.n)[1][edges])])
-        (state,) = record.states()
-    else:
-        state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
-        _finish(cfg, state, lambda: rng.permutation(len(state.present)))
+    if kind is ProcessKind.RANDOM_TREE:  # a tree has one source, vertex 1, and no move left
+        graph, sinks = _lone_tree(cfg.n, rng.random(cfg.n - 1), trace)
+        return ProcessOutcome(graph, cfg.n - 1, HaltReason.NO_MOVE_AVAILABLE, (1, sinks) == (cfg.x, cfg.y))
+    state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
+    _finish(cfg, state, lambda: rng.permutation(len(state.present)))
     return state.outcome(cfg)
 
 
@@ -890,21 +887,41 @@ def combined_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> Proces
     return _run(cfg, ProcessKind.COMBINED, trace)
 
 
-def _tree_batch(n: int, draws: np.ndarray) -> _Batch:
-    """The record of one tree per row of ``draws`` (``(B, n - 1)`` uniforms):
-    vertex s + 1 attaches to vertex int(u * s) + 1, uniform on 1..s, for the
-    s-th draw u of the row.  A tree's n - 1 edges leave one source, vertex 1,
-    and a sink at each vertex that no draw picks."""
-    rows, s = len(draws), np.arange(1, n)
+def _tree_edges(n: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``draws`` (``(B, n - 1)`` uniforms, or one row of
+    them): vertex s + 1's parent, int(u * s) + 1 for the row's s-th draw u,
+    uniform on 1..s, and the index of the edge (parent, s + 1) in
+    ``ordered_pairs(n)``, in child order."""
+    s = np.arange(1, n)
     tails = (draws * s).astype(np.intp) + 1  # the float product that int(u * s) truncates
-    width, first = n * (n - 1) // 2, np.arange(rows)[:, None]
-    present = np.zeros((rows, width), bool)
-    present[first, (tails - 1) * (2 * n - tails) // 2 + s - tails] = True  # (a, s + 1) in ordered_pairs(n)
+    return tails, (tails - 1) * (2 * n - tails) // 2 + s - tails
+
+
+def _tree_batch(n: int, draws: np.ndarray) -> _Batch:
+    """The record of one tree per row of ``draws`` (``(B, n - 1)`` uniforms,
+    ``_tree_edges``).  A tree's n - 1 edges leave one source, vertex 1, and a
+    sink at each vertex that no draw picks."""
+    rows, (tails, edges) = len(draws), _tree_edges(n, draws)
+    first = np.arange(rows)[:, None]
+    present = np.zeros((rows, n * (n - 1) // 2), bool)
+    present[first, edges] = True
     degrees = np.zeros((rows, 2, n + 1), np.intp)
     degrees[:, 0, 2:] = 1
     degrees[:, 1] = np.bincount((tails + first * (n + 1)).ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
     counts = np.array([np.ones(rows, np.intp), np.count_nonzero(degrees[:, 1, 1:] == 0, axis=1)])
     return _Batch._adopt(n, present, degrees, counts, np.full(rows, n - 1), np.full(rows, n - 1))
+
+
+def _lone_tree(n: int, draws: np.ndarray, trace: TraceFn | None = None) -> tuple[OrderedDag, int]:
+    """The graph of the tree on one row of ``draws`` (``_tree_edges``), and
+    its sinks.  A trace sees its edges added to the empty graph in child
+    order, one move each."""
+    tails, edges = _tree_edges(n, draws)
+    if trace is not None:
+        _State(n, False, trace)._trace_moves("add", edges)
+    outdeg = np.bincount(tails, minlength=n + 1).tolist()
+    graph = OrderedDag._adopt(n, set(zip(tails.tolist(), range(2, n + 1))), [0, 0, *[1] * (n - 1)], outdeg)
+    return graph, outdeg.count(0) - 1  # vertex 0 is no vertex
 
 
 def random_directed_tree(n: int, seed: int) -> OrderedDag:
@@ -915,7 +932,7 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
     """
     check_int(ConfigError, 0, SEED_MAX, seed=seed)
     check_int(GraphError, 1, MAX_ORDER, n=n)
-    return next(_tree_batch(n, _rng(seed).random((1, n - 1))).states()).graph()
+    return _lone_tree(n, _rng(seed).random(n - 1))[0]
 
 
 def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:

@@ -67,6 +67,23 @@ def _child(body, timeout=120):
     return _child_streams(body, timeout)[0]
 
 
+class _SpyRng:
+    """A generator that records the entries of each draw, and whether each
+    shuffle was in place."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes, self.in_place = np.random.default_rng(seed), [], []
+
+    def permuted(self, x, axis, out=None):
+        self.sizes.append(x.size)
+        self.in_place.append(out is x)
+        return self.rng.permuted(x, axis=axis, out=out)
+
+    def random(self, shape):
+        self.sizes.append(math.prod(shape))
+        return self.rng.random(shape)
+
+
 class TestRunTrials:
     def test_point_mass_config(self):
         summary = run_trials(_cfg(1, 1, 3), 200, master_seed=1)
@@ -114,6 +131,18 @@ class TestRunTrials:
         a = run_trials(_cfg(1, 3, 6), 400, master_seed=1)
         b = run_trials(_cfg(1, 3, 6), 400, master_seed=2)
         assert (a.success_ratio, a.mean_edges) != (b.success_ratio, b.mean_edges)
+
+    @pytest.mark.parametrize("n,trials", [(100, 1), (14, 512)])
+    def test_drawn_rows_equal_lone_permutations(self, n, trials):
+        # one row at n = 100, for a stack, and a whole block of 512 rows at
+        # n = 14 under the cap, for the kernel, laid out step-major: each
+        # row is shuffled in place and equals one permutation(C(n, 2)) call
+        spy, ref = _SpyRng(9), np.random.default_rng(9)
+        (rows,) = harness._draw_rows(spy, ProcessKind.ADDITION, n, trials)
+        assert spy.sizes == [trials * math.comb(n, 2)] and spy.in_place == [True]
+        step_major = trials >= harness._kernel_min(ProcessKind.ADDITION, n)
+        assert rows.flags["F_CONTIGUOUS" if step_major else "C_CONTIGUOUS"]
+        assert rows.tolist() == [ref.permutation(math.comb(n, 2)).tolist() for _ in range(trials)]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -186,19 +215,7 @@ class TestRunTrials:
         # 512 trials' rows of C(50, 2) = 1225 entries (two per combined trial,
         # or 299 for the tree) exceed the cap, so the draw is split, at trial
         # boundaries, and every row still equals one unsplit call
-        class Spy:
-            def __init__(self, seed):
-                self.rng, self.sizes = np.random.default_rng(seed), []
-
-            def permuted(self, x, axis):
-                self.sizes.append(x.size)
-                return self.rng.permuted(x, axis=axis)
-
-            def random(self, shape):
-                self.sizes.append(math.prod(shape))
-                return self.rng.random(shape)
-
-        spy, ref = Spy(5), np.random.default_rng(5)
+        spy, ref = _SpyRng(5), np.random.default_rng(5)
         batches = list(harness._draw_rows(spy, kind, n, 512))
         rows = [row.tolist() for batch in batches for row in batch]
         per_trial = 2 if kind is ProcessKind.COMBINED else 1
@@ -221,15 +238,17 @@ class TestRunTrials:
     )
     def test_kernel_minimum_changes_no_byte(self, cfg, monkeypatch):
         # blocks of one trial under, at and just over the kernel minimum, alone
-        # or after a full block at n = 7, and blocks of 1 to 129 trials at
-        # n = 40 (a sub-batch holds 168 removal or addition trials) and n = 50
-        # (107: never the kernel), give the bytes of the per-run lemma passes
-        # alone, serially and in the pool
-        low = harness._KERNEL_MIN
+        # or after a full block at n = 7, and blocks of 1, 2 and one trial
+        # under, at and over it at n = 32 (a sub-batch holds 264 removal or
+        # addition trials; additions take the kernel from 248), n = 40 (168,
+        # or 84 combined: never the kernel) and n = 50 (107: never), give the
+        # bytes of the per-run lemma passes alone, serially and in the pool
+        low = harness._kernel_min(cfg.kind, cfg.n)
         near = (low - 1, low, low + 1)
         runs = [(cfg, t) for t in (*near, *(harness._CHUNK + t for t in near))]
-        for n, m in ((40, 480), (50, 770)):
+        for n, m in ((32, 240), (40, 480), (50, 770)):
             larger = replace(cfg, n=n, m=m if cfg.m else None)
+            low = harness._kernel_min(cfg.kind, n)
             runs += [(larger, t) for t in (1, 2, low - 1, low, low + 1)]
         for c, trials in runs:
             with monkeypatch.context() as patch:
@@ -239,6 +258,31 @@ class TestRunTrials:
                 loop = run_trials(c, trials, master_seed=6).to_json()
             for parallelism in (1, 2):
                 assert run_trials(c, trials, 6, parallelism).to_json() == loop, (c.n, trials, parallelism)
+
+    @pytest.mark.parametrize(
+        "kind,largest", [(ProcessKind.REMOVAL, 38), (ProcessKind.ADDITION, 32)], ids=["removal", "addition"]
+    )
+    def test_kernel_takes_sub_batches_from_the_minimum(self, kind, largest, monkeypatch):
+        # removals take the kernel from max(128, C(n, 2) / 4) trials, additions
+        # from max(128, C(n, 2) / 2): whole sub-batches up to n = 38 and 32
+        def whole(n):
+            return harness._DRAW_CAP // math.comb(n, 2)
+
+        assert max(n for n in range(2, 100) if harness._kernel_min(kind, n) <= whole(n)) == largest
+        batches = []
+
+        def spy(cfg, batch, draw):
+            batches.append(len(batch.present))
+            return finish(cfg, batch, draw)
+
+        finish = harness._finish
+        monkeypatch.setattr(harness, "_finish", spy)
+        for n in (7, largest, largest + 1):
+            low = harness._kernel_min(kind, n)
+            for trials in (low - 1, low):
+                batches.clear()
+                assert run_trials(_cfg(1, 1, n, kind), trials, master_seed=2).trials == trials
+                assert batches == ([trials] if low <= trials <= whole(n) else []), (n, trials)
 
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION], ids=lambda k: k.value)
     def test_lone_sub_batches_never_take_the_per_run_passes(self, kind, monkeypatch):
@@ -570,6 +614,23 @@ class TestStateStatistics:
                         mask = _random_mask(n, edges, seed)
                         g = OrderedDag.from_edges(n, compress(ordered_pairs(n), mask))
                         assert harness._longest_path(n, mask) == g.longest_path_length(), (n, edges, seed)
+
+    @pytest.mark.parametrize("bitset_min", [0, 10**9])  # bitsets always, or never
+    def test_either_method_at_large_orders(self, bitset_min, monkeypatch):
+        # chains (longest path n - 1, past uint8 at n = 257), stars, dense
+        # and sparse random masks, with and without their edge counts
+        monkeypatch.setattr(harness, "_BITSET_MIN", bitset_min)
+        for n in (100, 255, 256, 257, 300):
+            pairs, width = ordered_pairs(n), math.comb(n, 2)
+            index = {pair: i for i, pair in enumerate(pairs)}
+            chain, star = np.zeros(width, bool), np.zeros(width, bool)
+            chain[[index[v, v + 1] for v in range(1, n)]] = True
+            star[[index[1, v] for v in range(2, n + 1)]] = True
+            masks = [chain, star, *(_random_mask(n, edges, seed) for edges, seed in ((3 * width // 4, n), (2 * n, n + 1)))]
+            for mask in masks:
+                expected = OrderedDag.from_edges(n, compress(pairs, mask)).longest_path_length()
+                assert harness._longest_path(n, mask) == expected, n
+                assert harness._longest_path(n, mask, int(mask.sum())) == expected, n
 
     @pytest.mark.parametrize("bitset_min", [0, 10**9])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])

@@ -343,6 +343,7 @@ class TestOutcomeInvariants:
             ProcessConfig(2, 1, 8, ProcessKind.ADDITION, 0),
             ProcessConfig(1, 1, 8, ProcessKind.COMBINED, 0, m=20),
             ProcessConfig(1, 1, 8, ProcessKind.COMBINED, 0, m=12),
+            ProcessConfig(1, 1, 8, ProcessKind.RANDOM_TREE, 0),
         ],
     )
     def test_outcome_degrees_match_rebuilt_graph(self, cfg):
@@ -445,6 +446,16 @@ class TestRandomTree:
         out = run_process(ProcessConfig(1, 2, 5, ProcessKind.RANDOM_TREE, 3))
         assert isinstance(out, ProcessOutcome)
         assert out.rounds == 4
+
+    def test_run_process_outcome_reads_its_tree(self):
+        # one source, vertex 1; the target is hit where the tree has y sinks
+        hits = set()
+        for n, y, seed in product((1, 2, 5, 16), (1, 2, 4), range(8)):
+            out = run_process(ProcessConfig(1, y, n, ProcessKind.RANDOM_TREE, seed))
+            assert (out.rounds, out.halt_reason) == (n - 1, HaltReason.NO_MOVE_AVAILABLE)
+            assert out.is_target_xy == out.graph.profile().matches(1, y)
+            hits.add(out.is_target_xy)
+        assert hits == {True, False}
 
 
 class TestRetentionBoundMonteCarlo:
