@@ -226,12 +226,16 @@ def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator
 
 
 # Fewest edges per vertex at which _longest_path reads depths off bitsets
-# instead of walking the edges.  The walk costs about 0.08 us per edge, the
-# bitsets 0.5-0.6 us per vertex.  On final combined states of E = k * n edges
-# (30 per k, best of 9, 2-vCPU VM) they break even near E/n = 5 at n = 22, 6
-# at n = 40 and 7 at n = 100.  (1, 1) additions (E/n = 7.6, 14.8 and 37 at
-# n = 22, 40 and 100) take the bitsets, 1.5x, 2.4x and 4.7x faster than the
-# walk; (1, 1) removals (E/n < 1.5) walk, 2.3-3.8x faster than the bitsets.
+# instead of walking the edges.  The walk costs 0.08-0.18 us per edge, the
+# bitsets 0.3-0.9 us per vertex, the most on sparse rows, whose vertices
+# often sit below the deepest level.  On final combined states of E = k * n
+# edges (30 per k, best of 41, 2-vCPU VM) the walk took 0.96x / 1.16x the
+# bitsets' time at E/n = 3 / 4 for n = 22, 0.93x / 1.12x at 4 / 5 for n = 40
+# and 0.97x / 1.05x at 6 / 7 for n = 100: the bitsets got faster, moving the
+# break-even down from 5 and 6 at n = 22 and 40, but not from 7 at n = 100, so
+# 6 stays.  (1, 1) additions (E/n = 8.4, 14 and 36 at n = 22, 40 and 100) take
+# the bitsets, at 0.33, 0.37 and 0.47 us per vertex; (1, 1) removals (E/n <
+# 1.5) walk.
 _BITSET_MIN = 6
 # Fewest rows per vertex at which a record's longest paths come from the
 # column DP instead of row by row.  On (1, 1) stack records (best of 31, 2-vCPU
