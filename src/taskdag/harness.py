@@ -10,20 +10,19 @@ Every engine returns a sub-batch's final states as records of arrays,
 ``_Batch``es.  A sub-batch of at least ``_kernel_min`` removal, addition or
 combined trials moves in lockstep (``processes._finish``): under
 ``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
-combined process, and the kernel takes sub-batches up to n = 32 for
-additions and the combined process and n = 38 for removals.  A smaller
-removal or addition sub-batch runs as stacks of at most ``_STACK_CAP``
-entries, the lemma passes of all a stack's rows at once
-(``processes._removal_stack``, ``_addition_stack``).  A smaller combined
-sub-batch stacks its addition phase, and then runs each trial's fill or trim
-on its own ``_State`` (``processes._adjust``).  Random trees are built in
-array form (``processes._tree_batch``).  All give equal final states on equal
-draws.  One function reads the statistics of any record (``_record_sums``):
-success, edges and isolated vertices over all rows at once, and the longest
-paths by a column DP over the rows, or row by row (``_longest_path``) on a
-record of fewer than ``_DP_ROWS_PER_VERTEX * n`` rows.  Every aggregate is
-reduced from integer sums, so results are identical bytes for any parallelism
-level and any block execution order.
+combined process, and the kernel takes sub-batches up to n = 38 for removals
+and capped additions, n = 16 for (1, 1) additions and n = 32 for the
+combined process.  A smaller sub-batch runs as stacks of at most
+``_STACK_CAP`` entries through the route every lone run takes
+(``processes._lone_runs``): the lemma passes of all a stack's rows at once,
+and for the combined process each hit trial's fill or trim on its own row.
+Random trees are built in array form (``processes._tree_batch``).  All give
+equal final states on equal draws.  One function reads the statistics of any
+record (``_record_sums``): success, edges and isolated vertices over all rows
+at once, and the longest paths by a column DP over the rows, or row by row
+(``_longest_path``) on a record of fewer than ``_DP_ROWS_PER_VERTEX * n``
+rows.  Every aggregate is reduced from integer sums, so results are identical
+bytes for any parallelism level and any block execution order.
 
 At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
 processes, each behind one duplex pipe, sends each lane a block, runs the next
@@ -56,12 +55,10 @@ from .processes import (
     SEED_MAX,
     ProcessConfig,
     ProcessKind,
-    _addition_stack,
-    _adjust,
     _Batch,
     _finish,
+    _lone_runs,
     _pair_ends,
-    _removal_stack,
     _rows_per_run,
     _State,
     _tree_batch,
@@ -86,21 +83,24 @@ _KERNEL_MIN = 128
 _STACK_CAP = 2**14
 
 
-def _kernel_min(kind: ProcessKind, n: int) -> int:
-    """Fewest trials in a sub-batch of ``kind`` at order n that run in
-    lockstep: ``_KERNEL_MIN``, or C(n, 2) / 2 for additions and C(n, 2) / 4
-    for removals if more.  So whole sub-batches take the kernel up to n = 32
-    for additions and n = 38 for removals.  The kernel's time per trial over
-    the stacks', statistics included, on whole sub-batches (best of 21,
-    2-vCPU VM): (1, 1) additions 0.88 at n = 14, 0.97 at 16, 1.27 at 24,
-    1.84 at 32, 1.50 at 36 and 1.93 at 40; (2, 3) additions 0.42 at 14, 0.66
-    at 24, 0.76 at 32, 0.87 at 36 and 1.05 at 40; removals, (1, 1) / (2, 3),
-    0.79 / 0.80 at 32, 0.92 / 0.92 at 36, 0.99 / 0.98 at 38, 1.07 / 1.08 at
-    40 and 1.28 / 1.29 at 45."""
-    width = n * (n - 1) // 2
-    if kind is ProcessKind.ADDITION:
-        return max(_KERNEL_MIN, width // 2)
-    if kind is ProcessKind.REMOVAL:
+def _kernel_min(cfg: ProcessConfig) -> int:
+    """Fewest trials in a sub-batch of ``cfg`` that run in lockstep:
+    ``_KERNEL_MIN``, or if more C(n, 2) / 4 for removals and for additions
+    with a cap above 1, and 4 C(n, 2) for (1, 1) additions, whose one phase
+    makes their stacks cheap.  So whole sub-batches take the kernel up to
+    n = 38 for removals and capped additions, and up to n = 16 for (1, 1)
+    additions, whose 512-trial blocks stop reaching the minimum at n = 17.
+    The kernel's time per trial over the stacks', statistics included, on
+    whole sub-batches (best of 21, 2-vCPU VM): (1, 1) additions 0.88 at
+    n = 14, 0.97 at 16, 1.13-1.84 at 24-32 and 1.93 at 40; (2, 3)
+    additions 0.42 at 14, 0.66 at 24, 0.76 at 32, 0.87 at 36 and 1.05 at
+    40; removals, (1, 1) / (2, 3), 0.79 / 0.80 at 32, 0.92 / 0.92 at 36,
+    0.99 / 0.98 at 38, 1.07 / 1.08 at 40 and 1.28 / 1.29 at 45
+    (``BENCH_serial_point.json``, ``kernel_vs_stack_per_trial``)."""
+    width = cfg.n * (cfg.n - 1) // 2
+    if cfg.kind is ProcessKind.ADDITION and (cfg.x, cfg.y) == (1, 1):
+        return max(_KERNEL_MIN, 4 * width)
+    if cfg.kind is not ProcessKind.COMBINED:
         return max(_KERNEL_MIN, width // 4)
     return _KERNEL_MIN
 
@@ -157,7 +157,7 @@ class TrialSummary:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int) -> Iterator[np.ndarray]:
+def _draw_rows(rng: np.random.Generator, cfg: ProcessConfig, trials: int) -> Iterator[np.ndarray]:
     """Yield the draws of ``trials`` trials as arrays of rows: rows of n - 1
     uniforms for the tree, else permutations of the C(n, 2) candidate-edge
     indices, one row per trial or two for the combined process.  Row i
@@ -167,8 +167,9 @@ def _draw_rows(rng: np.random.Generator, kind: ProcessKind, n: int, trials: int)
     lockstep kernel reads it; the stacks read rows.  Each array holds whole
     trials and at most ``_DRAW_CAP`` entries (one trial if its rows are
     longer), which changes no row."""
+    kind, n = cfg.kind, cfg.n
     width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
-    per_trial, lockstep = _rows_per_run(kind), _kernel_min(kind, n)
+    per_trial, lockstep = _rows_per_run(kind), _kernel_min(cfg)
     step = max(1, _DRAW_CAP // max(width * per_trial, 1))
     for done in range(0, trials, step):
         count = min(step, trials - done)
@@ -187,35 +188,23 @@ def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -
     its next rows in order: two for the combined process, whether or not its
     second phase runs.  A sub-batch of ``_draw_rows`` with at least
     ``_kernel_min`` removal, addition or combined trials runs in lockstep.  A
-    smaller one runs as stacks of at most ``_STACK_CAP`` candidate entries;
-    the combined process stacks its addition phase, and runs each hit trial's
-    fill or trim on its row's ``_State``.  Random trees come in records of at
+    smaller one runs as lone runs (``_lone_runs``) in stacks of at most
+    ``_STACK_CAP`` candidate entries.  Random trees come in records of at
     most ``_DRAW_CAP`` candidate entries."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, start // _CHUNK])))
     complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
     tree, width = cfg.kind is ProcessKind.RANDOM_TREE, cfg.n * (cfg.n - 1) // 2
-    lockstep = _kernel_min(cfg.kind, cfg.n) * per_trial
-    for rows in _draw_rows(rng, cfg.kind, cfg.n, stop - start):
+    lockstep = _kernel_min(cfg) * per_trial
+    for rows in _draw_rows(rng, cfg, stop - start):
         if not tree and len(rows) >= lockstep:  # drawn step-major
             batch = _Batch(cfg.n, complete, len(rows) // per_trial)
-            _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
+            _finish(cfg, batch, rows)
             yield batch
             continue
         cap = _DRAW_CAP if tree else _STACK_CAP
         size = max(1, cap // max(1, width)) * per_trial  # n = 1 has no candidates
         for part in (rows[i : i + size] for i in range(0, len(rows), size)):
-            if tree:
-                yield _tree_batch(cfg.n, part)
-            elif cfg.kind is not ProcessKind.COMBINED:
-                yield (_removal_stack if complete else _addition_stack)(cfg.n, part, cfg.x, cfg.y)
-            else:  # the addition phases as one stack, then each hit trial's fill or trim
-                record = _addition_stack(cfg.n, part[::2], cfg.x, cfg.y)
-                for row, (state, order) in enumerate(zip(record.states(), part[1::2])):
-                    if (state.sources, state.sinks) == (cfg.x, cfg.y):  # a fill or trim keeps the counts
-                        _adjust(cfg, state, True, iter((order,)).__next__)
-                        record.present[row], record.degrees[row] = state._present_mask(), (state.indeg, state.outdeg)
-                        record.edge_total[row], record.rounds[row] = state.edge_total, state.rounds
-                yield record
+            yield _tree_batch(cfg.n, part) if tree else _lone_runs(cfg, part)
 
 
 def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:

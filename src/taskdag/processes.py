@@ -21,25 +21,28 @@ fixed: a vertex barred from its first in-edge (out-edge) stays barred.  A
 count at a cap of 1 bars nothing: the one source left is vertex 1, never a
 head (the one sink is vertex n, never a tail).  So a pass falls into phases,
 and each phase adds every absent edge its rule allows up to the first edge
-at which a count reaches a cap above 1, the profile is exactly (x, y), or
-the edge count reaches the budget.  Below its cap a count falls at each
-first visit to a head of in-degree 0 (tail of out-degree 0).  Without a
-budget the second cap to bind ends the pass at (x, y): at most 2 phases, and
-one for (1, 1); with one, a third phase runs to the budget.
+at which a count reaches a cap above 1 or the profile is exactly (x, y).
+Below its cap a count falls at each first visit to a head of in-degree 0
+(tail of out-degree 0).  The second cap to bind ends the pass at (x, y): at
+most 2 phases, and one for (1, 1).  From an exact (x, y) profile the rule
+holds all pass and no edge it allows changes a count, so the combined
+process's fill, a pass from that profile with an edge budget, is one phase
+cut at m.
 
-Both passes run on a stack of runs from one state, a row each: one inverse
-permutation per row and one pair of ``reduceat`` calls give every row's last
-visits (``_decide_removals``) or, per phase, first visits
-(``_addition_phases``), so the numpy calls are paid once per stack.  A single
-run, traced or not, is a stack of one (``_State.last_edge_removal_pass``,
-``phase_addition_pass``), but for a fill, whose one phase needs no first
-visits (``_neutral_additions``); lone runs from one draw of rows are stacked
-(``_removal_stack``, ``_addition_stack``).  A batch of runs moves in
-lockstep (``_Batch``), the one record of final runs that stacks and random
-trees (``_tree_batch``) also give; a single tree goes from its parents
-straight to its graph (``_lone_tree``).  The visit-every-position loops
-``_State.removal_pass`` and ``addition_pass`` are the reference for the
-passes and the batch, and the exact flow's one-edge step.
+Both passes run on a stack of runs from the complete or the empty graph, a
+row each: one inverse permutation per row and one pair of ``reduceat`` calls
+give every row's last visits (``_decide_removals``) or, per phase, first
+visits (``_addition_phases``), so the numpy calls are paid once per stack.
+Every lone run, a single one or one of a draw of rows, takes one route
+(``_lone_runs``): removals run as one ``_removal_stack``, additions and the
+combined process's addition phase as one ``_addition_stack``, and a combined
+run that hit (x, y) then fills or trims its row on a ``_State`` (``fill``,
+``trim``).  A batch of runs moves in lockstep (``_Batch``), the one record
+of final runs that stacks and random trees (``_tree_batch``) also give; a
+single tree goes from its parents straight to its graph (``_lone_tree``).
+The visit-every-position loops ``_State.removal_pass`` and ``addition_pass``
+are the reference for the stacks, fills, trims and the batch, and the exact
+flow's one-edge step.
 """
 
 from __future__ import annotations
@@ -237,19 +240,17 @@ def _addition_phase(
     counts: list[list[int]],
     x: int,
     y: int,
-    left: list[int] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One phase of ``_addition_phases`` on each row of a stack, under the
     rule that holds at its start.  A row's phase adds the visits (``visit``,
     ``(B, C(n, 2))``) from its ``start`` on (0 if None) that the rule
-    allows, up to the first at which a count reaches a cap above 1, the
-    profile is exactly (x, y) (if ``left`` is None) or the row's additions
-    reach its ``left``.  ``bars`` tells per row whether the sources and the
-    sinks are at a cap above 1, ``has`` (``(2, B, n + 1)``, or None for no
-    edges) marks the vertices with in- and out-edges, and ``counts`` holds
-    each row's sources and sinks, updated in place.  Return the additions,
-    as a ``(B, C(n, 2))`` mask, the new ``has``, and where each row's phase
-    ended."""
+    allows, up to the first at which a count reaches a cap above 1 or the
+    profile is exactly (x, y).  ``bars`` tells per row whether the sources
+    and the sinks are at a cap above 1, ``has`` (``(2, B, n + 1)``, or None
+    for no edges) marks the vertices with in- and out-edges, and ``counts``
+    holds each row's sources and sinks, updated in place.  Return the
+    additions, as a ``(B, C(n, 2))`` mask, the new ``has``, and where each
+    row's phase ended."""
     width = visit.shape[1]
     # at its cap, a vertex without in-edges (out-edges) stays so all phase;
     # vertex 1 is such a vertex but no head, vertex n no tail, so a cap of 1
@@ -269,20 +270,15 @@ def _addition_phase(
     first = _end_reduce(n, np.minimum, visit, width, above)
     lost = np.sort(first if has is None else np.where(has, width, first), axis=2)
     ends = []
-    for row, (row_counts, lost_in, lost_out) in enumerate(zip(counts, *lost.tolist())):
+    for row_counts, lost_in, lost_out in zip(counts, *lost.tolist()):
         sources, sinks = row_counts
         reach_in = lost_in[sources - x - 1] if sources > x else -1
         reach_out = lost_out[sinks - y - 1] if sinks > y else -1
-        end = width
+        end = max(reach_in, reach_out) + 1  # the exact profile
         if sources > x > 1:
             end = min(end, reach_in + 1)
         if sinks > y > 1:
             end = min(end, reach_out + 1)
-        if left is None:
-            if sources >= x and sinks >= y:
-                end = min(end, max(reach_in, reach_out) + 1)
-        elif 0 < left[row] <= np.count_nonzero(visit[row] < end):
-            end = int(np.partition(visit[row], left[row] - 1)[left[row] - 1]) + 1
         end = min(end, width)  # a count that never reaches its cap reads width
         row_counts[:] = sources - bisect_left(lost_in, end), sinks - bisect_left(lost_out, end)
         ends.append(end)
@@ -291,84 +287,52 @@ def _addition_phase(
     return visit < end, reached if has is None else reached | has, end[:, 0]
 
 
-def _addition_phases(
-    n: int,
-    orders: np.ndarray,
-    indeg: list[int],
-    outdeg: list[int],
-    sources: int,
-    sinks: int,
-    x: int,
-    y: int,
-    room: int | None,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """The phase pass of addition runs from one state, one per row of
-    ``orders`` (``(B, L)``, rows of that state's absent candidates in visit
-    order): each ``_addition_phase`` adds every edge its fixed rule allows,
-    and a row's next phase goes on after its last addition.  A phase ends
-    only where a cap above 1 starts to bind, at the (x, y) halt if ``room``
-    is None, or else at the room-th addition of the pass: at most 2 phases
-    run without a budget (one for (1, 1)), 3 with one.  Per row: the edges
-    added, as a ``(B, C(n, 2))`` mask, and the sources and sinks after them."""
+def _addition_phases(n: int, orders: np.ndarray, x: int, y: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """The phase pass of addition runs from the empty graph, one per row of
+    ``orders`` (``(B, C(n, 2))`` candidate permutations): each
+    ``_addition_phase`` adds every edge its fixed rule allows, and a row's
+    next phase goes on after its last addition.  A phase ends only where a
+    cap above 1 starts to bind or at the (x, y) halt: at most 2 phases run,
+    one for (1, 1).  Per row: the edges added, as a ``(B, C(n, 2))`` mask,
+    and the sources and sinks after them."""
     rows, width = len(orders), n * (n - 1) // 2
+    if 1 < n <= max(x, y):  # a count at its cap above 1 bars every first edge, and all edges are first
+        return np.zeros((rows, width), bool), [n] * rows, [n] * rows
     visit = _inverse(n, orders, width)
-    start = np.zeros(rows, int) if 1 < sources <= x or 1 < sinks <= y else None
-    has = None
-    if start is not None or any(indeg) or any(outdeg):
-        has = np.repeat((np.array([indeg, outdeg]) > 0)[:, None], rows, axis=1)
-    counts = [[sources, sinks] for _ in range(rows)]
-    left = None if room is None else [room] * rows
-    added = None
+    counts = [[n, n] for _ in range(rows)]
+    start = has = added = None
     while True:
         bars = [(1 < row_sources <= x, 1 < row_sinks <= y) for row_sources, row_sinks in counts]
-        taken, has, end = _addition_phase(n, visit, start, bars, has, counts, x, y, left)
+        taken, has, end = _addition_phase(n, visit, start, bars, has, counts, x, y)
         added = taken if added is None else added | taken
-        if left is not None:
-            left = [k - count for k, count in zip(left, np.count_nonzero(taken, axis=1).tolist())]
         # a phase whose end bars nothing new added every edge it will ever allow
         go = [
-            bar != (1 < row_sources <= x, 1 < row_sinks <= y)
-            and ((row_sources, row_sinks) != (x, y) if left is None else left[row] > 0)
-            for row, (bar, (row_sources, row_sinks)) in enumerate(zip(bars, counts))
+            bar != (1 < row_sources <= x, 1 < row_sinks <= y) and (row_sources, row_sinks) != (x, y)
+            for bar, (row_sources, row_sinks) in zip(bars, counts)
         ]
         if not any(go):
             break
         start = np.where(go, end, width)  # a row that is done visits nothing more
-    sources_after, sinks_after = (list(side) for side in zip(*counts))
-    return added, sources_after, sinks_after
-
-
-def _neutral_additions(
-    n: int, order: np.ndarray, indeg: list[int], outdeg: list[int], x: int, y: int
-) -> np.ndarray:
-    """The absent candidates of ``order`` that the addition rule allows from
-    an exact (x, y) profile, in order.  A count at a cap above 1 bars every
-    edge into (out of) a vertex without in-edges (out-edges), and a cap of 1
-    bars nothing; no edge allowed changes a count, so the rule holds all
-    pass."""
-    tails, heads = _pair_ends(n)
-    if x > 1:
-        order = order[np.asarray(indeg)[heads[order]] > 0]
-    if y > 1:
-        order = order[np.asarray(outdeg)[tails[order]] > 0]
-    return order
+    sources, sinks = (list(side) for side in zip(*counts))
+    return added, sources, sinks
 
 
 class _State:
     """Edge/degree bookkeeping of one run, started from the complete or the
     empty graph, and the passes that move it.  Candidate edges are indexed by
     their position in ``ordered_pairs(n)``, a topological order: each edge
-    comes after every edge into its tail.  ``_finish`` moves a run with the
-    lemma passes (module docstring): ``last_edge_removal_pass`` decides only
-    each vertex's last present in- and out-edge, and ``phase_addition_pass``
-    adds in one array step per phase; a traced run then reports its moves in
-    order.  ``removal_pass`` and ``addition_pass`` visit every position of
-    their order; they are the reference for the lemma passes and the lockstep
-    kernel, and the exact flow's one-edge step.  The lemma passes and
-    ``graph()`` read the candidates' ends from ``_pair_ends(n)``, so only the
-    loops build ``ordered_pairs(n)``.  ``present`` is a ``bytearray``, one
-    0/1 byte per candidate: the loops index it as fast as a list, ``copy()``
-    slices it, and numpy reads and writes it in place as a bool array."""
+    comes after every edge into its tail.  ``removal_pass`` and
+    ``addition_pass`` visit every position of their order; they are the
+    reference for the stacks, the fills and trims and the lockstep kernel,
+    and the exact flow's one-edge step.  ``fill`` and ``trim`` are the
+    combined process's second phase on a lone run, from an exact (x, y)
+    profile to m edges, in array steps: a fill adds the neutral edges in one
+    step (phase lemma), and a trim decides only each vertex's last present
+    in- and out-edge (last-edge lemma).  They read the candidates' ends from
+    ``_pair_ends(n)``, so only the loops build ``ordered_pairs(n)``.
+    ``present`` is a ``bytearray``, one 0/1 byte per candidate: the loops
+    index it as fast as a list, ``copy()`` slices it, and numpy reads and
+    writes it in place as a bool array."""
 
     __slots__ = ("n", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
 
@@ -395,16 +359,13 @@ class _State:
         state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
         return state
 
-    def removal_pass(
-        self, order: Iterable[int], x: int, y: int, budget: int | None = None, active: bool = True
-    ) -> bool:
+    def removal_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
         """Remove each present edge of ``order`` unless that would raise the
         sources above x or the sinks above y.  With a budget, halt at
-        ``budget`` edges; return whether the budget was reached.  An inactive
-        run does not move."""
+        ``budget`` edges; return whether the budget was reached."""
         pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
         sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
-        if active and edges != budget:
+        if edges != budget:
             for idx in order:
                 if not present[idx]:
                     continue
@@ -425,62 +386,19 @@ class _State:
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return edges == budget
 
-    def last_edge_removal_pass(
-        self, order: np.ndarray | list[int], x: int, y: int, budget: int | None = None, active: bool = True
-    ) -> bool:
-        """``removal_pass`` for candidates ``ordered_pairs(n)`` and any integer
-        ``order``.  Numpy finds each vertex's last present in- and out-edge in
-        the order; a loop decides only those positions, and every other
-        present edge is removed in one step.  With a budget, the removals stop
-        where their running count reaches it."""
-        edges = self.edge_total
-        if not active or edges == budget:
-            return edges == budget
-        n, order = self.n, np.asarray(order, dtype=np.intp)
-        present = np.frombuffer(self.present, np.bool_)  # written in place
-        if edges < len(order):  # visit the present edges only
-            order = order[present[order]]
-        # removals that reach the budget; edges + 1 (never reached) when there is none
-        need = edges + 1 if budget is None or edges < budget else edges - budget
-        ((sources, sinks, kept, kept_in, kept_out),) = _decide_removals(
-            n, order[None], x, y, self.sources, self.sinks, need
-        )
-        if self.trace is not None:  # every visit not kept is a removal, up to the budget
-            self._trace_moves("remove", np.delete(order, kept)[:need])
-        if budget is None:  # every undecided edge goes: the kept ones are all there is
-            present[:] = False  # the order visits every present edge
-            present[order[kept]] = True
-            self.indeg, self.outdeg, count = kept_in, kept_out, len(order) - len(kept)
-        else:  # keep the edges after the removal that reaches the budget
-            gone = np.ones(len(order), bool)
-            gone[kept] = False
-            gone[np.flatnonzero(gone)[need:]] = False
-            present[order[gone]] = False
-            left = order[~gone]
-            tails, heads = _pair_ends(n)
-            self.indeg = np.bincount(heads[left], minlength=n + 1).tolist()
-            self.outdeg = np.bincount(tails[left], minlength=n + 1).tolist()
-            count = int(np.count_nonzero(gone))
-        self.sources, self.sinks, self.rounds = sources, sinks, self.rounds + count
-        self.edge_total = edges - count
-        return self.edge_total == budget
-
-    def addition_pass(
-        self, order: Iterable[int], x: int, y: int, budget: int | None = None, active: bool = True
-    ) -> bool:
+    def addition_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
         """Add each absent edge of ``order`` unless that would drop the
         sources below x or the sinks below y.  Halt at the exact (x, y)
         profile, or with a budget at ``budget`` edges; return whether the
-        pass halted.  An inactive run does not move.  From an exact (x, y)
-        profile this rule admits exactly the neutral additions, which keep
-        every vertex's source/sink status."""
+        pass halted.  From an exact (x, y) profile this rule admits exactly
+        the neutral additions, which keep every vertex's source/sink status."""
         pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
         sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
         if budget is None:  # halt at the exact profile, never at an edge count
             tx, ty, budget = x, y, -1
         else:  # halt at the edge count only
             tx = ty = -1
-        if active and not ((sources == tx and sinks == ty) or edges == budget):
+        if not ((sources == tx and sinks == ty) or edges == budget):
             for idx in order:
                 if present[idx]:
                     continue
@@ -501,42 +419,49 @@ class _State:
         self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
         return (sources == tx and sinks == ty) or edges == budget
 
-    def phase_addition_pass(
-        self, order: np.ndarray | list[int], x: int, y: int, budget: int | None = None, active: bool = True
-    ) -> bool:
-        """``addition_pass`` for candidates ``ordered_pairs(n)`` and any integer
-        ``order``: the phase pass of ``_addition_phases`` on the absent edges
-        of the order, as a stack of one.  A fill, a pass with a budget from an
-        exact (x, y) profile, is one phase that ``_neutral_additions`` gives
-        whole."""
-        sources, sinks, edges = self.sources, self.sinks, self.edge_total
-        if budget is None:  # halt at the exact profile, never at an edge count
-            tx, ty, stop = x, y, -1
-        else:  # halt at the edge count only
-            tx, ty, stop = -1, -1, budget
-        if not active or (sources == tx and sinks == ty) or edges == stop:
-            return (sources == tx and sinks == ty) or edges == stop
-        n, order = self.n, np.asarray(order, dtype=np.intp)
+    def fill(self, order: np.ndarray, x: int, y: int, m: int) -> None:
+        """``addition_pass`` with budget m from an exact (x, y) profile below m
+        edges, for any integer array ``order`` of candidates: its absent edges
+        that the rule allows, in order, cut at m.  A count at a cap above 1
+        bars every edge into (out of) a vertex without in-edges (out-edges),
+        and a cap of 1 bars nothing; no edge allowed changes a count, so the
+        rule holds all pass."""
+        n, tails, heads = self.n, *_pair_ends(self.n)
         present = np.frombuffer(self.present, np.bool_)  # written in place
-        if edges:  # visit the absent edges only
-            order = order[~present[order]]
-        room = None if budget is None else budget - edges
-        if room is not None and (sources, sinks) == (x, y):  # a fill: one phase, cut at the budget
-            moved = _neutral_additions(n, order, self.indeg, self.outdeg, x, y)[:room]
-        else:
-            (added,), (sources,), (sinks,) = _addition_phases(
-                n, order[None], self.indeg, self.outdeg, sources, sinks, x, y, room
-            )
-            moved = order[added[order]]  # in visit order
-        if self.trace is not None:
-            self._trace_moves("add", moved)
+        order = order[~present[order]]
+        if x > 1:
+            order = order[np.asarray(self.indeg)[heads[order]] > 0]
+        if y > 1:
+            order = order[np.asarray(self.outdeg)[tails[order]] > 0]
+        moved = order[: m - self.edge_total]
         present[moved] = True
-        tails, heads = _pair_ends(n)
         self.indeg = (np.bincount(heads[moved], minlength=n + 1) + self.indeg).tolist()
         self.outdeg = (np.bincount(tails[moved], minlength=n + 1) + self.outdeg).tolist()
-        self.sources, self.sinks, self.edge_total = sources, sinks, edges + len(moved)
+        self.edge_total += len(moved)
         self.rounds += len(moved)
-        return (sources == tx and sinks == ty) or self.edge_total == stop
+
+    def trim(self, order: np.ndarray, x: int, y: int, m: int) -> None:
+        """``removal_pass`` with budget m from an exact (x, y) profile above m
+        edges, for any integer array ``order`` of candidates: the last-edge
+        lemma's decisions on its present edges, and every edge not kept is
+        removed, up to the one that reaches m.  A capped removal keeps the
+        profile exact, and a minimal graph has at most 2n - x - y - 2 <= m
+        edges, so a trim always reaches m."""
+        n, tails, heads = self.n, *_pair_ends(self.n)
+        present = np.frombuffer(self.present, np.bool_)  # written in place
+        order, need = order[present[order]], self.edge_total - m
+        ((_, _, kept, _, _),) = _decide_removals(n, order[None], x, y, self.sources, self.sinks, need)
+        gone = np.ones(len(order), bool)
+        gone[kept] = False
+        moved = order[gone][:need]
+        if len(moved) < need:  # never, by the argument above
+            edges = self.edge_total - len(moved)
+            raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
+        present[moved] = False
+        self.indeg = (np.array(self.indeg) - np.bincount(heads[moved], minlength=n + 1)).tolist()
+        self.outdeg = (np.array(self.outdeg) - np.bincount(tails[moved], minlength=n + 1)).tolist()
+        self.edge_total = m
+        self.rounds += need
 
     def _trace_moves(self, op: str, moved: np.ndarray) -> None:
         """Call the trace once per move of a pass, at the candidates ``moved``
@@ -553,23 +478,6 @@ class _State:
             indeg[b] += step
             outdeg[a] += step
             self.trace(rounds, op, a, b, sources, sinks)
-
-    def graph(self) -> OrderedDag:
-        tails, heads = _pair_ends(self.n)  # the kept pair ends, in the order of ordered_pairs(n)
-        kept = np.flatnonzero(self._present_mask())
-        edges = set(zip(tails[kept].tolist(), heads[kept].tolist()))
-        return OrderedDag._adopt(self.n, edges, self.indeg[:], self.outdeg[:])
-
-    def outcome(self, cfg: ProcessConfig) -> ProcessOutcome:
-        """The run's final graph and why it halted: at (x, y) for addition, at
-        (x, y) with m edges for the combined process, else with no move left."""
-        hit = (self.sources, self.sinks) == (cfg.x, cfg.y)
-        halt = HaltReason.NO_MOVE_AVAILABLE
-        if hit and cfg.kind is ProcessKind.ADDITION:
-            halt = HaltReason.EXACT_TARGET_REACHED
-        elif hit and cfg.kind is ProcessKind.COMBINED and self.edge_total == cfg.m:
-            halt = HaltReason.EDGE_BUDGET_REACHED
-        return ProcessOutcome(self.graph(), self.rounds, halt, hit)
 
 
 # Largest order a _Batch takes: its degrees, counts and thresholds are int8.
@@ -772,77 +680,29 @@ def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
     one per row of ``orders`` (each a permutation of the candidates): the
     last-edge pass of every row at once.  Every undecided edge goes, so a
     row's kept edges are its graph and their counts its degrees."""
-    sources, sinks, kept, _, _ = zip(*_decide_removals(n, orders, x, y, 1, 1, orders.shape[1] + 1))
-    rows = np.repeat(np.arange(len(orders)), [len(visits) for visits in kept])
-    edges = orders[rows, np.fromiter(chain.from_iterable(kept), np.intp, len(rows))]
-    present = np.zeros(orders.shape, bool)
-    present[rows, edges] = True
-    tails, heads = _pair_ends(n)
-    base, size = rows * (2 * (n + 1)), len(orders) * 2 * (n + 1)  # flat indices of degrees' rows
-    ends = np.concatenate((heads[edges] + base, tails[edges] + base + n + 1))
-    degrees = np.bincount(ends, minlength=size).reshape(len(orders), 2, n + 1)
-    count = np.bincount(rows, minlength=len(orders))
-    return _Batch._adopt(n, present, degrees, np.array([sources, sinks]), count, orders.shape[1] - count)
+    sources, sinks, kept, kept_in, kept_out = zip(*_decide_removals(n, orders, x, y, 1, 1, orders.shape[1] + 1))
+    count, present = np.array([len(visits) for visits in kept]), np.zeros(orders.shape, bool)
+    if len(orders) == 1:  # a lone row's kept visits index its order, and its degree lists convert at once
+        present[0].put(orders[0].take(kept[0]), True)
+        degrees = np.fromiter(chain(*kept_in, *kept_out), np.int64, 2 * n + 2).reshape(1, 2, n + 1)
+    else:  # each row's heads and tails counted in its own run of 2n + 2 bins
+        rows = np.arange(len(orders)).repeat(count)
+        edges = orders[rows, np.fromiter(chain.from_iterable(kept), np.intp, len(rows))]
+        present[rows, edges] = True
+        (tails, heads), base = _pair_ends(n), rows * (2 * n + 2)
+        ends = np.concatenate((heads[edges] + base, tails[edges] + base + n + 1))
+        degrees = np.bincount(ends, minlength=len(orders) * (2 * n + 2)).reshape(len(orders), 2, n + 1)
+    return _Batch._adopt(n, present, degrees, np.array((sources, sinks)), count, orders.shape[1] - count)
 
 
 def _addition_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
     """The record of addition runs from the empty graph without a budget, one
     per row of ``orders`` (each a permutation of the candidates): the phase
     pass of every row at once."""
-    start = _State(n, False)
-    present, sources, sinks = _addition_phases(
-        n, orders, start.indeg, start.outdeg, start.sources, start.sinks, x, y, None
-    )
+    present, sources, sinks = _addition_phases(n, orders, x, y)
     degrees = _end_reduce(n, np.add, present, 0).transpose(1, 0, 2)
     edges = degrees[:, 0].sum(axis=1)  # one in-degree per edge
     return _Batch._adopt(n, present, degrees, np.array([sources, sinks]), edges, edges.copy())
-
-
-def _passes(state: _State | _Batch) -> tuple[Callable, Callable]:
-    """The addition and removal passes of one run or of a batch."""
-    if isinstance(state, _State):
-        return state.phase_addition_pass, state.last_edge_removal_pass
-    return state.addition_pass, state.removal_pass
-
-
-def _finish(cfg: ProcessConfig, state: _State | _Batch, draw: Callable[[], list | np.ndarray]) -> None:
-    """Run the phases of ``cfg`` on a fresh ``state``, one run or a batch of
-    runs in lockstep.  Each phase takes its edge orders from ``draw()``: a
-    permutation of the candidate-edge indices, or one per row of a batch.
-    The combined process draws its second order only if some run hit (x, y).
-    One run takes the lemma passes, a batch the lockstep kernel."""
-    x, y = cfg.x, cfg.y
-    add, remove = _passes(state)
-    if cfg.kind is ProcessKind.REMOVAL:
-        remove(draw(), x, y)
-        return
-    hit = add(draw(), x, y)
-    if cfg.kind is ProcessKind.COMBINED:
-        _adjust(cfg, state, hit, draw)
-
-
-def _adjust(cfg: ProcessConfig, state: _State | _Batch, hit, draw: Callable[[], list | np.ndarray]) -> None:
-    """The combined process's second phase on ``state`` after its addition
-    phase, on the runs that ``hit`` (a bool, or one per row of a batch) marks
-    as at (x, y): neutral additions or capped removals to m edges, in an
-    order from ``draw()``, drawn only if some run hit."""
-    if not np.any(hit):
-        return
-    x, y, m = cfg.x, cfg.y, cfg.m
-    add, remove = _passes(state)
-    # masks with &, not ~: on a single run's bools ~ gives -1 or -2
-    fill, trim = hit & (state.edge_total < m), hit & (state.edge_total > m)
-    order = draw()
-    if np.any(fill):
-        add(order, x, y, budget=m, active=fill)
-    if np.any(trim):
-        remove(order, x, y, budget=m, active=trim)
-    stuck = trim & (state.edge_total > m)
-    if np.any(stuck):
-        # never: capped removals from an exact (x, y) graph keep the profile
-        # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
-        edges = np.max(stuck * state.edge_total)
-        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
 
 
 def _rows_per_run(kind: ProcessKind) -> int:
@@ -851,17 +711,89 @@ def _rows_per_run(kind: ProcessKind) -> int:
     return 2 if kind is ProcessKind.COMBINED else 1
 
 
+def _lone_runs(cfg: ProcessConfig, orders: np.ndarray, trace: TraceFn | None = None) -> _Batch:
+    """The record of lone runs of ``cfg``, one per trial of ``orders`` (rows of
+    candidate permutations, ``_rows_per_run`` per trial): removals run as one
+    ``_removal_stack``, additions and the combined process's addition phase
+    as one ``_addition_stack``, and then each combined run that hit (x, y)
+    off m edges fills or trims its row on its own ``_State``.  A traced run,
+    a single trial, reports each phase's moves: a pass visits each candidate
+    once, so they are the candidates of its order whose presence the phase
+    changed, in order."""
+    n, x, y, m = cfg.n, cfg.x, cfg.y, cfg.m
+    complete = cfg.kind is ProcessKind.REMOVAL
+    if complete:
+        record = _removal_stack(n, orders, x, y)
+    else:
+        record = _addition_stack(n, orders[:: _rows_per_run(cfg.kind)], x, y)
+    if trace is not None:  # from the complete or the empty graph
+        moved = orders[0][record.present[0][orders[0]] != complete]
+        _State(n, complete, trace)._trace_moves("remove" if complete else "add", moved)
+    if cfg.kind is ProcessKind.COMBINED:
+        for row, (state, order) in enumerate(zip(record.states(), orders[1::2])):
+            if (state.sources, state.sinks) != (x, y) or state.edge_total == m:
+                continue  # a miss, or a hit at m, stops after its addition phase
+            start, fill = state.copy(), state.edge_total < m
+            (state.fill if fill else state.trim)(order, x, y, m)
+            if trace is not None:
+                start.trace, moved = trace, order[start._present_mask()[order] != state._present_mask()[order]]
+                start._trace_moves("add" if fill else "remove", moved)
+            record.present[row], record.degrees[row] = state._present_mask(), (state.indeg, state.outdeg)
+            record.edge_total[row], record.rounds[row] = state.edge_total, state.rounds
+    return record
+
+
+def _finish(cfg: ProcessConfig, batch: _Batch, orders: np.ndarray) -> None:
+    """Run the phases of ``cfg`` on a fresh ``batch`` in lockstep, trial i
+    taking its rows of ``orders`` in turn, ``_rows_per_run`` per trial: the
+    combined process fills or trims the runs that hit (x, y) to m edges on
+    their second rows."""
+    x, y, m = cfg.x, cfg.y, cfg.m
+    if cfg.kind is ProcessKind.REMOVAL:
+        batch.removal_pass(orders, x, y)
+        return
+    hit = batch.addition_pass(orders[:: _rows_per_run(cfg.kind)], x, y)
+    if cfg.kind is not ProcessKind.COMBINED:
+        return
+    fill, trim = hit & (batch.edge_total < m), hit & (batch.edge_total > m)
+    if fill.any():
+        batch.addition_pass(orders[1::2], x, y, budget=m, active=fill)
+    if trim.any():
+        batch.removal_pass(orders[1::2], x, y, budget=m, active=trim)
+    stuck = trim & (batch.edge_total > m)
+    if stuck.any():
+        # never: capped removals from an exact (x, y) graph keep the profile
+        # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
+        edges = np.max(stuck * batch.edge_total)
+        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
+
+
 def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
+    """One seeded run of ``cfg``, a one-trial ``_lone_runs`` record for
+    every kind but the tree, and its outcome read off that record's row:
+    halted at (x, y) for addition, at (x, y) with m edges for the combined
+    process, else with no move left."""
     cfg.validate()
     if cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
-    rng = _rng(cfg.seed)
+    n, rng = cfg.n, _rng(cfg.seed)
     if kind is ProcessKind.RANDOM_TREE:  # a tree has one source, vertex 1, and no move left
-        graph, sinks = _lone_tree(cfg.n, rng.random(cfg.n - 1), trace)
-        return ProcessOutcome(graph, cfg.n - 1, HaltReason.NO_MOVE_AVAILABLE, (1, sinks) == (cfg.x, cfg.y))
-    state = _State(cfg.n, kind is ProcessKind.REMOVAL, trace)
-    _finish(cfg, state, lambda: rng.permutation(len(state.present)))
-    return state.outcome(cfg)
+        graph, sinks = _lone_tree(n, rng.random(n - 1), trace)
+        return ProcessOutcome(graph, n - 1, HaltReason.NO_MOVE_AVAILABLE, (1, sinks) == (cfg.x, cfg.y))
+    orders = rng.permutation(n * (n - 1) // 2)[None]
+    if kind is ProcessKind.COMBINED:  # its second order, drawn whether or not it hits (x, y)
+        orders = np.concatenate((orders, rng.permutation(orders.shape[1])[None]))
+    record = _lone_runs(cfg, orders, trace)
+    hit = record.counts[:, 0].tolist() == [cfg.x, cfg.y]
+    halt = HaltReason.NO_MOVE_AVAILABLE
+    if hit and kind is ProcessKind.ADDITION:
+        halt = HaltReason.EXACT_TARGET_REACHED
+    elif hit and kind is ProcessKind.COMBINED and record.edge_total[0] == cfg.m:
+        halt = HaltReason.EDGE_BUDGET_REACHED
+    (tails, heads), kept = _pair_ends(n), np.flatnonzero(record.present[0])
+    edges = set(zip(tails[kept].tolist(), heads[kept].tolist()))
+    graph = OrderedDag._adopt(n, edges, *record.degrees[0].tolist())
+    return ProcessOutcome(graph, int(record.rounds[0]), halt, hit)
 
 
 def edge_removal_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:

@@ -13,7 +13,7 @@ from itertools import compress, product
 import numpy as np
 import pytest
 
-from taskdag import harness
+from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value
 from taskdag.errors import ConfigError
 from taskdag.graph import OrderedDag, empty_graph, ordered_pairs
@@ -24,25 +24,35 @@ from taskdag.harness import (
     run_trials,
     table_experiment,
 )
-from taskdag.processes import _BATCH_MAX_ORDER, ProcessConfig, ProcessKind, _Batch, _finish, _State, _tree_batch
+from taskdag.processes import (
+    _BATCH_MAX_ORDER,
+    ProcessConfig,
+    ProcessKind,
+    _Batch,
+    _finish,
+    _lone_runs,
+    _rows_per_run,
+    _State,
+    _tree_batch,
+)
+
+from .test_processes import _fields, _loop_run
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
     return ProcessConfig(x, y, n, kind, seed=0, **kw)
 
 
-def _per_run_stack(complete):
-    """A stand-in for ``_removal_stack`` or ``_addition_stack``: each row
-    runs its own ``_State`` through the per-run lemma pass, and the record
-    holds their fields."""
-
-    def stack(n, orders, x, y):
-        states = [_State(n, complete) for _ in orders]
-        for state, order in zip(states, orders):
-            (state.last_edge_removal_pass if complete else state.phase_addition_pass)(order, x, y)
-        return _record(n, states)
-
-    return stack
+def _row_by_row(cfg, orders):
+    """A stand-in for ``_lone_runs``: each trial of ``orders`` runs as a
+    one-row stack of its own, and the record joins their rows."""
+    per_trial = _rows_per_run(cfg.kind)
+    rows = [_lone_runs(cfg, orders[i : i + per_trial]) for i in range(0, len(orders), per_trial)]
+    present, degrees, edges, rounds = (
+        np.concatenate([getattr(row, name) for row in rows]) for name in ("present", "degrees", "edge_total", "rounds")
+    )
+    counts = np.concatenate([row.counts for row in rows], axis=1)
+    return _Batch._adopt(cfg.n, present, degrees, counts, edges, rounds)
 
 
 def _child_streams(body, timeout=120):
@@ -138,9 +148,10 @@ class TestRunTrials:
         # n = 14 under the cap, for the kernel, laid out step-major: each
         # row is shuffled in place and equals one permutation(C(n, 2)) call
         spy, ref = _SpyRng(9), np.random.default_rng(9)
-        (rows,) = harness._draw_rows(spy, ProcessKind.ADDITION, n, trials)
+        cfg = _cfg(2, 3, n, ProcessKind.ADDITION)
+        (rows,) = harness._draw_rows(spy, cfg, trials)
         assert spy.sizes == [trials * math.comb(n, 2)] and spy.in_place == [True]
-        step_major = trials >= harness._kernel_min(ProcessKind.ADDITION, n)
+        step_major = trials >= harness._kernel_min(cfg)
         assert rows.flags["F_CONTIGUOUS" if step_major else "C_CONTIGUOUS"]
         assert rows.tolist() == [ref.permutation(math.comb(n, 2)).tolist() for _ in range(trials)]
 
@@ -172,12 +183,10 @@ class TestRunTrials:
                     hit = g.profile().matches(cfg.x, cfg.y)
                 else:
                     size = math.comb(cfg.n, 2)
-                    draws = 2 if cfg.kind is ProcessKind.COMBINED else 1
-                    orders = [rng.permutation(size).tolist() for _ in range(draws)]
-                    state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
-                    _finish(cfg, state, iter(orders).__next__)
-                    out = state.outcome(cfg)
-                    g, hit = out.graph, out.is_target_xy
+                    orders = np.array([rng.permutation(size) for _ in range(_rows_per_run(cfg.kind))])
+                    state = _loop_run(cfg, orders)
+                    g = OrderedDag.from_edges(cfg.n, compress(ordered_pairs(cfg.n), state.present))
+                    hit = (state.sources, state.sinks) == (cfg.x, cfg.y)
                 success = hit and (cfg.m is None or g.edge_count == cfg.m)
                 rows.append(
                     (success, g.edge_count, g.longest_path_length(), len(g.profile().isolated))
@@ -198,14 +207,11 @@ class TestRunTrials:
     )
     def test_record_rows_equal_state_runs(self, cfg):
         # every field of each row of the stacks' records, lone fills and trims
-        # included, equals a _State run on the trial's draws
+        # included, equals the loops' run on the trial's draws
         rng = np.random.default_rng(np.random.SeedSequence([5, 0]))
-        draws = 2 if cfg.kind is ProcessKind.COMBINED else 1
-        fields = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
         for row in harness._trial_states(cfg, 5, 30):
-            state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
-            _finish(cfg, state, iter([rng.permutation(math.comb(cfg.n, 2)) for _ in range(draws)]).__next__)
-            assert [getattr(row, name) for name in fields] == [getattr(state, name) for name in fields]
+            orders = np.array([rng.permutation(math.comb(cfg.n, 2)) for _ in range(_rows_per_run(cfg.kind))])
+            assert _fields(row) == _fields(_loop_run(cfg, orders))
 
     @pytest.mark.parametrize(
         "kind,n",
@@ -216,7 +222,7 @@ class TestRunTrials:
         # or 299 for the tree) exceed the cap, so the draw is split, at trial
         # boundaries, and every row still equals one unsplit call
         spy, ref = _SpyRng(5), np.random.default_rng(5)
-        batches = list(harness._draw_rows(spy, kind, n, 512))
+        batches = list(harness._draw_rows(spy, _cfg(1, 1, n, kind), 512))
         rows = [row.tolist() for batch in batches for row in batch]
         per_trial = 2 if kind is ProcessKind.COMBINED else 1
         if kind is ProcessKind.RANDOM_TREE:
@@ -228,72 +234,76 @@ class TestRunTrials:
         assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**17
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg,larger",
         [
-            _cfg(1, 3, 7),
-            _cfg(2, 1, 7, kind=ProcessKind.ADDITION),
-            _cfg(1, 2, 7, kind=ProcessKind.COMBINED, m=12),
+            (_cfg(1, 3, 7), ((32, None), (40, None), (50, None))),
+            (_cfg(2, 1, 7, kind=ProcessKind.ADDITION), ((32, None), (40, None), (50, None))),
+            (_cfg(1, 1, 7, kind=ProcessKind.ADDITION), ((14, None), (16, None), (17, None))),
+            (_cfg(1, 2, 7, kind=ProcessKind.COMBINED, m=12), ((32, 240), (40, 480), (50, 770))),
         ],
-        ids=lambda cfg: cfg.kind.value,
+        ids=["removal", "addition", "addition-1-1", "combined"],
     )
-    def test_kernel_minimum_changes_no_byte(self, cfg, monkeypatch):
+    def test_kernel_minimum_changes_no_byte(self, cfg, larger, monkeypatch):
         # blocks of one trial under, at and just over the kernel minimum, alone
         # or after a full block at n = 7, and blocks of 1, 2 and one trial
-        # under, at and over it at n = 32 (a sub-batch holds 264 removal or
-        # addition trials; additions take the kernel from 248), n = 40 (168,
-        # or 84 combined: never the kernel) and n = 50 (107: never), give the
-        # bytes of the per-run lemma passes alone, serially and in the pool
-        low = harness._kernel_min(cfg.kind, cfg.n)
+        # under, at and over it at larger n: at n = 32 (a sub-batch holds 264
+        # removal or addition trials), n = 40 (168, or 84 combined: never the
+        # kernel) and n = 50 (107: never); for (1, 1) additions at n = 14 and
+        # 16, whose blocks reach it, and n = 17, whose blocks never do.  All
+        # give the bytes of one-row stacks alone, serially and in the pool
+        low = harness._kernel_min(cfg)
         near = (low - 1, low, low + 1)
         runs = [(cfg, t) for t in (*near, *(harness._CHUNK + t for t in near))]
-        for n, m in ((32, 240), (40, 480), (50, 770)):
-            larger = replace(cfg, n=n, m=m if cfg.m else None)
-            low = harness._kernel_min(cfg.kind, n)
-            runs += [(larger, t) for t in (1, 2, low - 1, low, low + 1)]
+        for n, m in larger:
+            bigger = replace(cfg, n=n, m=m)
+            low = harness._kernel_min(bigger)
+            runs += [(bigger, t) for t in (1, 2, low - 1, low, low + 1)]
         for c, trials in runs:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_KERNEL_MIN", 10**9)
-                patch.setattr(harness, "_removal_stack", _per_run_stack(True))
-                patch.setattr(harness, "_addition_stack", _per_run_stack(False))
-                loop = run_trials(c, trials, master_seed=6).to_json()
+                patch.setattr(harness, "_lone_runs", _row_by_row)
+                alone = run_trials(c, trials, master_seed=6).to_json()
             for parallelism in (1, 2):
-                assert run_trials(c, trials, 6, parallelism).to_json() == loop, (c.n, trials, parallelism)
+                assert run_trials(c, trials, 6, parallelism).to_json() == alone, (c.n, trials, parallelism)
 
     @pytest.mark.parametrize(
-        "kind,largest", [(ProcessKind.REMOVAL, 38), (ProcessKind.ADDITION, 32)], ids=["removal", "addition"]
+        "kind,x,y,largest",
+        [(ProcessKind.REMOVAL, 1, 1, 38), (ProcessKind.ADDITION, 2, 3, 38), (ProcessKind.ADDITION, 1, 1, 16)],
+        ids=["removal", "addition", "addition-1-1"],
     )
-    def test_kernel_takes_sub_batches_from_the_minimum(self, kind, largest, monkeypatch):
-        # removals take the kernel from max(128, C(n, 2) / 4) trials, additions
-        # from max(128, C(n, 2) / 2): whole sub-batches up to n = 38 and 32
+    def test_kernel_takes_sub_batches_from_the_minimum(self, kind, x, y, largest, monkeypatch):
+        # removals and capped additions take the kernel from max(128, C(n, 2)
+        # / 4) trials, (1, 1) additions from max(128, 4 C(n, 2)): whole
+        # sub-batches of a 512-trial block up to n = 38, 38 and 16
         def whole(n):
-            return harness._DRAW_CAP // math.comb(n, 2)
+            return min(harness._DRAW_CAP // math.comb(n, 2), harness._CHUNK)
 
-        assert max(n for n in range(2, 100) if harness._kernel_min(kind, n) <= whole(n)) == largest
+        assert max(n for n in range(2, 100) if harness._kernel_min(_cfg(x, y, n, kind)) <= whole(n)) == largest
         batches = []
 
-        def spy(cfg, batch, draw):
+        def spy(cfg, batch, orders):
             batches.append(len(batch.present))
-            return finish(cfg, batch, draw)
+            return finish(cfg, batch, orders)
 
         finish = harness._finish
         monkeypatch.setattr(harness, "_finish", spy)
         for n in (7, largest, largest + 1):
-            low = harness._kernel_min(kind, n)
+            low = harness._kernel_min(_cfg(x, y, n, kind))
             for trials in (low - 1, low):
                 batches.clear()
-                assert run_trials(_cfg(1, 1, n, kind), trials, master_seed=2).trials == trials
+                assert run_trials(_cfg(x, y, n, kind), trials, master_seed=2).trials == trials
                 assert batches == ([trials] if low <= trials <= whole(n) else []), (n, trials)
 
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION], ids=lambda k: k.value)
     def test_lone_sub_batches_never_take_the_per_run_passes(self, kind, monkeypatch):
-        # removal and addition trials below the kernel minimum run as stacks:
-        # (1, 1) and capped points at n = 7, 40 and 100, and the 107-trial
-        # sub-batches of a two-block cell at n = 50
+        # removal and addition trials below the kernel minimum run as stacks,
+        # with no pass of a lone _State: (1, 1) and capped points at n = 7, 40
+        # and 100, and the 107-trial sub-batches of a two-block cell at n = 50
         def refuse(*args, **kwargs):
-            raise AssertionError("a per-run lemma pass was called")
+            raise AssertionError("a pass of a lone _State was called")
 
-        monkeypatch.setattr(_State, "last_edge_removal_pass", refuse)
-        monkeypatch.setattr(_State, "phase_addition_pass", refuse)
+        for name in ("removal_pass", "addition_pass", "fill", "trim"):
+            monkeypatch.setattr(_State, name, refuse)
         for x, y in ((1, 1), (2, 3), (4, 1)):
             for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
                 assert run_trials(_cfg(x, y, n, kind), trials, master_seed=3).trials == trials
@@ -310,8 +320,8 @@ class TestRunTrials:
 
             return stack
 
-        monkeypatch.setattr(harness, "_removal_stack", spy(harness._removal_stack))
-        monkeypatch.setattr(harness, "_addition_stack", spy(harness._addition_stack))
+        monkeypatch.setattr(processes, "_removal_stack", spy(processes._removal_stack))
+        monkeypatch.setattr(processes, "_addition_stack", spy(processes._addition_stack))
         for kind, n, trials, m in (
             (ProcessKind.REMOVAL, 100, 104, None),
             (ProcessKind.ADDITION, 50, 107, None),
@@ -326,21 +336,33 @@ class TestRunTrials:
 
     def test_lone_combined_sub_batches_stack_their_addition_phase(self, monkeypatch):
         # combined trials below the kernel minimum run their addition phase as
-        # one stack; only a fill, an addition with a budget, runs on its own
-        budgets, real = [], _State.phase_addition_pass
+        # one stack; only a fill or a trim to m runs on its own _State
+        calls, shapes = [], []
 
-        def spy(state, order, x, y, budget=None, active=True):
-            budgets.append(budget)
-            return real(state, order, x, y, budget, active)
+        def spy(name, real):
+            def second_phase(state, order, x, y, m):
+                calls.append((name, m))
+                return real(state, order, x, y, m)
 
-        monkeypatch.setattr(_State, "phase_addition_pass", spy)
+            return second_phase
+
+        def stack(n, orders, x, y):
+            shapes.append(orders.shape)
+            return real_stack(n, orders, x, y)
+
+        real_stack = processes._addition_stack
+        monkeypatch.setattr(processes, "_addition_stack", stack)
+        for name in ("fill", "trim"):
+            monkeypatch.setattr(_State, name, spy(name, getattr(_State, name)))
         for x, y in ((1, 1), (2, 3)):
             for n, trials in ((7, 100), (40, 12), (50, 200)):
                 lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, x, y, n)
                 hi = extremal_value(ExtremalKind.MAX_EDGES, x, y, n)
                 cfg = _cfg(x, y, n, kind=ProcessKind.COMBINED, m=(lo + hi) // 2)
+                shapes.clear()
                 assert run_trials(cfg, trials, master_seed=3).trials == trials
-        assert budgets and None not in budgets
+                assert sum(rows for rows, _ in shapes) == trials and max(rows for rows, _ in shapes) > 1
+        assert {name for name, _ in calls} == {"fill", "trim"}
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)
@@ -526,7 +548,7 @@ def _stack_record(cfg, rows, seed):
     ``cfg`` on random orders."""
     width = math.comb(cfg.n, 2)
     orders = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(width), (rows, width)), axis=1)
-    stack = harness._removal_stack if cfg.kind is ProcessKind.REMOVAL else harness._addition_stack
+    stack = processes._removal_stack if cfg.kind is ProcessKind.REMOVAL else processes._addition_stack
     return stack(cfg.n, orders, cfg.x, cfg.y)
 
 
@@ -649,7 +671,7 @@ def _kernel_batch(cfg, trials, seed):
     width = math.comb(cfg.n, 2)
     rows = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(width), (per_trial * trials, width)), axis=1)
     batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, trials)
-    _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
+    _finish(cfg, batch, rows)
     return batch
 
 

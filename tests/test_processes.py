@@ -21,7 +21,9 @@ from taskdag.processes import (
     _addition_stack,
     _Batch,
     _finish,
+    _lone_runs,
     _removal_stack,
+    _rows_per_run,
     _State,
     combined_process,
     edge_addition_process,
@@ -474,33 +476,59 @@ class TestRetentionBoundMonteCarlo:
             assert survivals[i] / trials <= bound + 3 * sigma + 1e-12
 
 
+STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+
+
+def _fields(state):
+    return tuple(getattr(state, name) for name in STATE_FIELDS)
+
+
+def _loop_run(cfg, orders, trace=None):
+    """The reference for one trial of ``cfg`` on its rows of ``orders``: the
+    ``_State`` loops from the complete or the empty graph, and for a combined
+    run that hit (x, y) off m edges the loops with budget m on its second
+    row."""
+    x, y, m = cfg.x, cfg.y, cfg.m
+    state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL, trace)
+    (state.removal_pass if cfg.kind is ProcessKind.REMOVAL else state.addition_pass)(orders[0].tolist(), x, y)
+    if cfg.kind is ProcessKind.COMBINED and (state.sources, state.sinks) == (x, y) and state.edge_total != m:
+        (state.addition_pass if state.edge_total < m else state.removal_pass)(orders[1].tolist(), x, y, m)
+    return state
+
+
+def _lone_equals_loops(cfg, orders):
+    """Run the trials of ``orders`` as one ``_lone_runs`` stack, and each one
+    alone, traced, as a one-row stack and by the loops; require equal fields
+    and trace events, and return the loops' final states."""
+    per_trial, loops = _rows_per_run(cfg.kind), []
+    for t, state in enumerate(_lone_runs(cfg, orders).states()):
+        rows, events, expected = orders[t * per_trial : (t + 1) * per_trial], [], []
+        (lone,) = _lone_runs(cfg, rows, lambda *event: events.append(event)).states()
+        loop = _loop_run(cfg, rows, lambda *event: expected.append(event))
+        loop.trace = None
+        assert _fields(state) == _fields(lone) == _fields(loop), t
+        assert events == expected, t
+        loops.append(loop)
+    return loops
+
+
 def _batch_phases(cfg, rows):
-    """Run ``_finish`` on ``rows`` once with a ``_Batch`` and, row by row, with
-    ``_State`` passes; require equal fields for every trial and return how
-    each combined trial's second phase went."""
-    per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
+    """Run ``_finish`` on ``rows`` with a ``_Batch``, and ``_lone_runs`` on the
+    same rows; require equal fields for every trial and return how the
+    combined trials' second phases went."""
+    per_trial = _rows_per_run(cfg.kind)
     batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
-    _finish(cfg, batch, iter([rows[i::per_trial] for i in range(per_trial)]).__next__)
-    assert batch.present.shape == (len(rows) // per_trial, math.comb(cfg.n, 2))
-    phases = set()
-    for t in range(len(rows) // per_trial):
-        state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL)
-        orders = iter(rows[t * per_trial : (t + 1) * per_trial].tolist())
-
-        def draw():
-            if cfg.m is not None and state.edge_total:  # the second draw: below m fills
-                phases.add("fill" if state.edge_total < cfg.m else "trim")
-            return next(orders)
-
-        _finish(cfg, state, draw)
-        if cfg.m is not None and (state.sources, state.sinks) != (cfg.x, cfg.y):
-            phases.add("miss")
-        assert batch.present[t].tobytes() == state.present, t
-        assert batch.indeg[t].tolist() == state.indeg, t
-        assert batch.outdeg[t].tolist() == state.outdeg, t
-        got = (batch.sources[t], batch.sinks[t], batch.edge_total[t], batch.rounds[t])
-        assert got == (state.sources, state.sinks, state.edge_total, state.rounds), t
-    return phases
+    _finish(cfg, batch, rows)
+    lone = _lone_runs(cfg, rows)
+    assert batch.present.shape == lone.present.shape == (len(rows) // per_trial, math.comb(cfg.n, 2))
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(batch, name), getattr(lone, name)), name
+    if cfg.m is None:
+        return set()
+    first = _addition_stack(cfg.n, rows[::2], cfg.x, cfg.y)  # each trial after its addition phase
+    hit = (first.sources == cfg.x) & (first.sinks == cfg.y)
+    went = {"miss": ~hit, "fill": hit & (first.edge_total < cfg.m), "trim": hit & (first.edge_total > cfg.m)}
+    return {phase for phase, trials in went.items() if trials.any()}
 
 
 def _rows(count, width, seed):
@@ -509,7 +537,9 @@ def _rows(count, width, seed):
 
 
 class TestBatchKernel:
-    """The lockstep kernel against ``_State`` passes on the same rows."""
+    """The lockstep kernel against the lone runs (``_lone_runs``) on the same
+    rows, which ``TestLastEdgeRemoval``, ``TestPhaseAddition`` and
+    ``TestStackedPasses`` check against the ``_State`` loops."""
 
     @pytest.mark.parametrize("trials", [1, 2, 7, 512])
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
@@ -607,44 +637,27 @@ class TestBatchKernel:
         monkeypatch.setattr(_Batch, "_step_index", no_steps)
         n, trials = 6, 5
         batch = _Batch(n, complete, trials)
-        fields = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
-        before = [getattr(batch, name).copy() for name in fields]
+        before = [getattr(batch, name).copy() for name in STATE_FIELDS]
         rows, idle = _rows(trials, math.comb(n, 2), seed=1), np.zeros(trials, bool)
         batch.removal_pass(rows, 1, 1, active=idle)
         batch.removal_pass(rows, 1, 1, budget=9, active=idle)
         batch.addition_pass(rows, 1, 1, active=idle)
         batch.addition_pass(rows, 1, 1, budget=9, active=idle)
-        for name, old in zip(fields, before):
+        for name, old in zip(STATE_FIELDS, before):
             assert np.array_equal(getattr(batch, name), old), name
 
 
-STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
+INTEGER_DTYPES = (np.int16, np.int32, np.int64, np.uint16)
 
 
-def _fields(state):
-    return tuple(getattr(state, name) for name in STATE_FIELDS)
-
-
-def _traced(state):
-    """A copy of ``state`` whose trace records its events, and that record."""
-    events = []
-    state = state.copy()
-    state.trace = lambda *event: events.append(event)
-    return state, events
-
-
-def _both_removals(state, order, x, y, budget=None, active=True):
-    """Run the removal loop and the last-edge pass, untraced and traced, from
-    copies of ``state`` on the same order; require equal fields, return values
-    and trace events, and return the loop's final state."""
-    (loop, expected_events), (traced, events) = _traced(state), _traced(state)
-    expected = loop.removal_pass(np.asarray(order).tolist(), x, y, budget, active)
-    decided = state.copy()
-    assert decided.last_edge_removal_pass(order, x, y, budget, active) == expected
-    assert traced.last_edge_removal_pass(order, x, y, budget, active) == expected
-    assert _fields(decided) == _fields(traced) == _fields(loop)
-    assert events == expected_events
-    loop.trace = None
+def _second_phase(state, order, x, y, m):
+    """Run the loop with budget m and the fill or trim from copies of
+    ``state``, an exact (x, y) profile off m edges, on the same order;
+    require equal fields and return the loop's final state."""
+    loop, moved = state.copy(), state.copy()
+    (loop.addition_pass if state.edge_total < m else loop.removal_pass)(order.tolist(), x, y, m)
+    (moved.fill if state.edge_total < m else moved.trim)(order, x, y, m)
+    assert _fields(moved) == _fields(loop)
     return loop
 
 
@@ -669,14 +682,14 @@ def _trim_start(n, x, y, seed):
 
 
 class TestLastEdgeRemoval:
-    """``_State.last_edge_removal_pass`` against the ``removal_pass`` loop."""
+    """The last-edge lemma's removal runs (``_lone_runs``) and trims
+    (``_State.trim``) against the ``removal_pass`` loop."""
 
     @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
     @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
     def test_complete_start_equals_loop(self, x, y, n, orders):
         rows = _rows(orders, math.comb(n, 2), seed=1000 * n + 10 * x + y)
-        for order in rows:
-            loop = _both_removals(_State(n, True), order, x, y)
+        for loop in _lone_equals_loops(ProcessConfig(x, y, n, ProcessKind.REMOVAL, seed=0), rows):
             assert loop.rounds == math.comb(n, 2) - loop.edge_total
 
     @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (1, 3)])
@@ -686,7 +699,9 @@ class TestLastEdgeRemoval:
         # whose next visit is decided, which the walk must then not decide
         state = _trim_start(n, x, y, seed=n + x + y)
         order = _rows(1, math.comb(n, 2), seed=n)[0]
-        traced, events = _traced(state)
+        events = []
+        traced = state.copy()
+        traced.trace = lambda *event: events.append(event)
         traced.removal_pass(order.tolist(), x, y)
         index = {pair: i for i, pair in enumerate(ordered_pairs(n))}
         removed = [index[(a, b)] for _, _, a, b, _, _ in events]  # the k-th stops a budget of edges - k - 1
@@ -697,33 +712,14 @@ class TestLastEdgeRemoval:
             k for k, i in enumerate(removed) if i not in decided and next_visit.get(i) in decided
         )
         for k in (on_decided, before_decided):
-            budget = state.edge_total - k - 1
-            assert _both_removals(state, order, x, y, budget=budget).edge_total == budget
-
-    @pytest.mark.parametrize("x,y", [(2, 2), (4, 3)])
-    def test_every_budget_from_complete_equals_loop(self, x, y):
-        # below its caps a decided removal can change the sources or sinks, so
-        # the walk must stop where the budget is reached, not only the cut;
-        # budgets below the final count and above the start are never reached
-        n = 22
-        for order in _rows(2, math.comb(n, 2), seed=x + y):
-            final = _both_removals(_State(n, True), order, x, y).edge_total
-            for budget in range(final - 1, math.comb(n, 2) + 2):
-                _both_removals(_State(n, True), order, x, y, budget=budget)
-
-    def test_idle_calls_move_nothing(self):
-        n, x, y = 30, 1, 1
-        state = _trim_start(n, x, y, seed=3)
-        order = _rows(1, math.comb(n, 2), seed=3)[0]
-        before = _fields(state.copy())
-        for budget, active in ((None, False), (60, False), (state.edge_total, True)):
-            _both_removals(state, order, x, y, budget, active)
-            assert state.last_edge_removal_pass(order, x, y, budget, active) == (budget == state.edge_total)
-            assert _fields(state) == before
+            m = state.edge_total - k - 1
+            assert _second_phase(state, order, x, y, m).edge_total == m
 
     @pytest.mark.parametrize("complete", [True, False])
     @pytest.mark.parametrize("n", [22, 40, 100])
     def test_at_most_2n_minus_2_positions_decided(self, n, complete, monkeypatch):
+        # from the complete graph a removal run, from an exact (1, 1) profile
+        # a trim by one edge: both decide each vertex's last present edges
         decided = []
 
         def spy(n, orders):
@@ -733,53 +729,44 @@ class TestLastEdgeRemoval:
 
         real = processes._last_edges
         monkeypatch.setattr(processes, "_last_edges", spy)
+        cfg = ProcessConfig(1, 1, n, ProcessKind.REMOVAL, seed=0)
         for order in _rows(4, math.comb(n, 2), seed=n):
-            state = _State(n, True) if complete else _trim_start(n, 1, 1, seed=n)
-            expected = len(_scanned_last_edges(state, order))
-            _both_removals(state, order, 1, 1)
-            assert decided.pop() == expected <= 2 * n - 2
+            if complete:
+                state = _State(n, True)
+                (row,) = _lone_runs(cfg, order[None]).states()
+                assert _fields(row) == _fields(_loop_run(cfg, order[None]))
+            else:
+                state = _trim_start(n, 1, 1, seed=n)
+                _second_phase(state, order, 1, 1, state.edge_total - 1)
+            assert decided.pop() == len(_scanned_last_edges(state, order)) <= 2 * n - 2
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_any_integer_order(self, n):
-        # an empty list (no candidates at n = 1) and a list order
-        for x, y in product(range(1, n + 1), repeat=2):
-            _both_removals(_State(n, True), _rows(1, math.comb(n, 2), seed=n)[0].tolist(), x, y)
+        # no candidates at n = 1, and orders of any integer dtype
+        for dtype, (x, y) in product(INTEGER_DTYPES, product(range(1, n + 1), repeat=2)):
+            cfg = ProcessConfig(x, y, n, ProcessKind.REMOVAL, seed=0)
+            _lone_equals_loops(cfg, _rows(3, math.comb(n, 2), seed=n).astype(dtype))
 
     def test_exact_laws_never_enter(self, monkeypatch):
         # the exact flow's one-edge passes take the loop
         def refuse(*args, **kwargs):
-            raise AssertionError("last_edge_removal_pass was called")
+            raise AssertionError("_decide_removals was called")
 
-        monkeypatch.setattr(_State, "last_edge_removal_pass", refuse)
+        monkeypatch.setattr(processes, "_decide_removals", refuse)
         for n in range(1, 6):
             for x, y in product(range(1, n + 1), repeat=2):
                 exact_process_distribution(ProcessKind.REMOVAL, x, y, n)
 
 
-def _both_additions(state, order, x, y, budget=None, active=True):
-    """Run the addition loop and the phase pass, untraced and traced, from
-    copies of ``state`` on the same order; require equal fields, return values
-    and trace events, and return the loop's final state."""
-    (loop, expected_events), (traced, events) = _traced(state), _traced(state)
-    expected = loop.addition_pass(np.asarray(order).tolist(), x, y, budget, active)
-    phased = state.copy()
-    assert phased.phase_addition_pass(order, x, y, budget, active) is expected
-    assert traced.phase_addition_pass(order, x, y, budget, active) is expected
-    assert _fields(phased) == _fields(traced) == _fields(loop)
-    assert events == expected_events
-    loop.trace = None
-    return loop
-
-
 class TestPhaseAddition:
-    """``_State.phase_addition_pass`` against the ``addition_pass`` loop."""
+    """The phase lemma's addition runs (``_lone_runs``) and fills
+    (``_State.fill``) against the ``addition_pass`` loop."""
 
     @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
     @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
     def test_empty_start_equals_loop(self, x, y, n, orders):
         rows = _rows(orders, math.comb(n, 2), seed=2000 * n + 10 * x + y)
-        for order in rows:
-            loop = _both_additions(_State(n, False), order, x, y)
+        for loop in _lone_equals_loops(ProcessConfig(x, y, n, ProcessKind.ADDITION, seed=0), rows):
             assert loop.rounds == loop.edge_total
 
     @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (1, 3), (4, 3)])
@@ -789,49 +776,20 @@ class TestPhaseAddition:
         # budgets below, at and above the count they can reach
         state = _trim_start(n, x, y, seed=n + x + y)
         order = _rows(1, math.comb(n, 2), seed=n + 1)[0]
-        reach = _both_additions(state, order, x, y, budget=math.comb(n, 2) + 1).edge_total
+        reach = _second_phase(state, order, x, y, math.comb(n, 2) + 1).edge_total
         budgets = {state.edge_total + 1, (state.edge_total + reach) // 2, reach - 1, reach, reach + 1}
         short = []
-        for budget in sorted(b for b in budgets if b > state.edge_total):
-            loop = _both_additions(state, order, x, y, budget=budget)
+        for m in sorted(b for b in budgets if b > state.edge_total):
+            loop = _second_phase(state, order, x, y, m)
             assert (loop.sources, loop.sinks) == (x, y)
-            if loop.edge_total < budget:
-                short.append(budget)
+            if loop.edge_total < m:
+                short.append(m)
         assert short == [reach + 1]  # the fill runs out one edge short of it
 
-    @pytest.mark.parametrize("n", [22, 40])
-    def test_partial_start_equals_loop(self, n):
-        # starts with edges present: a (1, 1) pass cut at a budget, which may
-        # leave the sources or sinks above or below the next pass's caps
-        first, second = _rows(2, math.comb(n, 2), seed=n)
-        for budget in (3, math.comb(n, 2) // 10, math.comb(n, 2) // 3):
-            start = _State(n, False)
-            start.addition_pass(first.tolist(), 1, 1, budget=budget)
-            for x, y in product((1, 2, 4), repeat=2):
-                _both_additions(start, second, x, y)
-                _both_additions(start, second, x, y, budget=start.edge_total + math.comb(n, 2) // 5)
-
-    def test_idle_calls_move_nothing(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a phase ran")
-
-        monkeypatch.setattr(processes, "_addition_phase", refuse)
-        n, x, y = 30, 2, 2
-        state = _trim_start(n, x, y, seed=3)
-        order = _rows(1, math.comb(n, 2), seed=3)[0]
-        before = _fields(state.copy())
-        calls = [(None, False, True), (state.edge_total + 40, False, False), (state.edge_total, True, True)]
-        calls.append((None, True, True))  # already at the exact profile
-        for budget, active, halted in calls:
-            assert _both_additions(state, order, x, y, budget, active).edge_total == state.edge_total
-            assert state.phase_addition_pass(order, x, y, budget, active) is halted
-            assert _fields(state) == before
-        empty = _State(n, False)
-        assert empty.phase_addition_pass(order, x, y, active=False) is False
-        assert _fields(empty) == _fields(_State(n, False))
-
     @pytest.mark.parametrize("n", [22, 40, 100])
-    def test_at_most_two_phases_or_three_with_a_budget(self, n, monkeypatch):
+    def test_at_most_two_phases(self, n, monkeypatch):
+        # a pass from the empty graph ends at the second cap to bind, and a
+        # fill from an exact profile is one array step, with no phase
         phases = []
 
         def spy(*args):
@@ -840,31 +798,34 @@ class TestPhaseAddition:
 
         real = processes._addition_phase
         monkeypatch.setattr(processes, "_addition_phase", spy)
-        unbudgeted, budgeted, capped_at_1 = [], [], []
+        counts = {}
         for order, (x, y) in zip(_rows(6, math.comb(n, 2), seed=n), [(1, 1), (2, 3), (4, 1)] * 2):
-            for budget, counts in ((None, unbudgeted), (math.comb(n, 2), budgeted)):
-                phases.append(0)
-                _both_additions(_State(n, False), order, x, y, budget)
-                counts.append(phases[-1] / 2)  # the untraced and the traced pass
-            if (x, y) == (1, 1):
-                capped_at_1.append(unbudgeted[-1])
-        assert max(unbudgeted) == 2
-        assert max(budgeted) == 3
-        assert capped_at_1 == [1, 1]  # a count that reaches a cap of 1 bars nothing
+            phases.append(0)
+            cfg = ProcessConfig(x, y, n, ProcessKind.ADDITION, seed=0)
+            (row,) = _addition_stack(n, order[None], x, y).states()
+            assert _fields(row) == _fields(_loop_run(cfg, order[None]))
+            counts.setdefault((x, y), []).append(phases[-1])
+        assert max(max(runs) for runs in counts.values()) == 2
+        assert counts[1, 1] == [1, 1]  # a count that reaches a cap of 1 bars nothing
+        phases.append(0)
+        state = _trim_start(n, 2, 3, seed=n)
+        _second_phase(state, _rows(1, math.comb(n, 2), seed=n + 1)[0], 2, 3, math.comb(n, 2))
+        assert phases[-1] == 0
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_any_integer_order(self, n):
-        # an empty list (no candidates at n = 1) and a list order
-        for x, y in product(range(1, n + 1), repeat=2):
-            _both_additions(_State(n, False), _rows(1, math.comb(n, 2), seed=n)[0].tolist(), x, y)
+        # no candidates at n = 1, and orders of any integer dtype
+        for dtype, (x, y) in product(INTEGER_DTYPES, product(range(1, n + 1), repeat=2)):
+            cfg = ProcessConfig(x, y, n, ProcessKind.ADDITION, seed=0)
+            _lone_equals_loops(cfg, _rows(3, math.comb(n, 2), seed=n).astype(dtype))
 
     def test_exact_laws_and_trees_never_enter(self, monkeypatch):
         # the exact flow's one-edge passes take the loop; a tree adds its
         # edges directly
         def refuse(*args, **kwargs):
-            raise AssertionError("phase_addition_pass was called")
+            raise AssertionError("_addition_phases was called")
 
-        monkeypatch.setattr(_State, "phase_addition_pass", refuse)
+        monkeypatch.setattr(processes, "_addition_phases", refuse)
         for n in range(1, 6):
             for x, y in product(range(1, n + 1), repeat=2):
                 exact_process_distribution(ProcessKind.ADDITION, x, y, n)
@@ -918,36 +879,71 @@ class TestStackedPasses:
         assert first == {"in", "out", "tie"}
 
     @pytest.mark.parametrize("n", [12, 30])
-    def test_phases_from_any_state_equal_loops(self, n):
-        # the phase pass on a stack of rows from one state: the empty graph, a
-        # (1, 1) pass cut at a budget, and an exact (x, y) profile; with and
-        # without a budget, so rows end their phases in different places and
-        # a row that is done must not move in the others' later phases
-        width = math.comb(n, 2)
-        first, *orders = _rows(9, width, seed=n)
+    def test_phases_from_any_state_equal_loops(self, n, monkeypatch):
+        # the phase pass on a stack of many rows from the empty graph: rows
+        # end their phases in different places, some after one phase and
+        # some after two, and a row that is done must not move in the
+        # others' later phases
+        starts = []
+
+        def spy(n, visit, start, *args):
+            starts.append(start)
+            return real(n, visit, start, *args)
+
+        real = processes._addition_phase
+        monkeypatch.setattr(processes, "_addition_phase", spy)
+        width, mixed = math.comb(n, 2), []
+        orders = _rows(40, width, seed=n)
         for x, y in product((1, 2, 4), repeat=2):
-            starts = [_State(n, False), _trim_start(n, x, y, seed=n + x + y)]
-            for budget in (3, width // 5):
-                starts.append(_State(n, False))
-                starts[-1].addition_pass(first.tolist(), 1, 1, budget=budget)
-            for start, room in product(starts, (None, 1, width // 4, width)):
-                mask = np.frombuffer(start.present, bool)
-                stack = np.array([order[~mask[order]] for order in orders])
-                added, sources, sinks = processes._addition_phases(
-                    n, stack, start.indeg, start.outdeg, start.sources, start.sinks, x, y, room
-                )
-                for row, order in enumerate(orders):
-                    loop = start.copy()
-                    loop.addition_pass(order.tolist(), x, y, None if room is None else start.edge_total + room)
-                    assert bytearray(added[row] | mask) == loop.present
-                    assert (sources[row], sinks[row]) == (loop.sources, loop.sinks)
+            starts.clear()
+            added, sources, sinks = processes._addition_phases(n, orders, x, y)
+            for row, order in enumerate(orders):
+                loop = _State(n, False)
+                loop.addition_pass(order.tolist(), x, y)
+                assert bytearray(added[row]) == loop.present
+                assert (sources[row], sinks[row]) == (loop.sources, loop.sinks)
+            if len(starts) > 1:  # rows done after one phase, and rows going on from different places
+                done = starts[1] == width
+                if done.any() and len(set(starts[1][~done].tolist())) > 1:
+                    mixed.append((x, y))
+        assert len(mixed) >= 3, mixed
+
+    @pytest.mark.parametrize("kind", list(ProcessKind), ids=lambda kind: kind.value)
+    def test_traced_runs_equal_loop_events(self, kind):
+        # run_process reports each move the loops make, in order, with the
+        # counts after it: the combined process's fills and trims with budget
+        # m included; a tree's edges are additions in child order, which caps
+        # of 1 never bar before its last edge
+        for n, (x, y), seed in product((1, 2, 5, 22, 40), [(1, 1), (2, 3), (4, 1)], range(3)):
+            if n < max(x, y) or (kind is ProcessKind.COMBINED and n <= max(x, y) + 1):
+                continue
+            budgets = [None]
+            if kind is ProcessKind.COMBINED:
+                lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, x, y, n)
+                hi = extremal_value(ExtremalKind.MAX_EDGES, x, y, n)
+                budgets = sorted({lo, lo + (hi - lo) // 4, (lo + hi) // 2, hi})
+            for m in budgets:
+                cfg = ProcessConfig(x, y, n, kind, seed=seed, m=m)
+                events, expected = [], []
+                out = run_process(cfg, lambda *event: events.append(event))
+                if kind is ProcessKind.RANDOM_TREE:
+                    edges = [(out.graph.predecessors(v)[0], v) for v in range(2, n + 1)]
+                    loop = _State(n, False, lambda *event: expected.append(event))
+                    loop.addition_pass([ordered_pairs(n).index(edge) for edge in edges], 1, 1)
+                else:
+                    rng = processes._rng(seed)
+                    orders = np.array([rng.permutation(math.comb(n, 2)) for _ in range(_rows_per_run(kind))])
+                    loop = _loop_run(cfg, orders, lambda *event: expected.append(event))
+                assert events == expected, (n, x, y, seed, m)
+                assert (out.rounds, out.graph.edge_count) == (loop.rounds, loop.edge_total)
+                assert out.graph == OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
 
 
 class TestCandidatePairs:
     def test_untraced_array_runs_never_build_ordered_pairs(self):
         # removal takes the last-edge pass, addition the phase pass, and the
-        # tree its edges' indices, traced or not; graph() reads the kept edges
-        # off the pair ends.  The loops read ordered_pairs(n)
+        # tree its edges' indices, traced or not; the outcome reads the kept
+        # edges off the pair ends.  The loops read ordered_pairs(n)
         for n in (5, 57):
             kinds = (ProcessKind.REMOVAL, ProcessKind.ADDITION)
             cfgs = [ProcessConfig(x, 2, n, kind, seed=2) for kind in kinds for x in (1, 3)]
@@ -957,16 +953,17 @@ class TestCandidatePairs:
             random_directed_tree(n, 3)
             assert ordered_pairs.cache_info().misses == 0
             for cfg, out in zip(cfgs, outs):
-                loop = _State(n, cfg.kind is ProcessKind.REMOVAL)
-                run = _State.removal_pass if cfg.kind is ProcessKind.REMOVAL else _State.addition_pass
-                run(loop, processes._rng(cfg.seed).permutation(math.comb(n, 2)).tolist(), cfg.x, cfg.y)
-                assert (out.graph.to_json(), out.rounds) == (loop.graph().to_json(), loop.rounds)
+                loop = _loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
+                graph = OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
+                assert (out.graph.to_json(), out.rounds) == (graph.to_json(), loop.rounds)
             assert ordered_pairs.cache_info().misses == 1
 
     def test_graph_from_pair_ends_equals_graph_from_pairs(self):
         n = 30
-        state = _State(n, False)
-        state.phase_addition_pass(_rows(1, math.comb(n, 2), seed=4)[0], 2, 3)
-        graph, expected = state.graph(), OrderedDag.from_edges(n, compress(ordered_pairs(n), state.present))
+        cfg = ProcessConfig(2, 3, n, ProcessKind.ADDITION, seed=4)
+        graph = run_process(cfg).graph
+        loop = _loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
+        expected = OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
         assert graph == expected and graph.to_json() == expected.to_json()
-        assert (graph._indeg, graph._outdeg) == (state.indeg, state.outdeg)
+        assert (graph._indeg, graph._outdeg) == (loop.indeg, loop.outdeg)
+        assert {type(degree) for degree in graph._indeg + graph._outdeg} == {int}
