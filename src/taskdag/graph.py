@@ -59,8 +59,8 @@ class OrderedDag:
 
     Degree tallies are stored alongside the edge set, so degrees and profiles
     are read without a pass over the edges.  The generation processes keep
-    their own tallies in ``processes._State`` and hand them over through
-    ``_adopt`` when a run ends.
+    their own tallies, a row of degree arrays in a ``processes._Batch``
+    record, and hand them over through ``_adopt`` when a run ends.
     A graph value is single-owner: share by copying, not by aliasing.
     """
 

@@ -7,15 +7,16 @@ seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
 whole trials (``_draw_rows``): rows of the candidate indices, shuffled in
 place, one row per edge order, each equal to one ``permutation`` call.
 Every engine returns a sub-batch's final states as records of arrays,
-``_Batch``es.  A sub-batch of at least ``_kernel_min`` removal, addition or
-combined trials moves in lockstep (``processes._finish``): under
-``_DRAW_CAP`` a whole block is one sub-batch up to n = 23, or n = 16 for the
-combined process, and the kernel takes sub-batches up to n = 38 for removals
-and capped additions, n = 16 for (1, 1) additions and n = 32 for the
-combined process.  A smaller sub-batch runs as stacks of at most
-``_STACK_CAP`` entries through the route every lone run takes
-(``processes._lone_runs``): the lemma passes of all a stack's rows at once,
-and for the combined process each hit trial's fill or trim on its own row.
+``_Batch``es, the package's one run state.  A sub-batch of at least
+``_kernel_min`` removal, addition or combined trials moves in lockstep
+(``processes._finish``): under ``_DRAW_CAP`` a whole block is one sub-batch
+up to n = 23, or n = 16 for the combined process, and the kernel takes
+sub-batches up to n = 38 for removals and capped additions, n = 16 for
+(1, 1) additions and n = 32 for the combined process.  A smaller sub-batch
+runs as stacks of at most ``_STACK_CAP`` entries through the route every
+lone run takes (``processes._lone_runs``): the lemma passes of all a stack's
+rows at once, and for the combined process each hit trial's fill or trim on
+its own row.
 Random trees are built in array form (``processes._tree_batch``).  All give
 equal final states on equal draws.  One function reads the statistics of any
 record (``_record_sums``): success, edges and isolated vertices over all rows
@@ -60,7 +61,6 @@ from .processes import (
     _lone_runs,
     _pair_ends,
     _rows_per_run,
-    _State,
     _tree_batch,
 )
 
@@ -205,13 +205,6 @@ def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -
         size = max(1, cap // max(1, width)) * per_trial  # n = 1 has no candidates
         for part in (rows[i : i + size] for i in range(0, len(rows), size)):
             yield _tree_batch(cfg.n, part) if tree else _lone_runs(cfg, part)
-
-
-def _trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[_State]:
-    """Final states of trials ``0..trials-1`` of one cell, block after block."""
-    for start in range(0, trials, _CHUNK):
-        for record in _block_states(cfg, master_seed, start, min(start + _CHUNK, trials)):
-            yield from record.states()
 
 
 # Fewest edges per vertex at which _longest_path reads depths off bitsets

@@ -3,7 +3,10 @@
 Everything here recomputes results from first principles (exhaustive subset
 enumeration, per-edge removal by definition, permutation filtering, exact
 probability flow of process runs over edge sets) so the closed forms and the
-fast routines have an independent check.  Every enumerated extremal verdict
+fast routines have an independent check.  The flow shares one piece with the
+processes, their cancel rule (``processes._thresholds``): it checks the
+dynamics built on that rule, and the tests hold the rule itself to reference
+loops, one edge at a time.  Every enumerated extremal verdict
 but one reads one cached table of per-graph facts per order; the largest
 addition result comes from a densest-first search over edge sets for a graph
 the process halts on.  Caps keep the exponential searches bounded:
@@ -19,10 +22,12 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterator
 
+import numpy as np
+
 from .analysis import ExtremalKind
 from .errors import CapacityError, DomainError, check_int
 from .graph import OrderedDag, ordered_pairs
-from .processes import ProcessKind, _State
+from .processes import ProcessKind, _thresholds
 
 ENUMERATION_CAP = 6
 EXTENSION_FILTER_CAP = 8
@@ -38,6 +43,8 @@ class EnumerationScope:
 
     def validate(self) -> None:
         check_int(DomainError, n=self.n)
+        if type(self.minimal_only) is not bool:
+            raise DomainError(f"minimal_only must be a bool, got {self.minimal_only!r}")
         if self.profile is not None:
             if type(self.profile) is not tuple or len(self.profile) != 2:
                 raise DomainError(f"profile must be None or a pair (x, y), got {self.profile!r}")
@@ -215,8 +222,11 @@ def exact_process_distribution(
 ) -> ExactDistribution:
     """Exact outcome law by probability flow over edge sets.  A proposal
     blocked once stays blocked, so each accepted move is uniform over the
-    moves legal at that state: the one-edge passes that change it.  Mass
-    flows one edge count at a time and settles where no move is left."""
+    moves legal at that state: the edges to remove (add) whose ends both
+    pass the processes' cancel rule (``processes._thresholds``), and for
+    addition none at the exact (x, y) profile, where the process halts.  Mass
+    flows one edge count at a time, an integer per edge set, and settles
+    where no move is left."""
     check_int(DomainError, x=x, y=y, n=n)
     if n < max(x, y):
         raise DomainError(f"requires n >= max(x, y), got n = {n}")
@@ -224,33 +234,37 @@ def exact_process_distribution(
         raise CapacityError(
             f"exact distributions are capped at n <= {ENUMERATION_CAP}, got n = {n}"
         )
-    if kind is ProcessKind.REMOVAL:
-        complete, run = True, _State.removal_pass
-    elif kind is ProcessKind.ADDITION:
-        complete, run = False, _State.addition_pass
-    else:
+    if kind is not ProcessKind.REMOVAL and kind is not ProcessKind.ADDITION:
         raise DomainError(f"exact distributions cover removal and addition only, got {kind!r}")
-    n_pairs = len(ordered_pairs(n))
+    removal = kind is ProcessKind.REMOVAL
+    pairs = ordered_pairs(n)
+    n_pairs = len(pairs)
     scale = lcm(*range(1, n_pairs + 1))  # every move count divides it
-    start = (1 << n_pairs) - 1 if complete else 0
-    level, denom = {start: [_State(n, complete), 1]}, 1  # integer weights over denom
+    # the rule's threshold for each count of sources (sinks), 0..n
+    by_sources, by_sinks = _thresholds(np.arange(n + 1), np.array([[x], [y]]), removal).tolist()
+    level, denom = {(1 << n_pairs) - 1 if removal else 0: 1}, 1  # integer weights over denom
     outcomes: dict[tuple[int, int, int], Fraction] = {}
     while level:
-        nxt: dict[int, list] = {}
-        for mask, (state, weight) in level.items():
-            moves, child = [], state.copy()
-            for i in range(n_pairs):
-                run(child, (i,), x, y)  # an addition at exactly (x, y) halts
-                if child.edge_total != state.edge_total:
-                    moves.append((mask ^ 1 << i, child))
-                    child = state.copy()  # a cancelled move leaves the copy unchanged
+        nxt: dict[int, int] = {}
+        for mask, weight in level.items():
+            g = _graph_from_mask(n, pairs, mask)
+            indeg, outdeg = g._indeg, g._outdeg
+            sources, sinks = indeg.count(0) - 1, outdeg.count(0) - 1  # vertex 0 is no vertex
+            moves = []
+            if removal or (sources, sinks) != (x, y):  # an addition at exactly (x, y) halts
+                above_in, above_out = by_sources[sources], by_sinks[sinks]
+                moves = [
+                    mask ^ 1 << i
+                    for i, (a, b) in enumerate(pairs)
+                    if (mask >> i & 1) == removal and indeg[b] > above_in and outdeg[a] > above_out
+                ]
             if not moves:
-                key = (state.sources, state.sinks, state.edge_total)
+                key = (sources, sinks, g.edge_count)
                 outcomes[key] = outcomes.get(key, 0) + Fraction(weight, denom)
                 continue
             share = weight * (scale // len(moves))
-            for child_mask, child in moves:  # the first state reaching a mask stands for it
-                nxt.setdefault(child_mask, [child, 0])[1] += share
+            for child in moves:
+                nxt[child] = nxt.get(child, 0) + share
         level, denom = nxt, denom * scale
     expected = sum((key[2] * p for key, p in outcomes.items()), Fraction(0))
     return ExactDistribution(outcomes=dict(sorted(outcomes.items())), expected_edges=expected)

@@ -36,13 +36,17 @@ visits (``_addition_phases``), so the numpy calls are paid once per stack.
 Every lone run, a single one or one of a draw of rows, takes one route
 (``_lone_runs``): removals run as one ``_removal_stack``, additions and the
 combined process's addition phase as one ``_addition_stack``, and a combined
-run that hit (x, y) then fills or trims its row on a ``_State`` (``fill``,
-``trim``).  A batch of runs moves in lockstep (``_Batch``), the one record
-of final runs that stacks and random trees (``_tree_batch``) also give; a
-single tree goes from its parents straight to its graph (``_lone_tree``).
-The visit-every-position loops ``_State.removal_pass`` and ``addition_pass``
-are the reference for the stacks, fills, trims and the batch, and the exact
-flow's one-edge step.
+run that hit (x, y) then fills or trims its row of the record in place
+(``_fill_or_trim``).  A batch of runs moves in lockstep (``_Batch``), the one
+record of final runs that stacks and random trees (``_tree_batch``) also
+give; a single tree goes from its parents straight to its graph
+(``_lone_tree``).  So a ``_Batch`` record is the one run state.
+
+The cancel rule itself, per side the degree a move's end must exceed, is one
+function (``_thresholds``): the lockstep passes, the fill and the exact flow
+(``oracle.exact_process_distribution``) read it, and the lemmas above are its
+consequences.  The tests hold every engine to the visit-every-position loops
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ from enum import Enum
 from functools import lru_cache
 from bisect import bisect_left
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .analysis import ExtremalKind, extremal_value
 from .errors import CapacityError, ConfigError, GraphError, TaskDagError, check_int
-from .graph import MAX_ORDER, OrderedDag, ordered_pairs
+from .graph import MAX_ORDER, OrderedDag
 
 TraceFn = Callable[[int, str, int, int, int, int], None]
 # trace arguments: round index, "add"/"remove", a, b, source count, sink count
@@ -317,167 +321,16 @@ def _addition_phases(n: int, orders: np.ndarray, x: int, y: int) -> tuple[np.nda
     return added, sources, sinks
 
 
-class _State:
-    """Edge/degree bookkeeping of one run, started from the complete or the
-    empty graph, and the passes that move it.  Candidate edges are indexed by
-    their position in ``ordered_pairs(n)``, a topological order: each edge
-    comes after every edge into its tail.  ``removal_pass`` and
-    ``addition_pass`` visit every position of their order; they are the
-    reference for the stacks, the fills and trims and the lockstep kernel,
-    and the exact flow's one-edge step.  ``fill`` and ``trim`` are the
-    combined process's second phase on a lone run, from an exact (x, y)
-    profile to m edges, in array steps: a fill adds the neutral edges in one
-    step (phase lemma), and a trim decides only each vertex's last present
-    in- and out-edge (last-edge lemma).  They read the candidates' ends from
-    ``_pair_ends(n)``, so only the loops build ``ordered_pairs(n)``.
-    ``present`` is a ``bytearray``, one 0/1 byte per candidate: the loops
-    index it as fast as a list, ``copy()`` slices it, and numpy reads and
-    writes it in place as a bool array."""
-
-    __slots__ = ("n", "present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds", "trace")
-
-    def __init__(self, n: int, complete: bool, trace: TraceFn | None = None) -> None:
-        self.n, self.rounds, self.trace = n, 0, trace
-        self.present = bytearray([complete]) * (n * (n - 1) // 2)
-        if complete:  # vertex v has v - 1 predecessors and n - v successors
-            self.indeg, self.outdeg = [0, *range(n)], [0, *range(n - 1, -1, -1)]
-            self.sources = self.sinks = 1
-            self.edge_total = len(self.present)
-        else:
-            self.indeg, self.outdeg = [0] * (n + 1), [0] * (n + 1)
-            self.sources = self.sinks = n
-            self.edge_total = 0
-
-    def _present_mask(self) -> np.ndarray:
-        """``present`` as a read-only numpy bool array over its bytes."""
-        return np.frombuffer(memoryview(self.present).toreadonly(), np.bool_)
-
-    def copy(self) -> _State:
-        state = _State.__new__(_State)
-        state.n, state.trace, state.rounds = self.n, self.trace, self.rounds
-        state.present, state.indeg, state.outdeg = self.present[:], self.indeg[:], self.outdeg[:]
-        state.sources, state.sinks, state.edge_total = self.sources, self.sinks, self.edge_total
-        return state
-
-    def removal_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
-        """Remove each present edge of ``order`` unless that would raise the
-        sources above x or the sinks above y.  With a budget, halt at
-        ``budget`` edges; return whether the budget was reached."""
-        pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
-        sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
-        if edges != budget:
-            for idx in order:
-                if not present[idx]:
-                    continue
-                a, b = pairs[idx]
-                if (indeg[b] == 1 and sources >= x) or (outdeg[a] == 1 and sinks >= y):
-                    continue
-                present[idx] = False
-                indeg[b] -= 1
-                outdeg[a] -= 1
-                sources += indeg[b] == 0
-                sinks += outdeg[a] == 0
-                edges -= 1
-                rounds += 1
-                if trace is not None:
-                    trace(rounds, "remove", a, b, sources, sinks)
-                if edges == budget:
-                    break
-        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
-        return edges == budget
-
-    def addition_pass(self, order: Iterable[int], x: int, y: int, budget: int | None = None) -> bool:
-        """Add each absent edge of ``order`` unless that would drop the
-        sources below x or the sinks below y.  Halt at the exact (x, y)
-        profile, or with a budget at ``budget`` edges; return whether the
-        pass halted.  From an exact (x, y) profile this rule admits exactly
-        the neutral additions, which keep every vertex's source/sink status."""
-        pairs, present, indeg, outdeg = ordered_pairs(self.n), self.present, self.indeg, self.outdeg
-        sources, sinks, edges, rounds, trace = self.sources, self.sinks, self.edge_total, self.rounds, self.trace
-        if budget is None:  # halt at the exact profile, never at an edge count
-            tx, ty, budget = x, y, -1
-        else:  # halt at the edge count only
-            tx = ty = -1
-        if not ((sources == tx and sinks == ty) or edges == budget):
-            for idx in order:
-                if present[idx]:
-                    continue
-                a, b = pairs[idx]
-                if (indeg[b] == 0 and sources <= x) or (outdeg[a] == 0 and sinks <= y):
-                    continue
-                present[idx] = True
-                sources -= indeg[b] == 0
-                sinks -= outdeg[a] == 0
-                indeg[b] += 1
-                outdeg[a] += 1
-                edges += 1
-                rounds += 1
-                if trace is not None:
-                    trace(rounds, "add", a, b, sources, sinks)
-                if (sources == tx and sinks == ty) or edges == budget:
-                    break
-        self.sources, self.sinks, self.edge_total, self.rounds = sources, sinks, edges, rounds
-        return (sources == tx and sinks == ty) or edges == budget
-
-    def fill(self, order: np.ndarray, x: int, y: int, m: int) -> None:
-        """``addition_pass`` with budget m from an exact (x, y) profile below m
-        edges, for any integer array ``order`` of candidates: its absent edges
-        that the rule allows, in order, cut at m.  A count at a cap above 1
-        bars every edge into (out of) a vertex without in-edges (out-edges),
-        and a cap of 1 bars nothing; no edge allowed changes a count, so the
-        rule holds all pass."""
-        n, tails, heads = self.n, *_pair_ends(self.n)
-        present = np.frombuffer(self.present, np.bool_)  # written in place
-        order = order[~present[order]]
-        if x > 1:
-            order = order[np.asarray(self.indeg)[heads[order]] > 0]
-        if y > 1:
-            order = order[np.asarray(self.outdeg)[tails[order]] > 0]
-        moved = order[: m - self.edge_total]
-        present[moved] = True
-        self.indeg = (np.bincount(heads[moved], minlength=n + 1) + self.indeg).tolist()
-        self.outdeg = (np.bincount(tails[moved], minlength=n + 1) + self.outdeg).tolist()
-        self.edge_total += len(moved)
-        self.rounds += len(moved)
-
-    def trim(self, order: np.ndarray, x: int, y: int, m: int) -> None:
-        """``removal_pass`` with budget m from an exact (x, y) profile above m
-        edges, for any integer array ``order`` of candidates: the last-edge
-        lemma's decisions on its present edges, and every edge not kept is
-        removed, up to the one that reaches m.  A capped removal keeps the
-        profile exact, and a minimal graph has at most 2n - x - y - 2 <= m
-        edges, so a trim always reaches m."""
-        n, tails, heads = self.n, *_pair_ends(self.n)
-        present = np.frombuffer(self.present, np.bool_)  # written in place
-        order, need = order[present[order]], self.edge_total - m
-        ((_, _, kept, _, _),) = _decide_removals(n, order[None], x, y, self.sources, self.sinks, need)
-        gone = np.ones(len(order), bool)
-        gone[kept] = False
-        moved = order[gone][:need]
-        if len(moved) < need:  # never, by the argument above
-            edges = self.edge_total - len(moved)
-            raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
-        present[moved] = False
-        self.indeg = (np.array(self.indeg) - np.bincount(heads[moved], minlength=n + 1)).tolist()
-        self.outdeg = (np.array(self.outdeg) - np.bincount(tails[moved], minlength=n + 1)).tolist()
-        self.edge_total = m
-        self.rounds += need
-
-    def _trace_moves(self, op: str, moved: np.ndarray) -> None:
-        """Call the trace once per move of a pass, at the candidates ``moved``
-        in order, with the running counts and rounds from the fields at the
-        pass start.  A count changes where a move takes a degree from 1 to 0
-        (removal) or from 0 to 1 (addition)."""
-        tails, heads = _pair_ends(self.n)
-        indeg, outdeg, sources, sinks = self.indeg[:], self.outdeg[:], self.sources, self.sinks
-        # per move: the degree change, and the degree before it that moves a count
-        step, edge = (-1, 1) if op == "remove" else (1, 0)
-        for rounds, (a, b) in enumerate(zip(tails[moved].tolist(), heads[moved].tolist()), self.rounds + 1):
-            sources -= step * (indeg[b] == edge)
-            sinks -= step * (outdeg[a] == edge)
-            indeg[b] += step
-            outdeg[a] += step
-            self.trace(rounds, op, a, b, sources, sinks)
+def _thresholds(counts, caps, removal: bool):
+    """The cancel rule, per side: the degree a move's end must exceed to be
+    free, for ``counts`` of sources and sinks (first axis) under ``caps``
+    (any broadcastable shapes, such as ``(2, B)`` and ``(2, 1)``).  A move is
+    blocked at an end whose degree would leave or enter 0 (1 before a
+    removal, 0 before an addition) while that side's count is at its cap:
+    for a removal the threshold is 1 at or above the cap and count - cap + 1
+    <= 0 below it, for an addition 0 at or below the cap and cap - count < 0
+    above it.  A move passes when both its ends are free."""
+    return np.minimum(counts - caps + 1, 1) if removal else np.minimum(caps - counts, 0)
 
 
 # Largest order a _Batch takes: its degrees, counts and thresholds are int8.
@@ -485,11 +338,10 @@ _BATCH_MAX_ORDER = np.iinfo(np.int8).max
 
 
 class _Batch:
-    """Runs of ``_State`` from the same start, one per row, moved in lockstep:
-    the same fields as arrays, and the same two passes, which move every row
-    by one position of its own permutation per step.  It is also every
-    engine's record of final runs, adopted from the stacks' and the trees'
-    arrays (``_adopt``); ``states()`` gives each row as a ``_State``.
+    """Runs from the same start, the complete or the empty graph, one per
+    row, moved in lockstep: each pass moves every row by one position of its
+    own permutation per step.  It is also every engine's record of final
+    runs, adopted from the stacks' and the trees' arrays (``_adopt``).
     ``present`` is ``(B, C(n, 2))``.  A row's two degree lists share one
     ``(B, 2, n + 1)`` int8 array, ``degrees`` (any integer dtype if adopted);
     the source and sink counts share one ``(2, B)`` int8 array, ``counts``.
@@ -498,15 +350,11 @@ class _Batch:
     writes them back in one scatter.  Degrees, counts and thresholds all lie
     in [-n, n], so an order above ``_BATCH_MAX_ORDER`` is refused.
 
-    Each step tests both ends against a per-row threshold of their side.  The
-    cancel rule blocks a move at an end whose degree would leave or enter 0
-    (1 before a removal, 0 before an addition) while that side's count is at
-    its cap.  So a side is free when its end's degree is above its threshold:
-    for a removal 1 at the cap and count - cap + 1 <= 0 below it, for an
-    addition 0 at the cap and cap - count < 0 above it.  A move that changes
-    the count raises the threshold by 1, until it reaches the cap value.
-    The step's bool results are read as int8 through zero-copy views, so
-    every update runs on operands of one dtype.
+    Each step tests both ends against a per-row threshold of their side
+    (``_thresholds``).  A move that changes the count raises the threshold
+    by 1, until it reaches the cap value.  The step's bool results are read
+    as int8 through zero-copy views, so every update runs on operands of one
+    dtype.
 
     A pass visits each candidate once, and only the visited candidate moves
     at a step, so a candidate's presence at its visit is its presence at the
@@ -514,20 +362,21 @@ class _Batch:
     in step order, or not at all from the complete (removal) or empty
     (addition) start; records its moves in another; and writes ``present``
     once after its last step.  A pass on some rows (``active``) runs on the
-    compacted sub-batch of those rows.  ``_State.removal_pass`` and
-    ``addition_pass`` are the reference: each pass here applies the same
-    cancel rule and halts where it does, row by row, and the tests require
-    equal fields for every row."""
+    compacted sub-batch of those rows.  The tests hold every row of a pass
+    to the visit-every-position loops of ``tests/reference.py``: the same
+    cancel rule, the same halt and equal fields."""
 
     __slots__ = ("n", "present", "degrees", "counts", "edge_total", "rounds")
 
     def __init__(self, n: int, complete: bool, count: int) -> None:
         check_int(CapacityError, 1, _BATCH_MAX_ORDER, n=n)
-        start = _State(n, complete)
         self.n, self.present = n, np.full((count, n * (n - 1) // 2), complete)
-        self.degrees = np.tile(np.array((start.indeg, start.outdeg), np.int8), (count, 1, 1))
-        self.counts = np.tile(np.array([[start.sources], [start.sinks]], np.int8), count)
-        self.edge_total, self.rounds = np.full(count, start.edge_total, np.int64), np.zeros(count, np.int64)
+        self.degrees = np.zeros((count, 2, n + 1), np.int8)
+        if complete:  # vertex v has v - 1 predecessors and n - v successors
+            self.degrees[:, 0, 1:], self.degrees[:, 1, 1:] = np.arange(n), np.arange(n - 1, -1, -1)
+        self.counts = np.full((2, count), 1 if complete else n, np.int8)
+        self.edge_total = np.full(count, self.present.shape[1] if complete else 0, np.int64)
+        self.rounds = np.zeros(count, np.int64)
 
     @classmethod
     def _adopt(cls, n: int, present, degrees, counts, edge_total, rounds) -> _Batch:
@@ -585,9 +434,10 @@ class _Batch:
     def removal_pass(
         self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
     ) -> np.ndarray:
-        """``_State.removal_pass`` on every row in ``active`` (all rows by
-        default), row i taking ``orders[i]``.  Return which rows are at the
-        budget."""
+        """Remove each present edge of row i's order ``orders[i]`` that the
+        cancel rule lets through, on every row in ``active`` (all rows by
+        default), halting a row at ``budget`` edges if one is given.  Return
+        which rows are at the budget."""
         stop = -1 if budget is None else budget
         live = self.edge_total != stop
         if active is not None:
@@ -595,7 +445,7 @@ class _Batch:
         if not live.any():
             return self.edge_total == stop
         rows, steps, cells, held, counts = self._sub_batch(orders, live, self.present.shape[1])
-        threshold = np.minimum(counts - np.array([[x], [y]], np.int8) + 1, 1)
+        threshold = _thresholds(counts, np.array([[x], [y]], np.int8), True)
         counts -= threshold  # the counts, less the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
@@ -623,10 +473,11 @@ class _Batch:
     def addition_pass(
         self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
     ) -> np.ndarray:
-        """``_State.addition_pass`` on every row in ``active`` (all rows by
-        default), row i taking ``orders[i]``.  Return which rows halted.
-        Without a budget a row halts once both thresholds reach ``goal``,
-        where the counts equal the caps (never, if a count starts below)."""
+        """Add each absent edge of row i's order ``orders[i]`` that the cancel
+        rule lets through, on every row in ``active`` (all rows by default).
+        Return which rows halted: with a budget at ``budget`` edges, else at
+        the exact (x, y) profile, once both thresholds reach ``goal``, where
+        the counts equal the caps (never, if a count starts below)."""
 
         def halted() -> np.ndarray:  # at the exact profile, or with a budget at the edge count
             return (self.sources == x) & (self.sinks == y) if budget is None else self.edge_total == budget
@@ -636,7 +487,7 @@ class _Batch:
             return halted()
         rows, steps, cells, held, counts = self._sub_batch(orders, live, 0)
         caps = np.array([[x], [y]], np.int8)
-        threshold, goal = np.minimum(caps - counts, 0), np.minimum(counts - caps, 0)
+        threshold, goal = _thresholds(counts, caps, False), np.minimum(counts - caps, 0)
         counts += threshold  # the counts, plus the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
@@ -663,16 +514,6 @@ class _Batch:
                 break
         self._store(rows, cells, held, counts - threshold, moved, 1)
         return halted()
-
-    def states(self) -> Iterator[_State]:
-        """Each row as an untraced ``_State``, in row order."""
-        fields = (self.indeg, self.outdeg, self.sources, self.sinks, self.edge_total, self.rounds)
-        for present, indeg, outdeg, sources, sinks, edges, rounds in zip(self.present, *(f.tolist() for f in fields)):
-            state = _State.__new__(_State)
-            state.n, state.trace, state.rounds = self.n, None, rounds
-            state.present, state.indeg, state.outdeg = bytearray(present), indeg, outdeg
-            state.sources, state.sinks, state.edge_total = sources, sinks, edges
-            yield state
 
 
 def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
@@ -711,15 +552,70 @@ def _rows_per_run(kind: ProcessKind) -> int:
     return 2 if kind is ProcessKind.COMBINED else 1
 
 
+def _fill_or_trim(record: _Batch, row: int, order: np.ndarray, x: int, y: int, m: int) -> np.ndarray:
+    """The combined process's second phase on row ``row`` of a record of lone
+    runs, in place: from its exact (x, y) profile off m edges, the pass over
+    ``order`` (any integer array of candidates) with budget m.  Return the
+    candidates it moved, in order.  Below m it fills: the absent edges of
+    ``order`` that the cancel rule lets through, cut at m; no edge the rule
+    allows changes a count, so the rule holds all pass (phase lemma), and a
+    cap of 1 bars nothing, since the one source is vertex 1, never a head
+    (the one sink vertex n, never a tail).  Above m it trims: the last-edge
+    lemma's decisions on the present edges of ``order``, and every edge not
+    kept goes, up to the one that reaches m.  A capped removal keeps the
+    profile exact, and a minimal graph has at most 2n - x - y - 2 <= m edges,
+    so a trim always reaches m."""
+    n, (tails, heads) = record.n, _pair_ends(record.n)
+    present, degrees, edges = record.present[row], record.degrees[row], int(record.edge_total[row])
+    if edges < m:
+        order = order[~present[order]]
+        above_in, above_out = _thresholds(record.counts[:, row], np.array([x, y]), False).tolist()
+        order = order[(degrees[0, heads[order]] > above_in) & (degrees[1, tails[order]] > above_out)]
+        moved, sign = order[: m - edges], 1
+    else:
+        order, need = order[present[order]], edges - m
+        ((_, _, kept, _, _),) = _decide_removals(n, order[None], x, y, *record.counts[:, row].tolist(), need)
+        gone = np.ones(len(order), bool)
+        gone[kept] = False
+        moved, sign = order[gone][:need], -1
+        if len(moved) < need:  # never, by the argument above
+            raise TaskDagError(f"removal adjustment stopped at {edges - len(moved)} edges, above m = {m}")
+    present[moved] = sign > 0
+    degrees[0] += sign * np.bincount(heads[moved], minlength=n + 1)
+    degrees[1] += sign * np.bincount(tails[moved], minlength=n + 1)
+    record.edge_total[row] += sign * len(moved)
+    record.rounds[row] += len(moved)
+    return moved
+
+
+def _trace_moves(trace: TraceFn, op: str, n: int, start: np.ndarray, moved: np.ndarray, rounds: int) -> None:
+    """Call the trace once per move of a pass from the graph that ``start``
+    marks among ``ordered_pairs(n)``, at the candidates ``moved`` in order,
+    with the running counts, and rounds counted on from ``rounds``.  A count
+    changes where a move takes a degree from 1 to 0 (removal) or from 0 to 1
+    (addition)."""
+    tails, heads = _pair_ends(n)
+    indeg, outdeg = (np.bincount(ends[start], minlength=n + 1).tolist() for ends in (heads, tails))
+    sources, sinks = indeg.count(0) - 1, outdeg.count(0) - 1  # vertex 0 is no vertex
+    # per move: the degree change, and the degree before it that moves a count
+    step, edge = (-1, 1) if op == "remove" else (1, 0)
+    for rounds, (a, b) in enumerate(zip(tails[moved].tolist(), heads[moved].tolist()), rounds + 1):
+        sources -= step * (indeg[b] == edge)
+        sinks -= step * (outdeg[a] == edge)
+        indeg[b] += step
+        outdeg[a] += step
+        trace(rounds, op, a, b, sources, sinks)
+
+
 def _lone_runs(cfg: ProcessConfig, orders: np.ndarray, trace: TraceFn | None = None) -> _Batch:
     """The record of lone runs of ``cfg``, one per trial of ``orders`` (rows of
     candidate permutations, ``_rows_per_run`` per trial): removals run as one
     ``_removal_stack``, additions and the combined process's addition phase
     as one ``_addition_stack``, and then each combined run that hit (x, y)
-    off m edges fills or trims its row on its own ``_State``.  A traced run,
-    a single trial, reports each phase's moves: a pass visits each candidate
-    once, so they are the candidates of its order whose presence the phase
-    changed, in order."""
+    off m edges fills or trims its row in place (``_fill_or_trim``).  A
+    traced run, a single trial, reports each phase's moves: a pass visits
+    each candidate once, so they are the candidates of its order whose
+    presence the phase changed, in order."""
     n, x, y, m = cfg.n, cfg.x, cfg.y, cfg.m
     complete = cfg.kind is ProcessKind.REMOVAL
     if complete:
@@ -728,18 +624,14 @@ def _lone_runs(cfg: ProcessConfig, orders: np.ndarray, trace: TraceFn | None = N
         record = _addition_stack(n, orders[:: _rows_per_run(cfg.kind)], x, y)
     if trace is not None:  # from the complete or the empty graph
         moved = orders[0][record.present[0][orders[0]] != complete]
-        _State(n, complete, trace)._trace_moves("remove" if complete else "add", moved)
-    if cfg.kind is ProcessKind.COMBINED:
-        for row, (state, order) in enumerate(zip(record.states(), orders[1::2])):
-            if (state.sources, state.sinks) != (x, y) or state.edge_total == m:
-                continue  # a miss, or a hit at m, stops after its addition phase
-            start, fill = state.copy(), state.edge_total < m
-            (state.fill if fill else state.trim)(order, x, y, m)
+        _trace_moves(trace, "remove" if complete else "add", n, np.full(record.present.shape[1], complete), moved, 0)
+    if cfg.kind is ProcessKind.COMBINED:  # a miss, or a hit at m, stops after its addition phase
+        hit = (record.sources == x) & (record.sinks == y) & (record.edge_total != m)
+        for row in np.flatnonzero(hit).tolist():
+            start, rounds, fill = record.present[row].copy(), int(record.rounds[row]), record.edge_total[row] < m
+            moved = _fill_or_trim(record, row, orders[2 * row + 1], x, y, m)
             if trace is not None:
-                start.trace, moved = trace, order[start._present_mask()[order] != state._present_mask()[order]]
-                start._trace_moves("add" if fill else "remove", moved)
-            record.present[row], record.degrees[row] = state._present_mask(), (state.indeg, state.outdeg)
-            record.edge_total[row], record.rounds[row] = state.edge_total, state.rounds
+                _trace_moves(trace, "add" if fill else "remove", n, start, moved, rounds)
     return record
 
 
@@ -850,7 +742,7 @@ def _lone_tree(n: int, draws: np.ndarray, trace: TraceFn | None = None) -> tuple
     order, one move each."""
     tails, edges = _tree_edges(n, draws)
     if trace is not None:
-        _State(n, False, trace)._trace_moves("add", edges)
+        _trace_moves(trace, "add", n, np.zeros(n * (n - 1) // 2, bool), edges, 0)
     outdeg = np.bincount(tails, minlength=n + 1).tolist()
     graph = OrderedDag._adopt(n, set(zip(tails.tolist(), range(2, n + 1))), [0, 0, *[1] * (n - 1)], outdeg)
     return graph, outdeg.count(0) - 1  # vertex 0 is no vertex

@@ -26,7 +26,6 @@ from taskdag.analysis import (
 from taskdag.errors import DomainError
 from taskdag.graph import ordered_pairs
 from taskdag.harness import (
-    _trial_states,
     derive_seed,
     growth_experiment,
     run_trials,
@@ -40,6 +39,8 @@ from taskdag.oracle import (
     oracle_is_minimal,
 )
 from taskdag.processes import ProcessConfig, ProcessKind
+
+from .reference import trial_states
 
 BASE_SEED = 20260809
 
@@ -258,7 +259,7 @@ def test_criterion_10_micro_distributions():
     ]
     for kind, x, y, exact, tag in configs:
         cfg = ProcessConfig(x, y, 3, kind, seed=0)
-        states = _trial_states(cfg, derive_seed(BASE_SEED, tag), trials)
+        states = trial_states(cfg, derive_seed(BASE_SEED, tag), trials)
         seen = Counter(state.edge_total for state in states)
         by_edges = defaultdict(Fraction)
         for (r, s, edges), p in exact.items():
@@ -275,7 +276,7 @@ def test_criterion_11_retention_bound():
     pairs = ordered_pairs(n)
     cfg = ProcessConfig(1, 1, n, ProcessKind.REMOVAL, seed=0)
     survivals = [0] * len(pairs)
-    for state in _trial_states(cfg, derive_seed(BASE_SEED, 11), trials):
+    for state in trial_states(cfg, derive_seed(BASE_SEED, 11), trials):
         survivals = [count + present for count, present in zip(survivals, state.present)]
     for j, (r, s) in enumerate(pairs):
         bound = float(retention_probability_bound(r, s, n))
@@ -295,7 +296,7 @@ def test_criterion_12_tree_harmonic_law():
     sums = [0] * (n + 1)
     sq_sums = [0] * (n + 1)
     pairs = ordered_pairs(n)
-    for state in _trial_states(cfg, derive_seed(BASE_SEED, 12), trials):
+    for state in trial_states(cfg, derive_seed(BASE_SEED, 12), trials):
         depth = [0] * (n + 1)
         for a, b in compress(pairs, state.present):  # in topological order, so a's depth is known
             depth[b] = depth[a] + 1

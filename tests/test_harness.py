@@ -32,11 +32,10 @@ from taskdag.processes import (
     _finish,
     _lone_runs,
     _rows_per_run,
-    _State,
     _tree_batch,
 )
 
-from .test_processes import _fields, _loop_run
+from .reference import State, fields, loop_run, record_of, states, trial_states
 
 
 def _cfg(x, y, n, kind=ProcessKind.REMOVAL, **kw):
@@ -184,7 +183,7 @@ class TestRunTrials:
                 else:
                     size = math.comb(cfg.n, 2)
                     orders = np.array([rng.permutation(size) for _ in range(_rows_per_run(cfg.kind))])
-                    state = _loop_run(cfg, orders)
+                    state = loop_run(cfg, orders)
                     g = OrderedDag.from_edges(cfg.n, compress(ordered_pairs(cfg.n), state.present))
                     hit = (state.sources, state.sinks) == (cfg.x, cfg.y)
                 success = hit and (cfg.m is None or g.edge_count == cfg.m)
@@ -209,9 +208,9 @@ class TestRunTrials:
         # every field of each row of the stacks' records, lone fills and trims
         # included, equals the loops' run on the trial's draws
         rng = np.random.default_rng(np.random.SeedSequence([5, 0]))
-        for row in harness._trial_states(cfg, 5, 30):
+        for row in trial_states(cfg, 5, 30):
             orders = np.array([rng.permutation(math.comb(cfg.n, 2)) for _ in range(_rows_per_run(cfg.kind))])
-            assert _fields(row) == _fields(_loop_run(cfg, orders))
+            assert fields(row) == fields(loop_run(cfg, orders))
 
     @pytest.mark.parametrize(
         "kind,n",
@@ -297,13 +296,14 @@ class TestRunTrials:
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION], ids=lambda k: k.value)
     def test_lone_sub_batches_never_take_the_per_run_passes(self, kind, monkeypatch):
         # removal and addition trials below the kernel minimum run as stacks,
-        # with no pass of a lone _State: (1, 1) and capped points at n = 7, 40
-        # and 100, and the 107-trial sub-batches of a two-block cell at n = 50
+        # neither in lockstep nor with a per-row second phase: (1, 1) and
+        # capped points at n = 7, 40 and 100, and the 107-trial sub-batches
+        # of a two-block cell at n = 50
         def refuse(*args, **kwargs):
-            raise AssertionError("a pass of a lone _State was called")
+            raise AssertionError("a lockstep pass or a per-row second phase was called")
 
-        for name in ("removal_pass", "addition_pass", "fill", "trim"):
-            monkeypatch.setattr(_State, name, refuse)
+        monkeypatch.setattr(harness, "_finish", refuse)
+        monkeypatch.setattr(processes, "_fill_or_trim", refuse)
         for x, y in ((1, 1), (2, 3), (4, 1)):
             for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
                 assert run_trials(_cfg(x, y, n, kind), trials, master_seed=3).trials == trials
@@ -336,24 +336,20 @@ class TestRunTrials:
 
     def test_lone_combined_sub_batches_stack_their_addition_phase(self, monkeypatch):
         # combined trials below the kernel minimum run their addition phase as
-        # one stack; only a fill or a trim to m runs on its own _State
+        # one stack; only a fill or a trim to m runs on its own row
         calls, shapes = [], []
 
-        def spy(name, real):
-            def second_phase(state, order, x, y, m):
-                calls.append((name, m))
-                return real(state, order, x, y, m)
-
-            return second_phase
+        def second_phase(record, row, order, x, y, m):
+            calls.append("fill" if record.edge_total[row] < m else "trim")
+            return real_phase(record, row, order, x, y, m)
 
         def stack(n, orders, x, y):
             shapes.append(orders.shape)
             return real_stack(n, orders, x, y)
 
-        real_stack = processes._addition_stack
+        real_stack, real_phase = processes._addition_stack, processes._fill_or_trim
         monkeypatch.setattr(processes, "_addition_stack", stack)
-        for name in ("fill", "trim"):
-            monkeypatch.setattr(_State, name, spy(name, getattr(_State, name)))
+        monkeypatch.setattr(processes, "_fill_or_trim", second_phase)
         for x, y in ((1, 1), (2, 3)):
             for n, trials in ((7, 100), (40, 12), (50, 200)):
                 lo = extremal_value(ExtremalKind.MAX_MINIMAL_EDGES, x, y, n)
@@ -362,7 +358,7 @@ class TestRunTrials:
                 shapes.clear()
                 assert run_trials(cfg, trials, master_seed=3).trials == trials
                 assert sum(rows for rows, _ in shapes) == trials and max(rows for rows, _ in shapes) > 1
-        assert {name for name, _ in calls} == {"fill", "trim"}
+        assert set(calls) == {"fill", "trim"}
 
     def test_parallel_equals_serial(self):
         serial = run_trials(_cfg(1, 2, 7), 1200, master_seed=5, parallelism=1)
@@ -509,14 +505,6 @@ def _random_mask(n, edges, seed):
     return mask
 
 
-def _record(n, states):
-    """The record whose rows are the fields of ``states``."""
-    fields = [[getattr(state, name) for state in states] for name in ("sources", "sinks", "edge_total", "rounds")]
-    present = np.array([np.frombuffer(state.present, bool) for state in states]).reshape(len(states), -1)
-    degrees = np.array([(state.indeg, state.outdeg) for state in states]).reshape(len(states), 2, n + 1)
-    return _Batch._adopt(n, present, degrees, np.array(fields[:2]), *map(np.array, fields[2:]))
-
-
 def _rows_of(record):
     """Each row of ``record`` as a record of its own."""
     for i in range(len(record.present)):
@@ -531,7 +519,7 @@ def _check_sums(cfg, record):
     """``_record_sums`` against a graph built afresh from each row, on the
     whole record and row by row, with the crossover forcing the column DP
     and then the per-row paths; the sums must be Python ints."""
-    expected = [_graph_sums(cfg, state) for state in record.states()]
+    expected = [_graph_sums(cfg, state) for state in states(record)]
     assert len(expected) == len(record.present)
     for dp_rows in (0, 10**9):
         with pytest.MonkeyPatch.context() as patch:
@@ -597,7 +585,7 @@ class TestStateStatistics:
         draws = np.random.default_rng(n).random((5, n - 1))
         draws[3], draws[4] = 0.0, 1 - 2**-20
         pairs = ordered_pairs(n)
-        for state, row in zip(_tree_batch(n, draws).states(), draws.tolist()):
+        for state, row in zip(states(_tree_batch(n, draws)), draws.tolist()):
             edges = [(int(u * s) + 1, s + 1) for s, u in enumerate(row, 1)]
             outdeg = [0] * (n + 1)
             for a, _ in edges:
@@ -662,7 +650,7 @@ class TestStateStatistics:
         assert harness._longest_path(n, np.zeros(width, bool)) == 0
         assert harness._longest_path(n, np.ones(width, bool)) == n - 1
         for complete in (False, True):  # the untouched start states, as records of one
-            _check_sums(_cfg(1, 1, n), _record(n, [_State(n, complete)]))
+            _check_sums(_cfg(1, 1, n), record_of(n, [State(n, complete)]))
 
 
 def _kernel_batch(cfg, trials, seed):
@@ -696,6 +684,7 @@ class TestBatchStatistics:
     def test_untouched_batches(self, complete, n):
         cfg, trials = _cfg(1, 1, n), 3
         batch = _Batch(n, complete, trials)
+        assert all(fields(row) == fields(State(n, complete)) for row in states(batch))
         _check_sums(cfg, batch)
         assert harness._record_sums(cfg, batch)[2] == trials * (n - 1 if complete else 0)
 

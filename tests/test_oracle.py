@@ -15,6 +15,8 @@ from taskdag.oracle import (
 )
 from taskdag.processes import ProcessKind
 
+from .reference import trial_states
+
 K = ExtremalKind
 
 
@@ -50,6 +52,12 @@ class TestEnumeration:
         scope = EnumerationScope(n=3, minimal_only=True)
         for g in enumerate_graphs(scope):
             assert is_minimal_xy(g)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
+    def test_minimal_only_must_be_a_bool(self, value):
+        # a truthy string such as "no" would otherwise filter to the minimal graphs
+        with pytest.raises(DomainError, match=f"minimal_only must be a bool, got {value!r}"):
+            next(enumerate_graphs(EnumerationScope(n=3, minimal_only=value)))
 
     def test_cap_default(self):
         with pytest.raises(CapacityError, match="capped at n <= 6"):
@@ -197,14 +205,14 @@ class TestMonteCarloAgainstExactLaw:
         import math
         from collections import Counter
 
-        from taskdag.harness import _trial_states, derive_seed
+        from taskdag.harness import derive_seed
         from taskdag.processes import ProcessConfig
 
         # final states of the harness's own per-block trial streams
         trials = 100_000
         exact = exact_process_distribution(kind, x, y, n).outcomes
         master = derive_seed(404, int(kind is ProcessKind.REMOVAL), x, y, n)
-        states = _trial_states(ProcessConfig(x, y, n, kind, seed=0), master, trials)
+        states = trial_states(ProcessConfig(x, y, n, kind, seed=0), master, trials)
         seen = Counter((st.sources, st.sinks, st.edge_total) for st in states)
         assert set(seen) <= set(exact)
         for key, p in exact.items():

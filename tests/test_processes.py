@@ -20,17 +20,20 @@ from taskdag.processes import (
     ProcessOutcome,
     _addition_stack,
     _Batch,
+    _fill_or_trim,
     _finish,
     _lone_runs,
     _removal_stack,
     _rows_per_run,
-    _State,
+    _thresholds,
     combined_process,
     edge_addition_process,
     edge_removal_process,
     random_directed_tree,
     run_process,
 )
+
+from .reference import STATE_FIELDS, State, fields, loop_run, record_of, states
 
 
 def _profile_counts(n, pairs, mask):
@@ -95,13 +98,13 @@ def jump_chain_distribution(kind, x, y, n):
 
 
 def permutation_enumeration_distribution(kind, x, y, n):
-    """Exact halt-state law of the permutation-order process: one `_State`
-    pass over every one of the binom(n, 2)! edge orders."""
+    """Exact halt-state law of the permutation-order process: one reference
+    loop pass over every one of the binom(n, 2)! edge orders."""
     complete = kind is ProcessKind.REMOVAL
-    run = _State.removal_pass if complete else _State.addition_pass
+    run = State.removal_pass if complete else State.addition_pass
     tally = defaultdict(int)
     for order in permutations(range(len(ordered_pairs(n)))):
-        state = _State(n, complete)
+        state = State(n, complete)
         run(state, order, x, y)
         tally[(state.sources, state.sinks, state.edge_total)] += 1
     total = sum(tally.values())
@@ -271,7 +274,7 @@ class TestSemanticsEquivalence:
         )
 
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
-    @pytest.mark.parametrize("x,y", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("x,y", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_flow_equals_jump_chain(self, kind, x, y, n):
         if n < max(x, y):
@@ -294,6 +297,35 @@ class TestSemanticsEquivalence:
         for key, p in exact.items():
             sigma = math.sqrt(float(p) * (1 - float(p)) / trials)
             assert abs(seen[key] / trials - float(p)) <= 4 * sigma + 1e-12
+
+
+class TestCancelRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_thresholds_equal_one_edge_passes(self, n):
+        # the rule the kernel, the fill and the exact flow read, against the
+        # reference loop's one-edge pass from every graph: a candidate moves
+        # exactly when it can (present for a removal, absent for an addition)
+        # and both its ends are free, and an addition never moves at the
+        # exact (x, y) profile, where the process halts
+        pairs = ordered_pairs(n)
+        for mask in range(1 << len(pairs)):
+            start = State(n, False)
+            for i, (a, b) in enumerate(pairs):
+                if mask >> i & 1:
+                    start.present[i], start.edge_total = 1, start.edge_total + 1
+                    start.indeg[b] += 1
+                    start.outdeg[a] += 1
+            start.sources, start.sinks = start.indeg.count(0) - 1, start.outdeg.count(0) - 1
+            for (x, y), removal in product(product(range(1, n + 1), repeat=2), (True, False)):
+                counts = np.array([start.sources, start.sinks])
+                above_in, above_out = _thresholds(counts, np.array([x, y]), removal).tolist()
+                halted = not removal and (start.sources, start.sinks) == (x, y)
+                for i, (a, b) in enumerate(pairs):
+                    state = start.copy()
+                    (state.removal_pass if removal else state.addition_pass)((i,), x, y)
+                    free = start.indeg[b] > above_in and start.outdeg[a] > above_out
+                    expected = (mask >> i & 1) == removal and free and not halted
+                    assert (state.present != start.present) == expected, (mask, x, y, removal, i)
 
 
 class TestDeterminism:
@@ -476,37 +508,17 @@ class TestRetentionBoundMonteCarlo:
             assert survivals[i] / trials <= bound + 3 * sigma + 1e-12
 
 
-STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
-
-
-def _fields(state):
-    return tuple(getattr(state, name) for name in STATE_FIELDS)
-
-
-def _loop_run(cfg, orders, trace=None):
-    """The reference for one trial of ``cfg`` on its rows of ``orders``: the
-    ``_State`` loops from the complete or the empty graph, and for a combined
-    run that hit (x, y) off m edges the loops with budget m on its second
-    row."""
-    x, y, m = cfg.x, cfg.y, cfg.m
-    state = _State(cfg.n, cfg.kind is ProcessKind.REMOVAL, trace)
-    (state.removal_pass if cfg.kind is ProcessKind.REMOVAL else state.addition_pass)(orders[0].tolist(), x, y)
-    if cfg.kind is ProcessKind.COMBINED and (state.sources, state.sinks) == (x, y) and state.edge_total != m:
-        (state.addition_pass if state.edge_total < m else state.removal_pass)(orders[1].tolist(), x, y, m)
-    return state
-
-
 def _lone_equals_loops(cfg, orders):
     """Run the trials of ``orders`` as one ``_lone_runs`` stack, and each one
     alone, traced, as a one-row stack and by the loops; require equal fields
     and trace events, and return the loops' final states."""
     per_trial, loops = _rows_per_run(cfg.kind), []
-    for t, state in enumerate(_lone_runs(cfg, orders).states()):
+    for t, state in enumerate(states(_lone_runs(cfg, orders))):
         rows, events, expected = orders[t * per_trial : (t + 1) * per_trial], [], []
-        (lone,) = _lone_runs(cfg, rows, lambda *event: events.append(event)).states()
-        loop = _loop_run(cfg, rows, lambda *event: expected.append(event))
+        (lone,) = states(_lone_runs(cfg, rows, lambda *event: events.append(event)))
+        loop = loop_run(cfg, rows, lambda *event: expected.append(event))
         loop.trace = None
-        assert _fields(state) == _fields(lone) == _fields(loop), t
+        assert fields(state) == fields(lone) == fields(loop), t
         assert events == expected, t
         loops.append(loop)
     return loops
@@ -539,7 +551,7 @@ def _rows(count, width, seed):
 class TestBatchKernel:
     """The lockstep kernel against the lone runs (``_lone_runs``) on the same
     rows, which ``TestLastEdgeRemoval``, ``TestPhaseAddition`` and
-    ``TestStackedPasses`` check against the ``_State`` loops."""
+    ``TestStackedPasses`` check against the reference loops."""
 
     @pytest.mark.parametrize("trials", [1, 2, 7, 512])
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
@@ -651,13 +663,20 @@ INTEGER_DTYPES = (np.int16, np.int32, np.int64, np.uint16)
 
 
 def _second_phase(state, order, x, y, m):
-    """Run the loop with budget m and the fill or trim from copies of
-    ``state``, an exact (x, y) profile off m edges, on the same order;
-    require equal fields and return the loop's final state."""
-    loop, moved = state.copy(), state.copy()
+    """Run the loop with budget m on a copy of ``state``, an exact (x, y)
+    profile off m edges, and ``_fill_or_trim`` on a one-row record of it, on
+    the same order; require equal fields, and the candidates the fill or
+    trim reports to be the loop's moves, and return the loop's final state."""
+    events = []
+    loop = state.copy()
+    loop.trace = lambda *event: events.append(event)
     (loop.addition_pass if state.edge_total < m else loop.removal_pass)(order.tolist(), x, y, m)
-    (moved.fill if state.edge_total < m else moved.trim)(order, x, y, m)
-    assert _fields(moved) == _fields(loop)
+    record = record_of(state.n, [state])
+    moved = _fill_or_trim(record, 0, order, x, y, m)
+    (row,) = states(record)
+    loop.trace = None
+    assert fields(row) == fields(loop)
+    assert [ordered_pairs(state.n)[i] for i in moved.tolist()] == [(a, b) for _, _, a, b, _, _ in events]
     return loop
 
 
@@ -676,14 +695,14 @@ def _trim_start(n, x, y, seed):
     """A state where the (x, y) addition pass halted on (x, y)."""
     rng = np.random.default_rng(seed)
     while True:
-        state = _State(n, False)
+        state = State(n, False)
         if state.addition_pass(rng.permutation(math.comb(n, 2)).tolist(), x, y):
             return state
 
 
 class TestLastEdgeRemoval:
     """The last-edge lemma's removal runs (``_lone_runs``) and trims
-    (``_State.trim``) against the ``removal_pass`` loop."""
+    (``_fill_or_trim``) against the ``removal_pass`` loop."""
 
     @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
     @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
@@ -732,9 +751,9 @@ class TestLastEdgeRemoval:
         cfg = ProcessConfig(1, 1, n, ProcessKind.REMOVAL, seed=0)
         for order in _rows(4, math.comb(n, 2), seed=n):
             if complete:
-                state = _State(n, True)
-                (row,) = _lone_runs(cfg, order[None]).states()
-                assert _fields(row) == _fields(_loop_run(cfg, order[None]))
+                state = State(n, True)
+                (row,) = states(_lone_runs(cfg, order[None]))
+                assert fields(row) == fields(loop_run(cfg, order[None]))
             else:
                 state = _trim_start(n, 1, 1, seed=n)
                 _second_phase(state, order, 1, 1, state.edge_total - 1)
@@ -748,7 +767,7 @@ class TestLastEdgeRemoval:
             _lone_equals_loops(cfg, _rows(3, math.comb(n, 2), seed=n).astype(dtype))
 
     def test_exact_laws_never_enter(self, monkeypatch):
-        # the exact flow's one-edge passes take the loop
+        # the exact flow lists each state's moves by the cancel rule
         def refuse(*args, **kwargs):
             raise AssertionError("_decide_removals was called")
 
@@ -760,7 +779,7 @@ class TestLastEdgeRemoval:
 
 class TestPhaseAddition:
     """The phase lemma's addition runs (``_lone_runs``) and fills
-    (``_State.fill``) against the ``addition_pass`` loop."""
+    (``_fill_or_trim``) against the ``addition_pass`` loop."""
 
     @pytest.mark.parametrize("n,orders", [(22, 12), (40, 6), (100, 2)])
     @pytest.mark.parametrize("x,y", list(product(range(1, 5), repeat=2)))
@@ -802,8 +821,8 @@ class TestPhaseAddition:
         for order, (x, y) in zip(_rows(6, math.comb(n, 2), seed=n), [(1, 1), (2, 3), (4, 1)] * 2):
             phases.append(0)
             cfg = ProcessConfig(x, y, n, ProcessKind.ADDITION, seed=0)
-            (row,) = _addition_stack(n, order[None], x, y).states()
-            assert _fields(row) == _fields(_loop_run(cfg, order[None]))
+            (row,) = states(_addition_stack(n, order[None], x, y))
+            assert fields(row) == fields(loop_run(cfg, order[None]))
             counts.setdefault((x, y), []).append(phases[-1])
         assert max(max(runs) for runs in counts.values()) == 2
         assert counts[1, 1] == [1, 1]  # a count that reaches a cap of 1 bars nothing
@@ -820,8 +839,8 @@ class TestPhaseAddition:
             _lone_equals_loops(cfg, _rows(3, math.comb(n, 2), seed=n).astype(dtype))
 
     def test_exact_laws_and_trees_never_enter(self, monkeypatch):
-        # the exact flow's one-edge passes take the loop; a tree adds its
-        # edges directly
+        # the exact flow lists each state's moves by the cancel rule; a tree
+        # adds its edges directly
         def refuse(*args, **kwargs):
             raise AssertionError("_addition_phases was called")
 
@@ -834,7 +853,7 @@ class TestPhaseAddition:
 
 
 class TestStackedPasses:
-    """The stacks of lone removal and addition runs against the ``_State``
+    """The stacks of lone removal and addition runs against the reference
     loops, row by row."""
 
     @pytest.mark.parametrize("rows", [1, 2, 12])
@@ -848,12 +867,12 @@ class TestStackedPasses:
             if n < max(x, y):
                 continue
             orders = _rows(rows, math.comb(n, 2), seed=1000 * n + 100 * x + 10 * y + rows)
-            states = list(stack(n, orders, x, y).states())
-            assert len(states) == rows
-            for t, (order, state) in enumerate(zip(orders, states)):
-                loop = _State(n, complete)
+            finals = list(states(stack(n, orders, x, y)))
+            assert len(finals) == rows
+            for t, (order, state) in enumerate(zip(orders, finals)):
+                loop = State(n, complete)
                 (loop.removal_pass if complete else loop.addition_pass)(order.tolist(), x, y)
-                assert _fields(state) == _fields(loop), (n, t)
+                assert fields(state) == fields(loop), (n, t)
 
     def test_one_stack_bars_heads_bars_tails_or_ties(self):
         # with both caps above 1, the rows of one stack differ in which count
@@ -863,7 +882,7 @@ class TestStackedPasses:
         n, x, y = 12, 3, 3
         orders = _rows(200, math.comb(n, 2), seed=5)
         first = set()
-        for order, state in zip(orders, _addition_stack(n, orders, x, y).states()):
+        for order, state in zip(orders, states(_addition_stack(n, orders, x, y))):
             heads, tails, reach = set(), set(), {}
             for i, (a, b) in enumerate(ordered_pairs(n)[idx] for idx in order.tolist()):
                 heads.add(b)
@@ -873,9 +892,9 @@ class TestStackedPasses:
                 if len(tails) == n - y:
                     reach.setdefault("out", i)
             first.add("tie" if reach["in"] == reach["out"] else min(reach, key=reach.get))
-            loop = _State(n, False)
+            loop = State(n, False)
             loop.addition_pass(order.tolist(), x, y)
-            assert _fields(state) == _fields(loop)
+            assert fields(state) == fields(loop)
         assert first == {"in", "out", "tie"}
 
     @pytest.mark.parametrize("n", [12, 30])
@@ -898,7 +917,7 @@ class TestStackedPasses:
             starts.clear()
             added, sources, sinks = processes._addition_phases(n, orders, x, y)
             for row, order in enumerate(orders):
-                loop = _State(n, False)
+                loop = State(n, False)
                 loop.addition_pass(order.tolist(), x, y)
                 assert bytearray(added[row]) == loop.present
                 assert (sources[row], sinks[row]) == (loop.sources, loop.sinks)
@@ -928,12 +947,12 @@ class TestStackedPasses:
                 out = run_process(cfg, lambda *event: events.append(event))
                 if kind is ProcessKind.RANDOM_TREE:
                     edges = [(out.graph.predecessors(v)[0], v) for v in range(2, n + 1)]
-                    loop = _State(n, False, lambda *event: expected.append(event))
+                    loop = State(n, False, lambda *event: expected.append(event))
                     loop.addition_pass([ordered_pairs(n).index(edge) for edge in edges], 1, 1)
                 else:
                     rng = processes._rng(seed)
                     orders = np.array([rng.permutation(math.comb(n, 2)) for _ in range(_rows_per_run(kind))])
-                    loop = _loop_run(cfg, orders, lambda *event: expected.append(event))
+                    loop = loop_run(cfg, orders, lambda *event: expected.append(event))
                 assert events == expected, (n, x, y, seed, m)
                 assert (out.rounds, out.graph.edge_count) == (loop.rounds, loop.edge_total)
                 assert out.graph == OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
@@ -953,7 +972,7 @@ class TestCandidatePairs:
             random_directed_tree(n, 3)
             assert ordered_pairs.cache_info().misses == 0
             for cfg, out in zip(cfgs, outs):
-                loop = _loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
+                loop = loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
                 graph = OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
                 assert (out.graph.to_json(), out.rounds) == (graph.to_json(), loop.rounds)
             assert ordered_pairs.cache_info().misses == 1
@@ -962,7 +981,7 @@ class TestCandidatePairs:
         n = 30
         cfg = ProcessConfig(2, 3, n, ProcessKind.ADDITION, seed=4)
         graph = run_process(cfg).graph
-        loop = _loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
+        loop = loop_run(cfg, processes._rng(cfg.seed).permutation(math.comb(n, 2))[None])
         expected = OrderedDag.from_edges(n, compress(ordered_pairs(n), loop.present))
         assert graph == expected and graph.to_json() == expected.to_json()
         assert (graph._indeg, graph._outdeg) == (loop.indeg, loop.outdeg)
