@@ -28,25 +28,23 @@ bytes for any parallelism level and any block execution order.
 At parallelism p > 1 the caller is one of p workers: it keeps p - 1 lane
 processes, each behind one duplex pipe, sends each lane a block, runs the next
 block itself, and refills the lanes as their sums come back.  The lanes live
-as long as the process, or until an experiment asks for another p.
+as long as the process, or until an experiment asks for another p.  The lane
+modules, ``multiprocessing`` and ``concurrent.futures``, load with the first
+lane set, so a process that runs every block itself never imports them.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
-import multiprocessing
 import os
 import signal
 import threading
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import repeat
-from multiprocessing.connection import Connection, wait
-from multiprocessing.process import BaseProcess
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +61,10 @@ from .processes import (
     _rows_per_run,
     _tree_batch,
 )
+
+if TYPE_CHECKING:  # the lane modules load with the first lane set
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 _CHUNK = 512  # trials per work item; fixed so partitioning ignores the worker count
 # Most trials per cell.  A cell's block list is built before any trial runs
@@ -118,9 +120,12 @@ _pool_lock = threading.Lock()
 
 def _forget_pool() -> None:
     global _pool, _pool_lock
-    for lane, conn in _pool[1] if _pool else ():
-        conn.close()
-        multiprocessing.process._children.discard(lane)
+    if _pool:
+        from multiprocessing.process import _children
+
+        for lane, conn in _pool[1]:
+            conn.close()
+            _children.discard(lane)
     _pool, _pool_lock = None, threading.Lock()
 
 
@@ -331,9 +336,22 @@ def _lane(conn: Connection, caller_end: Connection) -> None:
 def _shared_pool(parallelism: int) -> list[tuple[BaseProcess, Connection]]:
     """The process's ``parallelism - 1`` lanes, started on first use and kept
     for every later experiment with the same parallelism; a set of another
-    size is stopped first.  Call with ``_pool_lock`` held."""
+    size is stopped first.  The lane modules are imported here, so a process
+    that never starts lanes never loads them.  Call with ``_pool_lock``
+    held."""
     global _pool
     if _pool is None or _pool[0] != parallelism:
+        # the lane modules: a lane found dead raises concurrent.futures'
+        # BrokenProcessPool, and multiprocessing.connection registers
+        # multiprocessing's exit hook on import
+        import concurrent.futures.process
+        import multiprocessing.connection
+
+        # The lanes are not daemons, which a forked child's exit would
+        # terminate.  So they are stopped at exit, before that hook joins
+        # its children: atexit runs the latest registration first.
+        atexit.unregister(_drop_pool)
+        atexit.register(_drop_pool)
         _drop_pool()
         _pool = (parallelism, [])
         try:
@@ -359,12 +377,6 @@ def _drop_pool() -> None:
         lane.join()
 
 
-# The lanes are not daemons, which a forked child's exit would terminate.  So
-# they are stopped here at exit, before multiprocessing's own exit hook (first
-# registered when multiprocessing.connection was imported) joins its children.
-atexit.register(_drop_pool)
-
-
 def _lane_sums(
     blocks: list[tuple[ProcessConfig, int, int, int]], parallelism: int
 ) -> list[tuple[int, ...]]:
@@ -374,6 +386,8 @@ def _lane_sums(
     left, so that the caller keeps its share.  Any exception drops the lanes,
     whose unanswered blocks must not reach the next call; a lane found dead
     raises ``BrokenProcessPool``.  Call with ``_pool_lock`` held."""
+    from multiprocessing.connection import wait
+
     held = {conn: deque() for _, conn in _shared_pool(parallelism)}  # blocks sent, not answered
     sums: list[tuple[int, ...]] = [()] * len(blocks)
     sent = 0
@@ -399,6 +413,8 @@ def _lane_sums(
     except BaseException as exc:
         _drop_pool()
         if isinstance(exc, (EOFError, OSError)):
+            from concurrent.futures.process import BrokenProcessPool
+
             raise BrokenProcessPool("a lane process died") from exc
         raise
     return sums

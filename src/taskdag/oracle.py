@@ -6,11 +6,15 @@ probability flow of process runs over edge sets) so the closed forms and the
 fast routines have an independent check.  The flow shares one piece with the
 processes, their cancel rule (``processes._thresholds``): it checks the
 dynamics built on that rule, and the tests hold the rule itself to reference
-loops, one edge at a time.  Every enumerated extremal verdict
-but one reads one cached table of per-graph facts per order; the largest
-addition result comes from a densest-first search over edge sets for a graph
-the process halts on.  Caps keep the exponential searches bounded:
-enumeration and exact process distributions stop at n <= 6.
+loops, one edge at a time.  Every enumerated extremal verdict but one, and
+every enumeration filtered by profile or minimality, reads one cached table
+of per-graph facts per order (``_facts_by_mask``, whose minimal column is
+``oracle_is_minimal``); the largest addition result comes from a
+densest-first search over edge sets for a graph the process halts on.  The
+table is built once per process by a loop over every graph of the order, so
+the first filtered enumeration at n = 6 pays for the whole table.  Caps keep
+the exponential searches bounded: enumeration and exact process
+distributions stop at n <= 6.
 """
 
 from __future__ import annotations
@@ -56,18 +60,19 @@ class EnumerationScope:
 
 
 def enumerate_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
-    """Yield every order-respecting labeled graph on scope.n vertices once."""
+    """Yield every order-respecting labeled graph on scope.n vertices once,
+    in mask order.  A filtered scope reads each graph's profile and
+    minimality off the per-order facts table (``_facts_by_mask``) and builds
+    only the graphs it yields."""
     scope.validate()
-    pairs = ordered_pairs(scope.n)
-    for mask in range(1 << len(pairs)):
-        g = _graph_from_mask(scope.n, pairs, mask)
-        if scope.profile is not None and g.profile().counts != scope.profile:
-            continue
-        if scope.minimal_only:
-            x, y = g.profile().counts
-            if not oracle_is_minimal(g, x, y):
-                continue
-        yield g
+    n, pairs = scope.n, ordered_pairs(scope.n)
+    if scope.profile is None and not scope.minimal_only:
+        for mask in range(1 << len(pairs)):
+            yield _graph_from_mask(n, pairs, mask)
+        return
+    for mask, (_, sources, sinks, minimal, _) in enumerate(_facts_by_mask(n)):
+        if scope.profile in (None, (sources, sinks)) and (minimal or not scope.minimal_only):
+            yield _graph_from_mask(n, pairs, mask)
 
 
 def _graph_from_mask(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> OrderedDag:

@@ -8,6 +8,10 @@ and trims and the exact flow must each give what these loops give, row by
 row.  The jump chain in ``test_processes.py`` checks the loops in turn.
 Candidate edges are indexed by their position in ``ordered_pairs(n)``, a
 topological order: each edge comes after every edge into its tail.
+
+``filtered_graphs`` is the reference for filtered enumeration: each graph
+of the order profiled afresh and, for the minimal ones, checked by
+definition, where ``enumerate_graphs`` reads the per-order facts table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from taskdag import harness
-from taskdag.graph import ordered_pairs
+from taskdag.graph import OrderedDag, ordered_pairs
+from taskdag.oracle import EnumerationScope, enumerate_graphs, oracle_is_minimal
 from taskdag.processes import ProcessConfig, ProcessKind, TraceFn, _Batch
 
 STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
@@ -154,3 +159,16 @@ def trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[
     for start in range(0, trials, harness._CHUNK):
         for record in harness._block_states(cfg, master_seed, start, min(start + harness._CHUNK, trials)):
             yield from states(record)
+
+
+def filtered_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
+    """The graphs of ``scope`` by a filter on every graph of the order, in
+    mask order: each re-profiled, and for ``minimal_only`` checked by
+    ``oracle_is_minimal``."""
+    for g in enumerate_graphs(EnumerationScope(n=scope.n)):
+        counts = g.profile().counts
+        if scope.profile is not None and counts != scope.profile:
+            continue
+        if scope.minimal_only and not oracle_is_minimal(g, *counts):
+            continue
+        yield g

@@ -413,6 +413,23 @@ class TestRunTrials:
 
 
 class TestLanes:
+    def test_lane_modules_load_with_the_first_lane_set(self):
+        # serial runs, growth points and oracle verdicts import neither module;
+        # the first lane set imports both, and the interpreter still exits
+        out = _child(
+            "import sys\n"
+            "from taskdag import ExtremalKind, growth_experiment, oracle_extremal\n"
+            "def loaded():\n"
+            "    print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+            "run_trials(cfg, 1200, 5)\n"
+            "growth_experiment(ProcessKind.REMOVAL, 1, 1, [40], 24, 3)\n"
+            "oracle_extremal(ExtremalKind.MAX_MINIMAL_EDGES, 1, 2, 5)\n"
+            "loaded()\n"
+            "run_trials(cfg, 1200, 5, parallelism=2)\n"
+            "loaded()\n"
+        )
+        assert out.splitlines() == ["False False", "True True"]
+
     def test_lane_counts_change_without_hanging(self):
         # 2, then 4, then 2 lanes in one process: each set is stopped when the
         # next is started, and each gives the serial bytes

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from taskdag.oracle import (
 )
 from taskdag.processes import ProcessKind
 
-from .reference import trial_states
+from .reference import filtered_graphs, trial_states
 
 K = ExtremalKind
 
@@ -52,6 +53,37 @@ class TestEnumeration:
         scope = EnumerationScope(n=3, minimal_only=True)
         for g in enumerate_graphs(scope):
             assert is_minimal_xy(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_filtered_scopes_equal_the_per_graph_filter(self, n):
+        # every profile in [1, n]^2 and none, with and without minimal_only
+        for profile, minimal_only in product([None, *product(range(1, n + 1), repeat=2)], (False, True)):
+            scope = EnumerationScope(n=n, profile=profile, minimal_only=minimal_only)
+            expected = [g.to_json() for g in filtered_graphs(scope)]
+            assert [g.to_json() for g in enumerate_graphs(scope)] == expected, scope
+
+    @pytest.mark.parametrize("profile", [(1, 1), (2, 3)])
+    def test_minimal_scopes_at_n6_equal_the_per_graph_filter(self, profile):
+        scope = EnumerationScope(n=6, profile=profile, minimal_only=True)
+        expected = [g.to_json() for g in filtered_graphs(scope)]
+        assert expected and [g.to_json() for g in enumerate_graphs(scope)] == expected
+
+    def test_filtered_scopes_build_only_the_graphs_they_yield(self, monkeypatch):
+        # with the facts table built, a filtered scope builds no graph it drops
+        import taskdag.oracle
+
+        taskdag.oracle._facts_by_mask(5)
+        built, build = [], taskdag.oracle._graph_from_mask
+
+        def spy(n, pairs, mask):
+            built.append(mask)
+            return build(n, pairs, mask)
+
+        monkeypatch.setattr(taskdag.oracle, "_graph_from_mask", spy)
+        for profile, minimal_only in [((2, 3), False), (None, True), ((1, 1), True)]:
+            built.clear()
+            yielded = list(enumerate_graphs(EnumerationScope(n=5, profile=profile, minimal_only=minimal_only)))
+            assert len(built) == len(yielded) > 0
 
     @pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
     def test_minimal_only_must_be_a_bool(self, value):
