@@ -96,6 +96,28 @@ class TestEnumeration:
             next(enumerate_graphs(EnumerationScope(n=7)))
 
 
+class TestFactsTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_equal_the_per_graph_facts(self, n):
+        # each row against the graph itself: the minimal column against the definition
+        from taskdag.oracle import _facts_by_mask, _graph_from_mask
+
+        pairs = ordered_pairs(n)
+        table = _facts_by_mask(n)
+        assert len(table) == 1 << len(pairs)
+        for mask, row in enumerate(table):
+            g = _graph_from_mask(n, pairs, mask)
+            counts = g.profile().counts
+            expected = (
+                g.edge_count,
+                *counts,
+                oracle_is_minimal(g, *counts),
+                len(g.underlying_components()),
+            )
+            assert row == expected, mask
+            assert all(type(v) is type(e) for v, e in zip(row, expected)), mask
+
+
 class TestDefinitionalMinimality:
     def test_path(self):
         assert oracle_is_minimal(OrderedDag.from_edges(3, [(1, 2), (2, 3)]), 1, 1)
