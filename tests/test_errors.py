@@ -28,7 +28,12 @@ from taskdag.errors import (
 )
 from taskdag.graph import MAX_ORDER, OrderedDag, complete_graph, empty_graph
 from taskdag.harness import derive_seed, export, growth_experiment, run_trials, table_experiment
-from taskdag.oracle import EnumerationScope, exact_process_distribution, oracle_extremal
+from taskdag.oracle import (
+    EnumerationScope,
+    exact_process_distribution,
+    oracle_extremal,
+    oracle_is_minimal,
+)
 from taskdag.processes import ProcessConfig, ProcessKind, random_directed_tree, run_process
 
 SEED_MAX = 2**64 - 1
@@ -111,6 +116,11 @@ CASES = [
     *[(lambda y=1, n=3: families.removal_trap(y, n), p, 1, None, p) for p in ("y", "n")],
     (lambda x: EnumerationScope(n=3, profile=(x, 1)).validate(), "x", 1, None, "x"),
     (lambda y: EnumerationScope(n=3, profile=(1, y)).validate(), "y", 1, None, "y"),
+    *[
+        (lambda x=1, y=1: oracle_is_minimal(OrderedDag.from_edges(3, [(1, 2), (2, 3)]), x, y),
+         p, 1, None, p)
+        for p in ("x", "y")
+    ],
 ]
 CASE_IDS = [f"{i}-{param}" for i, (_, param, *_rest) in enumerate(CASES)]
 

@@ -250,6 +250,19 @@ class TestExactDistributions:
         with pytest.raises(DomainError, match="removal and addition"):
             exact_process_distribution(ProcessKind.COMBINED, 1, 1, 4)
 
+    def test_tree_kind_keeps_its_message(self):
+        with pytest.raises(DomainError, match=r"removal and addition only, got <ProcessKind"):
+            exact_process_distribution(ProcessKind.RANDOM_TREE, 1, 1, 4)
+
+    def test_unknown_kind_is_named_before_the_cap(self):
+        # n = 7 is past the cap, so only a kind check made first names the kind
+        with pytest.raises(DomainError, match=r"^unknown process kind 'bogus'$"):
+            exact_process_distribution("bogus", 1, 1, 7)
+
+    def test_kind_name_is_not_a_kind(self):
+        with pytest.raises(DomainError, match=r"^unknown process kind 'removal'$"):
+            exact_process_distribution("removal", 1, 1, 3)
+
 
 class TestMonteCarloAgainstExactLaw:
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
