@@ -220,6 +220,7 @@ def classify_extremal(g: OrderedDag, x: int, y: int) -> StructureCase:
     case with the witnessing vertex roles, or NOT_EXTREMAL when the graph is
     not minimal with the maximum edge count for its parameters.
     """
+    check_int(DomainError, x=x, y=y)
     prof = g.profile()
     if not prof.matches(x, y):
         raise DomainError(f"graph profile {prof.counts} does not match the requested ({x}, {y})")

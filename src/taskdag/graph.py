@@ -89,7 +89,11 @@ class OrderedDag:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> OrderedDag:
         g = cls(n)
-        for a, b in edges:
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise GraphError(f"edge entry {edge!r} is not a pair (a, b)") from None
             g.add_edge(a, b)
         return g
 

@@ -480,6 +480,15 @@ def _grid_cells(
     return cells
 
 
+def _pair(entry: object) -> tuple[int, int]:
+    """One (x, y) entry of a table's pairs, or a ConfigError naming it."""
+    try:
+        x, y = entry
+    except (TypeError, ValueError):
+        raise ConfigError(f"pair entry {entry!r} is not a pair (x, y)") from None
+    return x, y
+
+
 def table_experiment(
     kind: ProcessKind,
     pairs: Sequence[tuple[int, int]],
@@ -495,7 +504,7 @@ def table_experiment(
     (master_seed, x, y, n).
     """
     n_values = list(n_values)  # read once: it may be a one-shot iterator
-    cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in pairs for n in n_values))
+    cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in map(_pair, pairs) for n in n_values))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["pair,n,ratio"]
     for (cfg, _), (success, *_) in zip(cells, totals):

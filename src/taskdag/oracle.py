@@ -6,18 +6,18 @@ probability flow of process runs over edge sets) so the closed forms and the
 fast routines have an independent check.  The flow shares one piece with the
 processes, their cancel rule (``processes._thresholds``): it checks the
 dynamics built on that rule, and the tests hold the rule itself to reference
-loops, one edge at a time.  Every enumerated extremal verdict but one, and
-every enumeration filtered by profile or minimality, reads one cached table
-of per-graph facts per order (``_facts_by_mask``); the largest addition
-result comes from a densest-first search over edge sets for a graph the
-process halts on.  The table is built once per process in numpy columns over
-all masks of the order, about 0.4 ms at n = 5 and 10 ms at n = 6, so the
-first filtered enumeration at n = 6 pays for the whole table.  Its minimal
-column is the definition, read off the table's own profile column: no
-one-edge deletion leaves a graph's profile unchanged.  The tests hold that
-column to ``oracle_is_minimal``, the per-graph definition.  Caps keep the
-exponential searches bounded: enumeration and exact process distributions
-stop at n <= 6.
+loops, one edge at a time.  Its states are edge masks, whose degrees it reads
+off per-vertex head and tail bit masks; it builds no graph.  Every enumerated
+extremal verdict, and every enumeration filtered by profile or minimality,
+reads one cached table of per-graph facts per order (``_facts_by_mask``).
+The table is built once per process in numpy columns over all masks of the
+order, about 0.4 ms at n = 5 and 10 ms at n = 6, so the first filtered
+enumeration at n = 6 pays for the whole table.  Its minimal and result
+columns are definitions, read off the table's own profile column: no
+one-edge deletion leaves a minimal graph's profile unchanged, and some
+one-edge deletion changes a non-empty result's.  The tests hold both columns
+to per-graph re-profiling.  Caps keep the exponential searches bounded:
+enumeration and exact process distributions stop at n <= 6.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import lcm
 from typing import Iterator
 
@@ -73,7 +73,7 @@ def enumerate_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
         for mask in range(1 << len(pairs)):
             yield _graph_from_mask(n, pairs, mask)
         return
-    for mask, (_, sources, sinks, minimal, _) in enumerate(_facts_by_mask(n)):
+    for mask, (_, sources, sinks, minimal, _, _) in enumerate(_facts_by_mask(n)):
         if scope.profile in (None, (sources, sinks)) and (minimal or not scope.minimal_only):
             yield _graph_from_mask(n, pairs, mask)
 
@@ -141,81 +141,15 @@ def oracle_linear_extensions(g: OrderedDag) -> int:
     return count
 
 
-# per-graph facts: (edge_count, sources, sinks, minimal, component_count)
-_Facts = tuple[int, int, int, bool, int]
-
-
 @lru_cache(maxsize=8)
-def _facts_by_mask(n: int) -> list[_Facts]:
-    """Every graph's facts, in mask order, computed a column at a time over
+def _facts_by_mask(n: int) -> list[tuple[int, int, int, bool, int, bool]]:
+    """Every graph's facts (edge_count, sources, sinks, minimal,
+    component_count, result), in mask order, computed a column at a time over
     all masks: row i of ``present`` marks the masks that hold pair i.  A
-    graph is minimal when deleting any of its edges changes its profile,
-    read off the same masks' profile column."""
-    pairs = ordered_pairs(n)
-    masks = np.arange(1 << len(pairs))
-    present = (masks >> np.arange(len(pairs))[:, None] & 1).astype(bool)
-    indeg = np.zeros((n, masks.size), np.int8)  # row v - 1 is vertex v
-    outdeg = np.zeros_like(indeg)
-    for (a, b), bit in zip(pairs, present):
-        indeg[b - 1] += bit
-        outdeg[a - 1] += bit
-    sources = (indeg == 0).sum(0, dtype=np.int8)
-    sinks = (outdeg == 0).sum(0, dtype=np.int8)
-    del indeg, outdeg
-    profile = sources * np.int8(n + 1) + sinks
-    minimal = np.ones(masks.size, bool)
-    for i, bit in enumerate(present):
-        minimal &= ~bit | (profile[masks ^ 1 << i] != profile)
-    # each vertex takes the least label across its edges; an absent edge adds
-    # n, past every label, and n - 1 sweeps carry a component's least vertex
-    # along any path of it
-    label = np.arange(n, dtype=np.int8)[:, None].repeat(masks.size, 1)
-    far = np.where(present, np.int8(0), np.int8(n))
-    for _ in range(n - 1):
-        for (a, b), gap in zip(pairs, far):
-            np.minimum(label[b - 1], label[a - 1] + gap, out=label[b - 1])
-            np.minimum(label[a - 1], label[b - 1] + gap, out=label[a - 1])
-    components = (label == np.arange(n, dtype=np.int8)[:, None]).sum(0, dtype=np.int8)
-    edge_count = present.sum(0, dtype=np.int8)
-    del masks, present, profile, label, far
-    return list(zip(
-        edge_count.tolist(), sources.tolist(), sinks.tolist(), minimal.tolist(), components.tolist()
-    ))
-
-
-def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
-    """Recompute an extremal value by exhaustive search over all graphs."""
-    EnumerationScope(n=n).validate()
-    check_int(DomainError, x=x, y=y)
-    if not isinstance(kind, ExtremalKind):
-        raise DomainError(f"unknown extremal kind {kind!r}")
-    if kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
-        return _max_addition_result_edges(x, y, n)
-    pairs = ordered_pairs(n)
-    values: list[int] = []
-    for mask, (edge_count, sources, sinks, minimal, component_count) in enumerate(
-        _facts_by_mask(n)
-    ):
-        if (sources, sinks) != (x, y):
-            continue
-        if kind is ExtremalKind.MAX_MINIMAL_EDGES:
-            if minimal:
-                values.append(edge_count)
-        elif kind is ExtremalKind.MIN_EDGES or kind is ExtremalKind.MAX_EDGES:
-            values.append(edge_count)
-        elif kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
-            if minimal and component_count == 1:
-                values.append(edge_count)
-        elif kind is ExtremalKind.MAX_ORDERINGS:
-            values.append(oracle_linear_extensions(_graph_from_mask(n, pairs, mask)))
-    if not values:
-        raise DomainError(f"no qualifying ({x}, {y}) graphs of order {n} exist")
-    return min(values) if kind is ExtremalKind.MIN_EDGES else max(values)
-
-
-def _max_addition_result_edges(x: int, y: int, n: int) -> int:
-    """Largest halt-state edge count of the (x, y) addition process: the
-    first edge count, densest first, at which some edge set is a result.
+    graph is minimal when deleting any of its edges changes its profile, and
+    a result, a halt state of the addition process for its own profile, when
+    it is empty or deleting some edge changes its profile: both columns are
+    read off the same masks' profile column.
 
     A graph G of profile (x, y) is a possible result exactly when it is empty
     with (x, y) = (n, n), where the run halts at once, or it has an edge e
@@ -228,20 +162,69 @@ def _max_addition_result_edges(x: int, y: int, n: int) -> int:
     adding e last halts at G.  Conversely, the last edge added to a non-empty
     result took the profile to (x, y), so deleting it changes the profile."""
     pairs = ordered_pairs(n)
-    for k in range(len(pairs), -1, -1):
-        for edges in combinations(pairs, k):
-            indeg, outdeg = [0] * (n + 1), [0] * (n + 1)
-            for a, b in edges:
-                indeg[b] += 1
-                outdeg[a] += 1
-            # index 0 of the degree lists is no vertex, but counts as a zero
-            if (indeg.count(0) - 1, outdeg.count(0) - 1) == (x, y) and (
-                not edges or any(indeg[b] == 1 or outdeg[a] == 1 for a, b in edges)
-            ):
-                return k
-    raise DomainError(
-        f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph"
-    )
+    masks = np.arange(1 << len(pairs))
+    present = (masks >> np.arange(len(pairs))[:, None] & 1).astype(bool)
+    indeg = np.zeros((n, masks.size), np.int8)  # row v - 1 is vertex v
+    outdeg = np.zeros_like(indeg)
+    for (a, b), bit in zip(pairs, present):
+        indeg[b - 1] += bit
+        outdeg[a - 1] += bit
+    sources = (indeg == 0).sum(0, dtype=np.int8)
+    sinks = (outdeg == 0).sum(0, dtype=np.int8)
+    del indeg, outdeg
+    profile = sources * np.int8(n + 1) + sinks
+    minimal, result = np.ones(masks.size, bool), masks == 0
+    for i, bit in enumerate(present):
+        changes = profile[masks ^ 1 << i] != profile
+        minimal &= ~bit | changes
+        result |= bit & changes
+    # each vertex takes the least label across its edges; an absent edge adds
+    # n, past every label, and n - 1 sweeps carry a component's least vertex
+    # along any path of it
+    label = np.arange(n, dtype=np.int8)[:, None].repeat(masks.size, 1)
+    far = np.where(present, np.int8(0), np.int8(n))
+    for _ in range(n - 1):
+        for (a, b), gap in zip(pairs, far):
+            np.minimum(label[b - 1], label[a - 1] + gap, out=label[b - 1])
+            np.minimum(label[a - 1], label[b - 1] + gap, out=label[a - 1])
+    components = (label == np.arange(n, dtype=np.int8)[:, None]).sum(0, dtype=np.int8)
+    edge_count = present.sum(0, dtype=np.int8)
+    del masks, present, profile, label, far
+    columns = edge_count, sources, sinks, minimal, components, result
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
+    """Recompute an extremal value by exhaustive search over all graphs."""
+    EnumerationScope(n=n).validate()
+    check_int(DomainError, x=x, y=y)
+    if not isinstance(kind, ExtremalKind):
+        raise DomainError(f"unknown extremal kind {kind!r}")
+    pairs = ordered_pairs(n)
+    values: list[int] = []
+    for mask, (edge_count, sources, sinks, minimal, component_count, result) in enumerate(
+        _facts_by_mask(n)
+    ):
+        if sources != x or sinks != y:  # no (sources, sinks) tuple per row: it doubled the scan
+            continue
+        if kind is ExtremalKind.MAX_MINIMAL_EDGES:
+            if minimal:
+                values.append(edge_count)
+        elif kind is ExtremalKind.MIN_EDGES or kind is ExtremalKind.MAX_EDGES:
+            values.append(edge_count)
+        elif kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
+            if minimal and component_count == 1:
+                values.append(edge_count)
+        elif kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
+            if result:
+                values.append(edge_count)
+        elif kind is ExtremalKind.MAX_ORDERINGS:
+            values.append(oracle_linear_extensions(_graph_from_mask(n, pairs, mask)))
+    if not values and kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
+        raise DomainError(f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph")
+    if not values:
+        raise DomainError(f"no qualifying ({x}, {y}) graphs of order {n} exist")
+    return min(values) if kind is ExtremalKind.MIN_EDGES else max(values)
 
 
 @dataclass(frozen=True)
@@ -275,18 +258,22 @@ def exact_process_distribution(
         )
     removal = kind is ProcessKind.REMOVAL
     pairs = ordered_pairs(n)
-    n_pairs = len(pairs)
-    scale = lcm(*range(1, n_pairs + 1))  # every move count divides it
+    scale = lcm(*range(1, len(pairs) + 1))  # every move count divides it
     # the rule's threshold for each count of sources (sinks), 0..n
     by_sources, by_sinks = _thresholds(np.arange(n + 1), np.array([[x], [y]]), removal).tolist()
-    level, denom = {(1 << n_pairs) - 1 if removal else 0: 1}, 1  # integer weights over denom
+    # per vertex, the bits of the pairs it heads (tails); vertex 0 is no vertex
+    head_bits, tail_bits = [0] * (n + 1), [0] * (n + 1)
+    for i, (a, b) in enumerate(pairs):
+        head_bits[b] |= 1 << i
+        tail_bits[a] |= 1 << i
+    level, denom = {(1 << len(pairs)) - 1 if removal else 0: 1}, 1  # integer weights over denom
     outcomes: dict[tuple[int, int, int], Fraction] = {}
     while level:
         nxt: dict[int, int] = {}
         for mask, weight in level.items():
-            g = _graph_from_mask(n, pairs, mask)
-            indeg, outdeg = g._indeg, g._outdeg
-            sources, sinks = indeg.count(0) - 1, outdeg.count(0) - 1  # vertex 0 is no vertex
+            indeg = [(mask & bits).bit_count() for bits in head_bits]
+            outdeg = [(mask & bits).bit_count() for bits in tail_bits]
+            sources, sinks = indeg.count(0) - 1, outdeg.count(0) - 1
             moves = []
             if removal or (sources, sinks) != (x, y):  # an addition at exactly (x, y) halts
                 above_in, above_out = by_sources[sources], by_sinks[sinks]
@@ -296,7 +283,7 @@ def exact_process_distribution(
                     if (mask >> i & 1) == removal and indeg[b] > above_in and outdeg[a] > above_out
                 ]
             if not moves:
-                key = (sources, sinks, g.edge_count)
+                key = (sources, sinks, mask.bit_count())
                 outcomes[key] = outcomes.get(key, 0) + Fraction(weight, denom)
                 continue
             share = weight * (scale // len(moves))

@@ -195,15 +195,16 @@ def _last_edges(n: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _decide_removals(
-    n: int, orders: np.ndarray, x: int, y: int, sources: int, sinks: int, need: int
+    n: int, orders: np.ndarray, x: int, y: int, sources: int, sinks: int
 ) -> list[tuple[int, int, list[int], list[int], list[int]]]:
     """The last-edge lemma's decisions for removal passes from one state with
     ``sources`` and ``sinks``, one per row of ``orders``: rows of that state's
     present candidates, all of them, in visit order.  A loop decides each
-    row's last visits (``_last_edges``) in order, up to the first before which
-    ``need`` removals were made.  Per row: the sources and sinks after them,
-    the visits kept (ascending), and the kept edges' in- and out-degrees.
-    Every visit not kept is a removal, up to the ``need``-th."""
+    row's last visits (``_last_edges``) in order.  Per row: the sources and
+    sinks after them, the visits kept (ascending), and the kept edges' in-
+    and out-degrees.  Every visit not kept is a removal.  A decision reads
+    only earlier visits, so a pass with a removal budget keeps the same
+    visits up to the one that spends it."""
     if not orders.shape[1]:  # no edge to decide
         return [(sources, sinks, [], [0] * (n + 1), [0] * (n + 1)) for _ in orders]
     tails, heads = _pair_ends(n)
@@ -214,12 +215,10 @@ def _decide_removals(
         last_in.tolist(), last_out.tolist(), last.tolist(), tails[decided].tolist(), heads[decided].tolist()
     ):
         kept_in, kept_out, kept, row_sources, row_sinks = [0] * (n + 1), [0] * (n + 1), [], sources, sinks
-        done, stop = -1, need  # the last visit decided; the first whose removals before it reach need
+        done = -1  # the last visit decided
         for i, a, b in zip(steps, row_tails, row_heads):
             if i <= done:  # -1, or a visit that is both a head's and a tail's last
                 continue
-            if i >= stop:  # the removals before visit i reached the budget
-                break
             done = i
             lone_in = row_in[b] == i and not kept_in[b]
             lone_out = row_out[a] == i and not kept_out[a]
@@ -227,7 +226,6 @@ def _decide_removals(
                 kept_in[b] += 1
                 kept_out[a] += 1
                 kept.append(i)
-                stop += 1
                 continue
             row_sources += lone_in
             row_sinks += lone_out
@@ -521,7 +519,7 @@ def _removal_stack(n: int, orders: np.ndarray, x: int, y: int) -> _Batch:
     one per row of ``orders`` (each a permutation of the candidates): the
     last-edge pass of every row at once.  Every undecided edge goes, so a
     row's kept edges are its graph and their counts its degrees."""
-    sources, sinks, kept, kept_in, kept_out = zip(*_decide_removals(n, orders, x, y, 1, 1, orders.shape[1] + 1))
+    sources, sinks, kept, kept_in, kept_out = zip(*_decide_removals(n, orders, x, y, 1, 1))
     count, present = np.array([len(visits) for visits in kept]), np.zeros(orders.shape, bool)
     if len(orders) == 1:  # a lone row's kept visits index its order, and its degree lists convert at once
         present[0].put(orders[0].take(kept[0]), True)
@@ -574,7 +572,7 @@ def _fill_or_trim(record: _Batch, row: int, order: np.ndarray, x: int, y: int, m
         moved, sign = order[: m - edges], 1
     else:
         order, need = order[present[order]], edges - m
-        ((_, _, kept, _, _),) = _decide_removals(n, order[None], x, y, *record.counts[:, row].tolist(), need)
+        ((_, _, kept, _, _),) = _decide_removals(n, order[None], x, y, *record.counts[:, row].tolist())
         gone = np.ones(len(order), bool)
         gone[kept] = False
         moved, sign = order[gone][:need], -1

@@ -5,6 +5,7 @@ that names the parameter before any work starts."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from taskdag import families
 from taskdag.analysis import (
     ExtremalKind,
+    classify_extremal,
     expected_tree_path_length,
     extremal_value,
     remove_removable_path,
@@ -121,6 +123,11 @@ CASES = [
          p, 1, None, p)
         for p in ("x", "y")
     ],
+    *[
+        (lambda x=1, y=1: classify_extremal(OrderedDag.from_edges(3, [(1, 2), (2, 3)]), x, y),
+         p, 1, None, p)
+        for p in ("x", "y")
+    ],
 ]
 CASE_IDS = [f"{i}-{param}" for i, (_, param, *_rest) in enumerate(CASES)]
 
@@ -162,6 +169,17 @@ def test_enumeration_profile_must_be_a_pair(profile):
     # a profile of another shape used to enumerate nothing, without an error
     with pytest.raises(DomainError, match=r"^profile must be None or a pair \(x, y\), got "):
         EnumerationScope(n=3, profile=profile).validate()
+
+
+@pytest.mark.parametrize("entry", [(1,), (1, 1, 1), 5, None])
+@pytest.mark.parametrize("call,error,pair", [
+    (lambda entry: table_experiment(REMOVAL, [(1, 1), entry], [5], 10, 1), ConfigError, "x, y"),
+    (lambda entry: OrderedDag.from_edges(3, [(1, 2), entry]), GraphError, "a, b"),
+], ids=["table_experiment", "from_edges"])
+def test_malformed_pair_is_typed_and_named(call, error, pair, entry):
+    # unpacking such an entry used to raise an untyped ValueError or TypeError
+    with pytest.raises(error, match=rf"^\w+ entry {re.escape(repr(entry))} is not a pair \({pair}\)$"):
+        call(entry)
 
 
 @pytest.mark.parametrize("call", [

@@ -99,7 +99,8 @@ class TestEnumeration:
 class TestFactsTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rows_equal_the_per_graph_facts(self, n):
-        # each row against the graph itself: the minimal column against the definition
+        # each row against the graph itself: the minimal column against the
+        # definition, the result column against re-profiled one-edge deletions
         from taskdag.oracle import _facts_by_mask, _graph_from_mask
 
         pairs = ordered_pairs(n)
@@ -107,12 +108,16 @@ class TestFactsTable:
         assert len(table) == 1 << len(pairs)
         for mask, row in enumerate(table):
             g = _graph_from_mask(n, pairs, mask)
-            counts = g.profile().counts
+            counts, edges = g.profile().counts, g.edges()
             expected = (
                 g.edge_count,
                 *counts,
                 oracle_is_minimal(g, *counts),
                 len(g.underlying_components()),
+                not edges or any(
+                    OrderedDag.from_edges(n, edges[:j] + edges[j + 1:]).profile().counts != counts
+                    for j in range(len(edges))
+                ),
             )
             assert row == expected, mask
             assert all(type(v) is type(e) for v, e in zip(row, expected)), mask
@@ -262,6 +267,18 @@ class TestExactDistributions:
     def test_kind_name_is_not_a_kind(self):
         with pytest.raises(DomainError, match=r"^unknown process kind 'removal'$"):
             exact_process_distribution("removal", 1, 1, 3)
+
+    def test_laws_build_no_graph(self, monkeypatch):
+        # a state is its edge mask, and degrees are bit counts of it
+        import taskdag.oracle
+
+        def refuse(*args):
+            raise AssertionError("the flow built a graph")
+
+        monkeypatch.setattr(taskdag.oracle, "_graph_from_mask", refuse)
+        for kind, n in product((ProcessKind.REMOVAL, ProcessKind.ADDITION), range(1, 6)):
+            for x, y in product(range(1, n + 1), repeat=2):
+                assert sum(exact_process_distribution(kind, x, y, n).outcomes.values()) == 1
 
 
 class TestMonteCarloAgainstExactLaw:

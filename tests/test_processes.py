@@ -714,8 +714,8 @@ class TestLastEdgeRemoval:
     @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (1, 3)])
     @pytest.mark.parametrize("n", [25, 40])
     def test_budgeted_trim_equals_loop(self, n, x, y):
-        # the stop falls once on a decided edge, and once on an undecided edge
-        # whose next visit is decided, which the walk must then not decide
+        # the budget runs out once on a decided edge, and once on an undecided
+        # edge whose next visit is decided, where the cut must stop short of it
         state = _trim_start(n, x, y, seed=n + x + y)
         order = _rows(1, math.comb(n, 2), seed=n)[0]
         events = []
