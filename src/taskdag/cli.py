@@ -225,6 +225,8 @@ def _cmd_families(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     kind = _ORACLE_KINDS[args.kind]
+    if args.n > oracle.ENUMERATION_CAP:  # before the closed form, which may take long at such n
+        oracle.EnumerationScope(n=args.n).validate()
     closed = analysis.extremal_value(kind, args.x, args.y, args.n)
     brute = oracle.oracle_extremal(kind, args.x, args.y, args.n)
     verdict = {

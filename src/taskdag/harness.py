@@ -9,14 +9,14 @@ place, one row per edge order, each equal to one ``permutation`` call.
 Every engine returns a sub-batch's final states as records of arrays,
 ``_Batch``es, the package's one run state.  A sub-batch of at least
 ``_kernel_min`` removal, addition or combined trials moves in lockstep
-(``processes._finish``): under ``_DRAW_CAP`` a whole block is one sub-batch
-up to n = 23, or n = 16 for the combined process, and the kernel takes
-sub-batches up to n = 38 for removals and capped additions, n = 16 for
+(``processes._lockstep_runs``): under ``_DRAW_CAP`` a whole block is one
+sub-batch up to n = 23, or n = 16 for the combined process, and the kernel
+takes sub-batches up to n = 38 for removals and capped additions, n = 16 for
 (1, 1) additions and n = 32 for the combined process.  A smaller sub-batch
 runs as stacks of at most ``_STACK_CAP`` entries through the route every
 lone run takes (``processes._lone_runs``): the lemma passes of all a stack's
 rows at once, and for the combined process each hit trial's fill or trim on
-its own row.
+its own row.  Both engines take a config and drawn rows and return a record.
 Random trees are built in array form (``processes._tree_batch``).  All give
 equal final states on equal draws.  One function reads the statistics of any
 record (``_record_sums``): success, edges and isolated vertices over all rows
@@ -49,13 +49,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, GraphError, check_int
-from .graph import OrderedDag
+from .graph import MAX_ORDER, OrderedDag
 from .processes import (
     SEED_MAX,
     ProcessConfig,
     ProcessKind,
     _Batch,
-    _finish,
+    _lockstep_runs,
     _lone_runs,
     _pair_ends,
     _rows_per_run,
@@ -197,14 +197,12 @@ def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -
     ``_STACK_CAP`` candidate entries.  Random trees come in records of at
     most ``_DRAW_CAP`` candidate entries."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, start // _CHUNK])))
-    complete, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
-    tree, width = cfg.kind is ProcessKind.RANDOM_TREE, cfg.n * (cfg.n - 1) // 2
+    per_trial, tree = _rows_per_run(cfg.kind), cfg.kind is ProcessKind.RANDOM_TREE
+    width = cfg.n * (cfg.n - 1) // 2
     lockstep = _kernel_min(cfg) * per_trial
     for rows in _draw_rows(rng, cfg, stop - start):
         if not tree and len(rows) >= lockstep:  # drawn step-major
-            batch = _Batch(cfg.n, complete, len(rows) // per_trial)
-            _finish(cfg, batch, rows)
-            yield batch
+            yield _lockstep_runs(cfg, rows)
             continue
         cap = _DRAW_CAP if tree else _STACK_CAP
         size = max(1, cap // max(1, width)) * per_trial  # n = 1 has no candidates
@@ -489,6 +487,12 @@ def _pair(entry: object) -> tuple[int, int]:
     return x, y
 
 
+def _order(n: object) -> int:
+    """One of a table's orders, or a ConfigError naming n before the next is read."""
+    check_int(ConfigError, 1, MAX_ORDER, n=n)
+    return n
+
+
 def table_experiment(
     kind: ProcessKind,
     pairs: Sequence[tuple[int, int]],
@@ -503,7 +507,7 @@ def table_experiment(
     fractional digits.  Each cell gets its own seed stream derived from
     (master_seed, x, y, n).
     """
-    n_values = list(n_values)  # read once: it may be a one-shot iterator
+    n_values = list(map(_order, n_values))  # read once: it may be a one-shot iterator
     cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in map(_pair, pairs) for n in n_values))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["pair,n,ratio"]

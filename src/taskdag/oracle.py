@@ -73,8 +73,10 @@ def enumerate_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
         for mask in range(1 << len(pairs)):
             yield _graph_from_mask(n, pairs, mask)
         return
+    any_profile, (x, y) = scope.profile is None, scope.profile or (0, 0)
     for mask, (_, sources, sinks, minimal, _, _) in enumerate(_facts_by_mask(n)):
-        if scope.profile in (None, (sources, sinks)) and (minimal or not scope.minimal_only):
+        # two int compares, not a (sources, sinks) tuple per row
+        if (any_profile or (sources == x and sinks == y)) and (minimal or not scope.minimal_only):
             yield _graph_from_mask(n, pairs, mask)
 
 

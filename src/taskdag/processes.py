@@ -37,13 +37,14 @@ Every lone run, a single one or one of a draw of rows, takes one route
 (``_lone_runs``): removals run as one ``_removal_stack``, additions and the
 combined process's addition phase as one ``_addition_stack``, and a combined
 run that hit (x, y) then fills or trims its row of the record in place
-(``_fill_or_trim``).  A batch of runs moves in lockstep (``_Batch``), the one
-record of final runs that stacks and random trees (``_tree_batch``) also
-give; a single tree goes from its parents straight to its graph
-(``_lone_tree``).  So a ``_Batch`` record is the one run state.
+(``_fill_or_trim``).  A batch of runs moves in lockstep (``_lockstep_runs``,
+one ``_Batch.run_pass`` per phase), in the one record of final runs that
+stacks and random trees (``_tree_batch``) also give; a single tree goes from
+its parents straight to its graph (``_lone_tree``).  So a ``_Batch`` record
+is the one run state.
 
 The cancel rule itself, per side the degree a move's end must exceed, is one
-function (``_thresholds``): the lockstep passes, the fill and the exact flow
+function (``_thresholds``): the lockstep pass, the fill and the exact flow
 (``oracle.exact_process_distribution``) read it, and the lemmas above are its
 consequences.  The tests hold every engine to the visit-every-position loops
 in ``tests/reference.py``.
@@ -337,9 +338,10 @@ _BATCH_MAX_ORDER = np.iinfo(np.int8).max
 
 class _Batch:
     """Runs from the same start, the complete or the empty graph, one per
-    row, moved in lockstep: each pass moves every row by one position of its
-    own permutation per step.  It is also every engine's record of final
-    runs, adopted from the stacks' and the trees' arrays (``_adopt``).
+    row, moved in lockstep: each pass (``run_pass``) moves every row by one
+    position of its own permutation per step.  It is also every engine's
+    record of final runs, adopted from the stacks' and the trees' arrays
+    (``_adopt``).
     ``present`` is ``(B, C(n, 2))``.  A row's two degree lists share one
     ``(B, 2, n + 1)`` int8 array, ``degrees`` (any integer dtype if adopted);
     the source and sink counts share one ``(2, B)`` int8 array, ``counts``.
@@ -350,7 +352,9 @@ class _Batch:
 
     Each step tests both ends against a per-row threshold of their side
     (``_thresholds``).  A move that changes the count raises the threshold
-    by 1, until it reaches the cap value.  The step's bool results are read
+    by 1, until it reaches the cap value.  Within a step, removals and
+    additions differ only where they read the degree that changes a count:
+    after a removal, before an addition.  The step's bool results are read
     as int8 through zero-copy views, so every update runs on operands of one
     dtype.
 
@@ -420,88 +424,57 @@ class _Batch:
             np.add(tails[part], base + self.n + 1, out=index[:, 1])
             yield from index
 
-    def _store(self, rows: np.ndarray, cells: np.ndarray, held, counts, moved: np.ndarray, sign: int) -> None:
-        """Write back a pass on the sub-batch ``rows``: each moved candidate's
-        flipped presence, the counts, and ``sign`` edges per move."""
-        self.present.reshape(-1)[cells] = moved ^ (sign < 0 if held is None else held)
-        self.counts[:, rows] = counts
-        count = np.count_nonzero(moved, axis=0)
-        self.edge_total[rows] += sign * count
-        self.rounds[rows] += count
-
-    def removal_pass(
-        self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
+    def run_pass(
+        self, orders: np.ndarray, x: int, y: int, removal: bool, budget: int | None = None,
+        active: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Remove each present edge of row i's order ``orders[i]`` that the
-        cancel rule lets through, on every row in ``active`` (all rows by
-        default), halting a row at ``budget`` edges if one is given.  Return
-        which rows are at the budget."""
-        stop = -1 if budget is None else budget
-        live = self.edge_total != stop
-        if active is not None:
-            live &= active
-        if not live.any():
-            return self.edge_total == stop
-        rows, steps, cells, held, counts = self._sub_batch(orders, live, self.present.shape[1])
-        threshold = _thresholds(counts, np.array([[x], [y]], np.int8), True)
-        counts -= threshold  # the counts, less the threshold's rise
-        flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
-        moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
-        (free_in, free_out), rise, units = free, free.view(np.int8), moved.view(np.int8)  # zero-copy int8 views
-        left = self.edge_total[rows] - stop  # removals to the budget
-        for step, (index, move, unit) in enumerate(zip(self._step_index(steps, rows), moved, units)):
-            ends = flat[index]
-            np.greater(ends, threshold, out=free)
-            np.logical_and(free_in, free_out, out=move)
-            if held is not None:
-                move &= held[step]
-            if budget is not None:
-                move &= live
-            ends -= unit
-            flat[index] = ends
-            np.less(ends, unit, out=free)  # the removal left a degree 0
-            threshold += rise
-            if budget is not None:
-                left -= move
-                if not np.not_equal(left, 0, out=live).any():
-                    break
-        self._store(rows, cells, held, counts + threshold, moved, -1)
-        return self.edge_total == stop
+        """Remove each present edge (``removal``) or add each absent edge of
+        row i's order ``orders[i]`` that the cancel rule lets through, on
+        every row in ``active`` (all rows by default).  Return which rows
+        halted: with a budget at ``budget`` edges, else an addition at the
+        exact (x, y) profile, once both thresholds reach ``goal``, where the
+        counts equal the caps (never, if a count starts below); a removal
+        without a budget never halts."""
 
-    def addition_pass(
-        self, orders: np.ndarray, x: int, y: int, budget: int | None = None, active: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Add each absent edge of row i's order ``orders[i]`` that the cancel
-        rule lets through, on every row in ``active`` (all rows by default).
-        Return which rows halted: with a budget at ``budget`` edges, else at
-        the exact (x, y) profile, once both thresholds reach ``goal``, where
-        the counts equal the caps (never, if a count starts below)."""
-
-        def halted() -> np.ndarray:  # at the exact profile, or with a budget at the edge count
-            return (self.sources == x) & (self.sinks == y) if budget is None else self.edge_total == budget
+        def halted() -> np.ndarray:  # a removal without a budget halts at no edge count, -1
+            if budget is None and not removal:
+                return (self.sources == x) & (self.sinks == y)
+            return self.edge_total == (-1 if budget is None else budget)
 
         live = ~halted() if active is None else active & ~halted()
         if not live.any():
             return halted()
-        rows, steps, cells, held, counts = self._sub_batch(orders, live, 0)
+        sign = -1 if removal else 1  # the change in edges per move
+        rows, steps, cells, held, counts = self._sub_batch(orders, live, self.present.shape[1] if removal else 0)
+        need = held if held is None or removal else ~held  # the presence a move needs
         caps = np.array([[x], [y]], np.int8)
-        threshold, goal = _thresholds(counts, caps, False), np.minimum(counts - caps, 0)
-        counts += threshold  # the counts, plus the threshold's rise
+        threshold = _thresholds(counts, caps, removal)
+        if budget is None and not removal:  # the thresholds where the counts equal the caps
+            goal = np.minimum(counts - caps, 0)
+        counts = counts - threshold if removal else counts + threshold  # less or plus the threshold's rise
         flat, free = self.degrees.reshape(-1), np.empty(counts.shape, bool)
         moved, live = np.zeros(steps.shape, bool), np.ones(len(rows), bool)
-        (free_in, free_out), rise, units = free, free.view(np.int8), moved.view(np.int8)
-        left = None if budget is None else budget - self.edge_total[rows]  # additions to the budget
+        (free_in, free_out), rise, units = free, free.view(np.int8), moved.view(np.int8)  # zero-copy int8 views
+        left = None if budget is None else sign * (budget - self.edge_total[rows])  # moves to the budget
+        stops = budget is not None or not removal  # whether a row can halt before the pass ends
         for step, (index, move, unit) in enumerate(zip(self._step_index(steps, rows), moved, units)):
             ends = flat[index]
             np.greater(ends, threshold, out=free)
             np.logical_and(free_in, free_out, out=move)
-            if held is not None:
-                np.greater(move, held[step], out=move)
-            move &= live
-            np.less(ends, unit, out=free)  # the addition gave a degree 0 an edge
-            threshold += rise
-            ends += unit
+            if need is not None:
+                move &= need[step]
+            if stops:
+                move &= live
+            if removal:  # a count rises where the removal leaves a degree 0
+                ends -= unit
+                np.less(ends, unit, out=free)
+            else:  # and falls where the addition gives a degree 0 an edge
+                np.less(ends, unit, out=free)
+                ends += unit
             flat[index] = ends
+            threshold += rise
+            if not stops:
+                continue
             if left is None:
                 np.not_equal(threshold, goal, out=free)
                 np.logical_or(free_in, free_out, out=live)
@@ -510,7 +483,11 @@ class _Batch:
                 np.not_equal(left, 0, out=live)
             if not live.any():
                 break
-        self._store(rows, cells, held, counts - threshold, moved, 1)
+        self.present.reshape(-1)[cells] = moved ^ (removal if held is None else held)
+        self.counts[:, rows] = counts + threshold if removal else counts - threshold
+        count = np.count_nonzero(moved, axis=0)
+        self.edge_total[rows] += sign * count
+        self.rounds[rows] += count
         return halted()
 
 
@@ -633,29 +610,23 @@ def _lone_runs(cfg: ProcessConfig, orders: np.ndarray, trace: TraceFn | None = N
     return record
 
 
-def _finish(cfg: ProcessConfig, batch: _Batch, orders: np.ndarray) -> None:
-    """Run the phases of ``cfg`` on a fresh ``batch`` in lockstep, trial i
+def _lockstep_runs(cfg: ProcessConfig, orders: np.ndarray) -> _Batch:
+    """The record of runs of ``cfg`` moved in lockstep (``_Batch``), trial i
     taking its rows of ``orders`` in turn, ``_rows_per_run`` per trial: the
     combined process fills or trims the runs that hit (x, y) to m edges on
     their second rows."""
     x, y, m = cfg.x, cfg.y, cfg.m
-    if cfg.kind is ProcessKind.REMOVAL:
-        batch.removal_pass(orders, x, y)
-        return
-    hit = batch.addition_pass(orders[:: _rows_per_run(cfg.kind)], x, y)
-    if cfg.kind is not ProcessKind.COMBINED:
-        return
-    fill, trim = hit & (batch.edge_total < m), hit & (batch.edge_total > m)
-    if fill.any():
-        batch.addition_pass(orders[1::2], x, y, budget=m, active=fill)
-    if trim.any():
-        batch.removal_pass(orders[1::2], x, y, budget=m, active=trim)
-    stuck = trim & (batch.edge_total > m)
-    if stuck.any():
-        # never: capped removals from an exact (x, y) graph keep the profile
-        # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
-        edges = np.max(stuck * batch.edge_total)
-        raise TaskDagError(f"removal adjustment stopped at {edges} edges, above m = {m}")
+    removal, per_trial = cfg.kind is ProcessKind.REMOVAL, _rows_per_run(cfg.kind)
+    batch = _Batch(cfg.n, removal, len(orders) // per_trial)
+    hit = batch.run_pass(orders[::per_trial], x, y, removal)
+    if cfg.kind is ProcessKind.COMBINED:
+        fill, trim = hit & (batch.edge_total < m), hit & (batch.edge_total > m)
+        batch.run_pass(orders[1::2], x, y, False, budget=m, active=fill)
+        if not batch.run_pass(orders[1::2], x, y, True, budget=m, active=trim)[trim].all():
+            # never: capped removals from an exact (x, y) graph keep the profile
+            # exact, and a minimal graph has at most 2n - x - y - 2 <= m edges
+            raise TaskDagError(f"removal adjustment stopped at {np.max(trim * batch.edge_total)} edges, above m = {m}")
+    return batch
 
 
 def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from taskdag import cli, harness
+from taskdag import analysis, cli, harness
 from taskdag.cli import main
 from taskdag.graph import MAX_ORDER
 
@@ -441,6 +441,24 @@ class TestOracleCommand:
         payload = json.loads(err)
         assert payload["error"] == "CapacityError"
         assert "n <= 6" in payload["message"]
+
+    def test_cap_is_checked_before_the_closed_form(self, capsys, monkeypatch):
+        # max-orderings' closed form is a factorial, which at n = 10^7 takes
+        # far longer than refusing the brute force's n
+        real = analysis.extremal_value
+
+        def bounded(kind, x, y, n):
+            if n > 6:
+                raise AssertionError(f"the closed form ran at n = {n}")
+            return real(kind, x, y, n)
+
+        monkeypatch.setattr(analysis, "extremal_value", bounded)
+        code, out, err = run_cli(
+            capsys, "oracle", "--kind", "max-orderings", "--x", "1", "--y", "1", "--n", "10000000",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "CapacityError"
 
     def test_allow_gated_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ import pytest
 from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value
 from taskdag.errors import ConfigError
-from taskdag.graph import OrderedDag, empty_graph, ordered_pairs
+from taskdag.graph import MAX_ORDER, OrderedDag, empty_graph, ordered_pairs
 from taskdag.harness import (
     derive_seed,
     export,
@@ -29,7 +29,7 @@ from taskdag.processes import (
     ProcessConfig,
     ProcessKind,
     _Batch,
-    _finish,
+    _lockstep_runs,
     _lone_runs,
     _rows_per_run,
     _tree_batch,
@@ -280,12 +280,13 @@ class TestRunTrials:
         assert max(n for n in range(2, 100) if harness._kernel_min(_cfg(x, y, n, kind)) <= whole(n)) == largest
         batches = []
 
-        def spy(cfg, batch, orders):
+        def spy(cfg, orders):
+            batch = lockstep(cfg, orders)
             batches.append(len(batch.present))
-            return finish(cfg, batch, orders)
+            return batch
 
-        finish = harness._finish
-        monkeypatch.setattr(harness, "_finish", spy)
+        lockstep = harness._lockstep_runs
+        monkeypatch.setattr(harness, "_lockstep_runs", spy)
         for n in (7, largest, largest + 1):
             low = harness._kernel_min(_cfg(x, y, n, kind))
             for trials in (low - 1, low):
@@ -302,7 +303,7 @@ class TestRunTrials:
         def refuse(*args, **kwargs):
             raise AssertionError("a lockstep pass or a per-row second phase was called")
 
-        monkeypatch.setattr(harness, "_finish", refuse)
+        monkeypatch.setattr(harness, "_lockstep_runs", refuse)
         monkeypatch.setattr(processes, "_fill_or_trim", refuse)
         for x, y in ((1, 1), (2, 3), (4, 1)):
             for n, trials in ((7, 100), (40, 12), (100, 2), (50, 600)):
@@ -675,9 +676,7 @@ def _kernel_batch(cfg, trials, seed):
     per_trial = 2 if cfg.kind is ProcessKind.COMBINED else 1
     width = math.comb(cfg.n, 2)
     rows = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(width), (per_trial * trials, width)), axis=1)
-    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, trials)
-    _finish(cfg, batch, rows)
-    return batch
+    return _lockstep_runs(cfg, rows)
 
 
 class TestBatchStatistics:
@@ -766,6 +765,17 @@ class TestTableExperiment:
     def test_empty_grid_is_config_error(self, pairs, n_values):
         with pytest.raises(ConfigError, match="at least one cell"):
             table_experiment(ProcessKind.REMOVAL, pairs, n_values, 10, master_seed=1)
+
+    def test_orders_are_read_up_to_the_first_bad_one(self):
+        # a huge range of orders is refused at its first order past the cap,
+        # not after it has been read into a list
+        def orders():
+            yield 5
+            yield 2000
+            raise AssertionError("read past the first bad order")
+
+        with pytest.raises(ConfigError, match=rf"^n must lie in \[1, {MAX_ORDER}\], got 2000$"):
+            table_experiment(ProcessKind.REMOVAL, [(1, 2)], orders(), 10, master_seed=1)
 
     def test_ratio_formatting(self):
         csv = table_experiment(ProcessKind.ADDITION, [(1, 3)], [5], 40, master_seed=8)

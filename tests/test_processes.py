@@ -21,7 +21,7 @@ from taskdag.processes import (
     _addition_stack,
     _Batch,
     _fill_or_trim,
-    _finish,
+    _lockstep_runs,
     _lone_runs,
     _removal_stack,
     _rows_per_run,
@@ -525,12 +525,11 @@ def _lone_equals_loops(cfg, orders):
 
 
 def _batch_phases(cfg, rows):
-    """Run ``_finish`` on ``rows`` with a ``_Batch``, and ``_lone_runs`` on the
-    same rows; require equal fields for every trial and return how the
-    combined trials' second phases went."""
+    """Run ``_lockstep_runs`` and ``_lone_runs`` on the same ``rows``; require
+    equal fields for every trial and return how the combined trials' second
+    phases went."""
     per_trial = _rows_per_run(cfg.kind)
-    batch = _Batch(cfg.n, cfg.kind is ProcessKind.REMOVAL, len(rows) // per_trial)
-    _finish(cfg, batch, rows)
+    batch = _lockstep_runs(cfg, rows)
     lone = _lone_runs(cfg, rows)
     assert batch.present.shape == lone.present.shape == (len(rows) // per_trial, math.comb(cfg.n, 2))
     for name in STATE_FIELDS:
@@ -629,6 +628,45 @@ class TestBatchKernel:
         assert first == (trials, trials)
         assert 0 < fill[0] < trials and 0 < trim[0] < trials and fill[0] + trim[0] <= trials
 
+    @pytest.mark.parametrize("removal", [True, False], ids=["removal", "addition"])
+    @pytest.mark.parametrize("x,y", [(1, 1), (2, 1), (2, 3), (1, 4), (4, 1), (4, 4)])
+    def test_halted_rows_equal_loop_returns(self, x, y, removal):
+        # without a budget no removal halts, and an addition halts where it
+        # reaches the exact (x, y) profile: row by row what the loops return
+        n, trials = 9, 64
+        rows = _rows(trials, math.comb(n, 2), seed=10 * x + y)
+        batch = _Batch(n, removal, trials)
+        halted = batch.run_pass(rows, x, y, removal)
+        loops = [State(n, removal) for _ in rows]
+        runs = [loop.removal_pass if removal else loop.addition_pass for loop in loops]
+        assert halted.tolist() == [run(order.tolist(), x, y) for run, order in zip(runs, rows)]
+        assert [fields(row) for row in states(batch)] == [fields(loop) for loop in loops]
+        if x != y and 4 in (x, y):  # some additions miss, each with one count at its cap
+            assert len(set(halted.tolist())) == 2 - removal
+
+    @pytest.mark.parametrize("x,y,n,m", [(1, 3, 12, 30), (2, 2, 12, 25), (1, 2, 6, 12)])
+    def test_budgeted_halts_equal_loop_returns(self, x, y, n, m):
+        # on the rows that hit (x, y), a fill halts where it reaches m edges
+        # (not always: neutral additions may run out) and a trim always does,
+        # row by row as the loops with budget m return
+        trials = 256
+        rows = _rows(2 * trials, math.comb(n, 2), seed=m)
+        batch = _Batch(n, False, trials)
+        hit = batch.run_pass(rows[::2], x, y, False)
+        loops = list(states(batch))
+        returned = {}
+        for removal, active in ((False, hit & (batch.edge_total < m)), (True, hit & (batch.edge_total > m))):
+            assert active.any()
+            halted = batch.run_pass(rows[1::2], x, y, removal, budget=m, active=active)
+            for i in np.flatnonzero(active).tolist():
+                loop, order = loops[i], rows[2 * i + 1].tolist()
+                expected = (loop.removal_pass if removal else loop.addition_pass)(order, x, y, m)
+                assert halted[i] == expected, (removal, i)
+                returned.setdefault(removal, set()).add(expected)
+        assert [fields(row) for row in states(batch)] == [fields(loop) for loop in loops]
+        assert returned[True] == {True}
+        assert returned[False] == ({False, True} if n == 6 else {True})
+
     @pytest.mark.parametrize("kind", [ProcessKind.REMOVAL, ProcessKind.ADDITION])
     def test_largest_order_int8_holds(self, kind):
         # degrees up to n - 1 = 126 and counts up to n = 127 fit the int8 arrays
@@ -651,10 +689,9 @@ class TestBatchKernel:
         batch = _Batch(n, complete, trials)
         before = [getattr(batch, name).copy() for name in STATE_FIELDS]
         rows, idle = _rows(trials, math.comb(n, 2), seed=1), np.zeros(trials, bool)
-        batch.removal_pass(rows, 1, 1, active=idle)
-        batch.removal_pass(rows, 1, 1, budget=9, active=idle)
-        batch.addition_pass(rows, 1, 1, active=idle)
-        batch.addition_pass(rows, 1, 1, budget=9, active=idle)
+        for removal in (True, False):
+            batch.run_pass(rows, 1, 1, removal, active=idle)
+            batch.run_pass(rows, 1, 1, removal, budget=9, active=idle)
         for name, old in zip(STATE_FIELDS, before):
             assert np.array_equal(getattr(batch, name), old), name
 
