@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import DomainError, GraphError, check_int
-from .graph import OrderedDag, VertexProfile
+from .errors import CapacityError, DomainError, GraphError, check_int
+from .graph import MAX_ORDER, OrderedDag, VertexProfile
 
 __all__ = [
     "ExtremalKind",
@@ -92,6 +92,8 @@ def extremal_value(kind: ExtremalKind, x: int, y: int, n: int) -> int:
         )
 
     if kind is ExtremalKind.MAX_ORDERINGS:
+        if n > MAX_ORDER:  # every form is a factorial in n
+            raise CapacityError(f"max-orderings is capped at n <= {MAX_ORDER}, got n = {n}")
         if x == 1 and y == 1:
             return 1 if n == 1 else factorial(n - 2)
         if n == hi:

@@ -12,10 +12,14 @@ topological order: each edge comes after every edge into its tail.
 ``filtered_graphs`` is the reference for filtered enumeration: each graph
 of the order profiled afresh and, for the minimal ones, checked by
 definition, where ``enumerate_graphs`` reads the per-order facts table.
+``linear_extensions`` is the reference for the oracle's ordering counts:
+each permutation walked vertex by vertex, where the oracle filters one
+per-order table of reversed pairs.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -172,3 +176,22 @@ def filtered_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
         if scope.minimal_only and not oracle_is_minimal(g, *counts):
             continue
         yield g
+
+
+def linear_extensions(g: OrderedDag) -> int:
+    """Count task orderings by filtering all n! vertex permutations, one
+    permutation at a time: a permutation counts when every vertex comes
+    after all of its predecessors."""
+    pred_mask = [0] * (g.n + 1)
+    for a, b in g._edges:
+        pred_mask[b] |= 1 << a
+    count = 0
+    for perm in permutations(range(1, g.n + 1)):
+        seen = 0
+        for v in perm:
+            if pred_mask[v] & ~seen:
+                break
+            seen |= 1 << v
+        else:
+            count += 1
+    return count

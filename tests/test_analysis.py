@@ -16,7 +16,7 @@ from taskdag.analysis import (
     remove_removable_path,
     retention_probability_bound,
 )
-from taskdag.errors import DomainError
+from taskdag.errors import CapacityError, DomainError
 from taskdag.families import densest_connected_minimal_graph, densest_minimal_graph
 from taskdag.graph import OrderedDag, complete_graph, empty_graph
 
@@ -240,3 +240,19 @@ class TestRationals:
         value = removal_density_limit()
         assert abs(value - 1.6137) < 1e-3
         assert 1.349 < value < 2
+
+
+class TestMaxOrderingsCap:
+    def test_order_past_the_cap_is_refused_before_any_factorial(self, monkeypatch):
+        import taskdag.analysis
+
+        def refuse(k):
+            raise AssertionError(f"factorial({k}) was computed")
+
+        monkeypatch.setattr(taskdag.analysis, "factorial", refuse)
+        for x, y, n in [(1, 1, 10**7), (10**7, 10**7, 10**7), (2, 1, 1001)]:
+            with pytest.raises(CapacityError, match=r"max-orderings is capped at n <= 1000, got n = "):
+                extremal_value(K.MAX_ORDERINGS, x, y, n)
+
+    def test_order_at_the_cap_still_has_its_value(self):
+        assert extremal_value(K.MAX_ORDERINGS, 1, 1, 1000) == math.factorial(998)

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from taskdag.analysis import ExtremalKind, is_minimal_xy
-from taskdag.errors import CapacityError, DomainError
+from taskdag.errors import CapacityError, DomainError, GraphError
 from taskdag.graph import OrderedDag, complete_graph, empty_graph, ordered_pairs
 from taskdag.oracle import (
     EnumerationScope,
@@ -16,7 +17,7 @@ from taskdag.oracle import (
 )
 from taskdag.processes import ProcessKind
 
-from .reference import filtered_graphs, trial_states
+from .reference import filtered_graphs, linear_extensions, trial_states
 
 K = ExtremalKind
 
@@ -321,3 +322,67 @@ class TestClosedFormAgreementSpots:
             assert oracle_extremal(K.MAX_ADDITION_RESULT_EDGES, x, y, n) == extremal_value(
                 K.MAX_ADDITION_RESULT_EDGES, x, y, n
             )
+
+
+class TestOrderingsTable:
+    # the table's counts against the permutation-by-permutation reference
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_graph_counts_as_the_reference(self, n):
+        for g in enumerate_graphs(EnumerationScope(n=n)):
+            assert oracle_linear_extensions(g) == linear_extensions(g), g.to_json()
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random_graphs_count_as_the_reference(self, n):
+        import random
+
+        rng = random.Random(n)
+        pairs = ordered_pairs(n)
+        for _ in range(200):
+            density = rng.random()
+            g = OrderedDag.from_edges(n, [p for p in pairs if rng.random() < density])
+            assert oracle_linear_extensions(g) == linear_extensions(g), g.to_json()
+
+    @pytest.mark.parametrize("chunk", [None, 1, 241])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_max_orderings_is_the_reference_maximum(self, n, chunk, monkeypatch):
+        # a chunk of 1 entry holds one mask, one of 241 two masks at n = 5
+        import taskdag.oracle
+
+        if chunk is not None:
+            monkeypatch.setattr(taskdag.oracle, "_FILTER_CHUNK", chunk)
+        for x, y in product(range(1, n + 1), repeat=2):
+            counts = [linear_extensions(g) for g in filtered_graphs(EnumerationScope(n, (x, y)))]
+            if counts:
+                assert oracle_extremal(K.MAX_ORDERINGS, x, y, n) == max(counts), (x, y)
+            else:
+                with pytest.raises(DomainError, match="no qualifying"):
+                    oracle_extremal(K.MAX_ORDERINGS, x, y, n)
+
+    def test_max_orderings_memory_stays_bounded(self):
+        # each verdict filters its masks a bounded chunk at a time; all of
+        # (1, 1)'s graphs in one broadcast peaked at 21.8 MB
+        import tracemalloc
+
+        from taskdag.oracle import _facts_by_mask
+
+        _facts_by_mask(6)
+        tracemalloc.start()
+        try:
+            for x, y in product((1, 2, 3), repeat=2):
+                tracemalloc.reset_peak()
+                oracle_extremal(K.MAX_ORDERINGS, x, y, 6)
+                assert tracemalloc.get_traced_memory()[1] < 2 << 20, (x, y)
+        finally:
+            tracemalloc.stop()
+
+
+class TestGraphArguments:
+    @pytest.mark.parametrize("value", ["x", None, 3, [(1, 2)]])
+    def test_linear_extensions_names_a_non_graph(self, value):
+        with pytest.raises(GraphError, match=rf"^g must be an OrderedDag, got {re.escape(repr(value))}$"):
+            oracle_linear_extensions(value)
+
+    @pytest.mark.parametrize("value", ["x", None, 3, [(1, 2)]])
+    def test_is_minimal_names_a_non_graph(self, value):
+        with pytest.raises(GraphError, match=rf"^g must be an OrderedDag, got {re.escape(repr(value))}$"):
+            oracle_is_minimal(value, 1, 1)
