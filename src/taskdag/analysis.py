@@ -8,14 +8,14 @@ converted to float by callers that present them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
 
 from .errors import CapacityError, DomainError, GraphError, check_int
-from .graph import MAX_ORDER, OrderedDag, VertexProfile
+from .graph import MAX_ORDER, OrderedDag, VertexProfile, _check_graph
 
 __all__ = [
     "ExtremalKind",
@@ -127,6 +127,7 @@ def is_minimal_xy(g: OrderedDag) -> bool:
     For a graph whose profile is exactly (x, y) this is equivalent to the
     definitional property that removing any single edge changes the profile.
     """
+    _check_graph(g)
     return all(g.out_degree(u) == 1 or g.in_degree(v) == 1 for u, v in g._edges)
 
 
@@ -139,6 +140,7 @@ def find_removable_path(g: OrderedDag) -> tuple[int, ...] | None:
     second vertex; later vertices are forced because interiors have a unique
     successor.
     """
+    _check_graph(g)
     succ: list[list[int]] = [[] for _ in range(g.n + 1)]
     indeg = [0] * (g.n + 1)
     for a, b in g._edges:
@@ -172,6 +174,9 @@ def remove_removable_path(g: OrderedDag, path: Sequence[int]) -> OrderedDag:
     Remaining vertices keep their relative order, so edges still satisfy
     a < b.  Raises GraphError if ``path`` is not removable in ``g``.
     """
+    _check_graph(g)
+    if not isinstance(path, Sequence):
+        raise GraphError(f"path must be a sequence of vertices, got {path!r}")
     path = tuple(path)
     if len(path) < 3:
         raise GraphError(f"a removable path needs at least 3 vertices, got {len(path)}")
@@ -222,6 +227,7 @@ def classify_extremal(g: OrderedDag, x: int, y: int) -> StructureCase:
     case with the witnessing vertex roles, or NOT_EXTREMAL when the graph is
     not minimal with the maximum edge count for its parameters.
     """
+    _check_graph(g)
     check_int(DomainError, x=x, y=y)
     prof = g.profile()
     if not prof.matches(x, y):

@@ -304,6 +304,13 @@ class OrderedDag:
         return f"OrderedDag(n={self.n}, edges={self.edge_count})"
 
 
+def _check_graph(g: object) -> None:
+    """The one graph-argument rule: ``g`` is an ``OrderedDag``, or a
+    GraphError names it."""
+    if not isinstance(g, OrderedDag):
+        raise GraphError(f"g must be an OrderedDag, got {g!r}")
+
+
 def empty_graph(n: int) -> OrderedDag:
     """Graph on n vertices with no edges; every vertex is isolated."""
     return OrderedDag(n)

@@ -49,12 +49,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, GraphError, check_int
-from .graph import MAX_ORDER, OrderedDag
+from .graph import MAX_ORDER, OrderedDag, _check_graph
 from .processes import (
     SEED_MAX,
     ProcessConfig,
     ProcessKind,
     _Batch,
+    _check_config,
     _lockstep_runs,
     _lone_runs,
     _pair_ends,
@@ -432,6 +433,7 @@ def _run_cells(
     if not cells:
         raise ConfigError("an experiment needs at least one cell, got none")
     for cfg, master_seed in cells:
+        _check_config(cfg)
         check_int(ConfigError, 0, SEED_MAX, master_seed=master_seed)
         (cfg if cfg.seed == 0 else replace(cfg, seed=0)).validate()
     blocks = [
@@ -539,6 +541,7 @@ def growth_experiment(
 
 def export(g: OrderedDag, format: str) -> bytes:
     """Serialize a graph to bytes in the named format ("json" or "dot")."""
+    _check_graph(g)
     if format == "json":
         return g.to_json().encode("ascii")
     if format == "dot":

@@ -7,16 +7,16 @@ fast routines have an independent check.  The flow shares one piece with the
 processes, their cancel rule (``processes._thresholds``): it checks the
 dynamics built on that rule, and the tests hold the rule itself to reference
 loops, one edge at a time.  Its states are edge masks, whose degrees it reads
-off per-vertex head and tail bit masks; it builds no graph.  Every enumerated
-extremal verdict, and every enumeration filtered by profile or minimality,
-reads one cached table of per-graph facts per order (``_facts_by_mask``).
-The table is built once per process in numpy columns over all masks of the
-order, about 0.4 ms at n = 5 and 10 ms at n = 6, so the first filtered
-enumeration at n = 6 pays for the whole table.  Its minimal and result
-columns are definitions, read off the table's own profile column: no
-one-edge deletion leaves a minimal graph's profile unchanged, and some
-one-edge deletion changes a non-empty result's.  The tests hold both columns
-to per-graph re-profiling.  Task orderings are counted by filtering all n!
+off per-vertex head and tail bit masks; it builds no graph.  Every
+enumeration and every enumerated extremal verdict reads one cached table of
+per-graph facts per order (``_facts_by_mask``): read-only numpy columns over
+all masks of the order, built once per process, about 0.4 ms at n = 5 and
+10 ms at n = 6.  A verdict or a scope is one boolean row mask over those
+columns; no Python loop visits the rows.  The minimal and result columns
+are definitions, read off the table's own profile column: no one-edge
+deletion leaves a minimal graph's profile unchanged, and some one-edge
+deletion changes a non-empty result's.  The tests hold every column to
+per-graph re-profiling.  Task orderings are counted by filtering all n!
 vertex permutations against one cached table per order
 (``_reversed_pairs``): one int64 per permutation holding the bits of the
 pairs it puts in reverse order, so the permutations that keep a graph's
@@ -31,6 +31,7 @@ n <= 8, where the table has 40320 rows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +42,8 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import ExtremalKind
-from .errors import CapacityError, DomainError, GraphError, check_int
-from .graph import OrderedDag, ordered_pairs
+from .errors import CapacityError, DomainError, check_int
+from .graph import OrderedDag, _check_graph, ordered_pairs
 from .processes import ProcessKind, _thresholds
 
 ENUMERATION_CAP = 6
@@ -76,20 +77,17 @@ class EnumerationScope:
 
 def enumerate_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
     """Yield every order-respecting labeled graph on scope.n vertices once,
-    in mask order.  A filtered scope reads each graph's profile and
-    minimality off the per-order facts table (``_facts_by_mask``) and builds
-    only the graphs it yields."""
+    in mask order.  Every scope reads its graphs' profiles and minimality
+    off the per-order facts table (``_facts_by_mask``) and builds only the
+    graphs it yields."""
     scope.validate()
-    n, pairs = scope.n, ordered_pairs(scope.n)
-    if scope.profile is None and not scope.minimal_only:
-        for mask in range(1 << len(pairs)):
-            yield _graph_from_mask(n, pairs, mask)
-        return
-    any_profile, (x, y) = scope.profile is None, scope.profile or (0, 0)
-    for mask, (_, sources, sinks, minimal, _, _) in enumerate(_facts_by_mask(n)):
-        # two int compares, not a (sources, sinks) tuple per row
-        if (any_profile or (sources == x and sinks == y)) and (minimal or not scope.minimal_only):
-            yield _graph_from_mask(n, pairs, mask)
+    n, minimal = scope.n, _facts_by_mask(scope.n).minimal
+    keep = np.ones_like(minimal) if scope.profile is None else _profile_rows(n, *scope.profile)
+    if scope.minimal_only:
+        keep &= minimal
+    pairs = ordered_pairs(n)
+    for mask in np.flatnonzero(keep).tolist():
+        yield _graph_from_mask(n, pairs, mask)
 
 
 def _graph_from_mask(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> OrderedDag:
@@ -105,11 +103,6 @@ def _graph_from_mask(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> O
         outdeg[a] += 1
         m ^= bit
     return OrderedDag._adopt(n, edges, indeg, outdeg)
-
-
-def _check_graph(g: object) -> None:
-    if not isinstance(g, OrderedDag):
-        raise GraphError(f"g must be an OrderedDag, got {g!r}")
 
 
 def oracle_is_minimal(g: OrderedDag, x: int, y: int) -> bool:
@@ -149,7 +142,7 @@ def _reversed_pairs(n: int) -> np.ndarray:
     return reversed_bits
 
 
-def _max_orderings(n: int, masks: list[int]) -> int:
+def _max_orderings(n: int, masks: np.ndarray) -> int:
     """The most permutations of 1..n that keep every edge of one of
     ``masks`` in order, filtered a chunk of masks at a time so that no
     broadcast holds more than ``_FILTER_CHUNK`` (mask, permutation) entries."""
@@ -173,13 +166,16 @@ def oracle_linear_extensions(g: OrderedDag) -> int:
     return int(np.count_nonzero((_reversed_pairs(g.n) & mask) == 0))
 
 
+_Facts = namedtuple("_Facts", "edge_count sources sinks minimal components result")
+
+
 @lru_cache(maxsize=8)
-def _facts_by_mask(n: int) -> list[tuple[int, int, int, bool, int, bool]]:
-    """Every graph's facts (edge_count, sources, sinks, minimal,
-    component_count, result), in mask order, computed a column at a time over
-    all masks: row i of ``present`` marks the masks that hold pair i.  A
-    graph is minimal when deleting any of its edges changes its profile, and
-    a result, a halt state of the addition process for its own profile, when
+def _facts_by_mask(n: int) -> _Facts:
+    """Every graph's facts in mask order, one read-only numpy column each
+    (int8 counts, bool flags), computed a column at a time over all masks:
+    row i of ``present`` marks the masks that hold pair i.  A graph is
+    minimal when deleting any of its edges changes its profile, and a
+    result, a halt state of the addition process for its own profile, when
     it is empty or deleting some edge changes its profile: both columns are
     read off the same masks' profile column.
 
@@ -222,42 +218,42 @@ def _facts_by_mask(n: int) -> list[tuple[int, int, int, bool, int, bool]]:
     components = (label == np.arange(n, dtype=np.int8)[:, None]).sum(0, dtype=np.int8)
     edge_count = present.sum(0, dtype=np.int8)
     del masks, present, profile, label, far
-    columns = edge_count, sources, sinks, minimal, components, result
-    return list(zip(*(column.tolist() for column in columns)))
+    facts = _Facts(edge_count, sources, sinks, minimal, components, result)
+    for column in facts:
+        column.flags.writeable = False
+    return facts
+
+
+def _profile_rows(n: int, x: int, y: int) -> np.ndarray:
+    """The facts table's rows of profile (x, y), a fresh boolean mask.  No
+    graph of order n has n + 1 sources or sinks, so a larger x or y reads
+    as n + 1, and no int past int8's range meets the columns."""
+    facts = _facts_by_mask(n)
+    return (facts.sources == min(x, n + 1)) & (facts.sinks == min(y, n + 1))
 
 
 def oracle_extremal(kind: ExtremalKind, x: int, y: int, n: int) -> int:
-    """Recompute an extremal value by exhaustive search over all graphs."""
+    """Recompute an extremal value by exhaustive search over all graphs: the
+    facts table's rows of profile (x, y) that the kind admits."""
     EnumerationScope(n=n).validate()
     check_int(DomainError, x=x, y=y)
     if not isinstance(kind, ExtremalKind):
         raise DomainError(f"unknown extremal kind {kind!r}")
-    values: list[int] = []
-    for mask, (edge_count, sources, sinks, minimal, component_count, result) in enumerate(
-        _facts_by_mask(n)
-    ):
-        if sources != x or sinks != y:  # no (sources, sinks) tuple per row: it doubled the scan
-            continue
-        if kind is ExtremalKind.MAX_MINIMAL_EDGES:
-            if minimal:
-                values.append(edge_count)
-        elif kind is ExtremalKind.MIN_EDGES or kind is ExtremalKind.MAX_EDGES:
-            values.append(edge_count)
-        elif kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
-            if minimal and component_count == 1:
-                values.append(edge_count)
-        elif kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
-            if result:
-                values.append(edge_count)
-        elif kind is ExtremalKind.MAX_ORDERINGS:
-            values.append(mask)  # counted all at once below
-    if not values and kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
+    facts, keep = _facts_by_mask(n), _profile_rows(n, x, y)
+    if kind is ExtremalKind.MAX_MINIMAL_EDGES or kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
+        keep &= facts.minimal
+    if kind is ExtremalKind.MAX_CONNECTED_MINIMAL_EDGES:
+        keep &= facts.components == 1
+    if kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
+        keep &= facts.result
+    if not keep.any() and kind is ExtremalKind.MAX_ADDITION_RESULT_EDGES:
         raise DomainError(f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph")
-    if not values:
+    if not keep.any():
         raise DomainError(f"no qualifying ({x}, {y}) graphs of order {n} exist")
     if kind is ExtremalKind.MAX_ORDERINGS:
-        return _max_orderings(n, values)
-    return min(values) if kind is ExtremalKind.MIN_EDGES else max(values)
+        return _max_orderings(n, np.flatnonzero(keep))
+    edge_counts = facts.edge_count[keep]
+    return int(edge_counts.min() if kind is ExtremalKind.MIN_EDGES else edge_counts.max())
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,13 @@ class ProcessConfig:
             check_int(ConfigError, lo, hi, m=self.m)
 
 
+def _check_config(cfg: object) -> None:
+    """The one config-argument rule: ``cfg`` is a ``ProcessConfig``, or a
+    ConfigError names it."""
+    if not isinstance(cfg, ProcessConfig):
+        raise ConfigError(f"cfg must be a ProcessConfig, got {cfg!r}")
+
+
 @dataclass(frozen=True)
 class ProcessOutcome:
     """Final graph plus bookkeeping."""
@@ -629,13 +636,16 @@ def _lockstep_runs(cfg: ProcessConfig, orders: np.ndarray) -> _Batch:
     return batch
 
 
-def _run(cfg: ProcessConfig, kind: ProcessKind, trace: TraceFn | None) -> ProcessOutcome:
-    """One seeded run of ``cfg``, a one-trial ``_lone_runs`` record for
-    every kind but the tree, and its outcome read off that record's row:
-    halted at (x, y) for addition, at (x, y) with m edges for the combined
-    process, else with no move left."""
+def _run(cfg: ProcessConfig, kind: ProcessKind | None, trace: TraceFn | None) -> ProcessOutcome:
+    """One seeded run of ``cfg``, of ``kind`` or, for None, of any kind: a
+    one-trial ``_lone_runs`` record for every kind but the tree, and its
+    outcome read off that record's row: halted at (x, y) for addition, at
+    (x, y) with m edges for the combined process, else with no move left."""
+    _check_config(cfg)
     cfg.validate()
-    if cfg.kind is not kind:
+    if kind is None:
+        kind = cfg.kind
+    elif cfg.kind is not kind:
         raise ConfigError(f"config kind is {cfg.kind.value!r}, expected {kind.value!r}")
     n, rng = cfg.n, _rng(cfg.seed)
     if kind is ProcessKind.RANDOM_TREE:  # a tree has one source, vertex 1, and no move left
@@ -730,4 +740,4 @@ def random_directed_tree(n: int, seed: int) -> OrderedDag:
 
 def run_process(cfg: ProcessConfig, trace: TraceFn | None = None) -> ProcessOutcome:
     """Run a configuration's process, of any kind."""
-    return _run(cfg, cfg.kind, trace)
+    return _run(cfg, None, trace)

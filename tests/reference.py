@@ -9,9 +9,10 @@ row.  The jump chain in ``test_processes.py`` checks the loops in turn.
 Candidate edges are indexed by their position in ``ordered_pairs(n)``, a
 topological order: each edge comes after every edge into its tail.
 
-``filtered_graphs`` is the reference for filtered enumeration: each graph
-of the order profiled afresh and, for the minimal ones, checked by
-definition, where ``enumerate_graphs`` reads the per-order facts table.
+``filtered_graphs`` is the reference for enumeration: each graph of the
+order built from its edge mask, profiled afresh and, for the minimal ones,
+checked by definition, where ``enumerate_graphs`` reads the per-order facts
+table.
 ``linear_extensions`` is the reference for the oracle's ordering counts:
 each permutation walked vertex by vertex, where the oracle filters one
 per-order table of reversed pairs.
@@ -26,7 +27,7 @@ import numpy as np
 
 from taskdag import harness
 from taskdag.graph import OrderedDag, ordered_pairs
-from taskdag.oracle import EnumerationScope, enumerate_graphs, oracle_is_minimal
+from taskdag.oracle import EnumerationScope, oracle_is_minimal
 from taskdag.processes import ProcessConfig, ProcessKind, TraceFn, _Batch
 
 STATE_FIELDS = ("present", "indeg", "outdeg", "sources", "sinks", "edge_total", "rounds")
@@ -167,9 +168,11 @@ def trial_states(cfg: ProcessConfig, master_seed: int, trials: int) -> Iterator[
 
 def filtered_graphs(scope: EnumerationScope) -> Iterator[OrderedDag]:
     """The graphs of ``scope`` by a filter on every graph of the order, in
-    mask order: each re-profiled, and for ``minimal_only`` checked by
-    ``oracle_is_minimal``."""
-    for g in enumerate_graphs(EnumerationScope(n=scope.n)):
+    mask order: each built from its mask's pairs, re-profiled, and for
+    ``minimal_only`` checked by ``oracle_is_minimal``."""
+    pairs = ordered_pairs(scope.n)
+    for mask in range(1 << len(pairs)):
+        g = OrderedDag.from_edges(scope.n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
         counts = g.profile().counts
         if scope.profile is not None and counts != scope.profile:
             continue

@@ -16,7 +16,7 @@ from taskdag.analysis import (
     remove_removable_path,
     retention_probability_bound,
 )
-from taskdag.errors import CapacityError, DomainError
+from taskdag.errors import CapacityError, DomainError, GraphError
 from taskdag.families import densest_connected_minimal_graph, densest_minimal_graph
 from taskdag.graph import OrderedDag, complete_graph, empty_graph
 
@@ -256,3 +256,30 @@ class TestMaxOrderingsCap:
 
     def test_order_at_the_cap_still_has_its_value(self):
         assert extremal_value(K.MAX_ORDERINGS, 1, 1, 1000) == math.factorial(998)
+
+
+class TestGraphArguments:
+    # a non-graph is named by a GraphError before any attribute of it is read
+    @pytest.mark.parametrize("value", ["x", None, 3, [(1, 2)]])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            is_minimal_xy,
+            find_removable_path,
+            lambda g: remove_removable_path(g, (1, 2, 5)),
+            lambda g: classify_extremal(g, 1, 1),
+        ],
+        ids=["is_minimal_xy", "find_removable_path", "remove_removable_path", "classify_extremal"],
+    )
+    def test_non_graph_is_named(self, call, value):
+        with pytest.raises(GraphError) as info:
+            call(value)
+        assert str(info.value) == f"g must be an OrderedDag, got {value!r}"
+
+    @pytest.mark.parametrize("path", [5, None, {1, 2, 5}, iter((1, 2, 5))], ids=["int", "none", "set", "iterator"])
+    def test_path_must_be_a_sequence(self, path):
+        g = densest_minimal_graph(1, 1, 5)
+        with pytest.raises(GraphError) as info:
+            remove_removable_path(g, path)
+        assert str(info.value) == f"path must be a sequence of vertices, got {path!r}"
+        assert remove_removable_path(g, [1, 2, 5]) == remove_removable_path(g, (1, 2, 5))

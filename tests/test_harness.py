@@ -15,7 +15,7 @@ import pytest
 
 from taskdag import harness, processes
 from taskdag.analysis import ExtremalKind, extremal_value
-from taskdag.errors import ConfigError
+from taskdag.errors import ConfigError, GraphError
 from taskdag.graph import MAX_ORDER, OrderedDag, empty_graph, ordered_pairs
 from taskdag.harness import (
     derive_seed,
@@ -821,3 +821,18 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown export format"):
             export(empty_graph(1), "yaml")
+
+
+class TestObjectArguments:
+    # a wrong object is named by a typed error before any attribute of it is read
+    @pytest.mark.parametrize("value", ["x", None, 3, [(1, 2)]])
+    def test_export_names_a_non_graph(self, value):
+        with pytest.raises(GraphError) as info:
+            export(value, "json")
+        assert str(info.value) == f"g must be an OrderedDag, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["x", None, 3, (1, 1, 4)])
+    def test_run_trials_names_a_non_config(self, value):
+        with pytest.raises(ConfigError) as info:
+            run_trials(value, 10, 1)
+        assert str(info.value) == f"cfg must be a ProcessConfig, got {value!r}"

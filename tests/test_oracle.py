@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -106,8 +107,9 @@ class TestFactsTable:
 
         pairs = ordered_pairs(n)
         table = _facts_by_mask(n)
-        assert len(table) == 1 << len(pairs)
-        for mask, row in enumerate(table):
+        assert {len(column) for column in table} == {1 << len(pairs)}
+        for mask in range(1 << len(pairs)):
+            row = tuple(column[mask].item() for column in table)
             g = _graph_from_mask(n, pairs, mask)
             counts, edges = g.profile().counts, g.edges()
             expected = (
@@ -386,3 +388,65 @@ class TestGraphArguments:
     def test_is_minimal_names_a_non_graph(self, value):
         with pytest.raises(GraphError, match=rf"^g must be an OrderedDag, got {re.escape(repr(value))}$"):
             oracle_is_minimal(value, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def admitted_values(n):
+    """Per graph of order n, built by the reference: its profile and, per
+    kind it is admitted to, the value it offers (edges, or task orderings)."""
+    rows = []
+    for g in filtered_graphs(EnumerationScope(n)):
+        counts, edges = g.profile().counts, g.edges()
+        minimal = oracle_is_minimal(g, *counts)
+        result = not edges or any(
+            OrderedDag.from_edges(n, edges[:j] + edges[j + 1:]).profile().counts != counts
+            for j in range(len(edges))
+        )
+        admitted = {
+            K.MIN_EDGES: True,
+            K.MAX_EDGES: True,
+            K.MAX_MINIMAL_EDGES: minimal,
+            K.MAX_CONNECTED_MINIMAL_EDGES: minimal and len(g.underlying_components()) == 1,
+            K.MAX_ADDITION_RESULT_EDGES: result,
+        }
+        values = {kind: len(edges) for kind, ok in admitted.items() if ok}
+        rows.append((counts, {**values, K.MAX_ORDERINGS: linear_extensions(g)}))
+    return rows
+
+
+class TestExtremalColumns:
+    # every verdict against the per-graph facts of graphs the reference builds itself
+    @staticmethod
+    def reference(kind, x, y, n):
+        """The value, or the (error type, message), recomputed graph by graph."""
+        for name, value in (("x", x), ("y", y)):
+            if value < 1:
+                return DomainError, f"{name} must be a positive integer, got {value!r}"
+        values = [by_kind[kind] for counts, by_kind in admitted_values(n) if counts == (x, y) and kind in by_kind]
+        if values:
+            return min(values) if kind is K.MIN_EDGES else max(values)
+        if kind is K.MAX_ADDITION_RESULT_EDGES:
+            return DomainError, f"the ({x}, {y}) addition process on {n} vertices never halts on an ({x}, {y}) graph"
+        return DomainError, f"no qualifying ({x}, {y}) graphs of order {n} exist"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", list(K))
+    def test_every_profile_equals_the_per_graph_reference(self, kind, n):
+        # x, y in 0..n + 1 and past every int64, so no out-of-range int meets an int8 column
+        for x, y in [*product(range(n + 2), repeat=2), (2**63, 1), (1, 2**63)]:
+            expected = self.reference(kind, x, y, n)
+            if type(expected) is int:
+                got = oracle_extremal(kind, x, y, n)
+                assert (type(got), got) == (int, expected), (x, y)
+            else:
+                error, message = expected
+                with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                    oracle_extremal(kind, x, y, n)
+
+    def test_columns_are_read_only(self):
+        # the table is cached per process: a caller's write would change every later verdict
+        from taskdag.oracle import _facts_by_mask
+
+        for column in _facts_by_mask(4):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]

@@ -1023,3 +1023,21 @@ class TestCandidatePairs:
         assert graph == expected and graph.to_json() == expected.to_json()
         assert (graph._indeg, graph._outdeg) == (loop.indeg, loop.outdeg)
         assert {type(degree) for degree in graph._indeg + graph._outdeg} == {int}
+
+
+class TestConfigArgument:
+    @pytest.mark.parametrize("value", ["x", None, 3, (1, 1, 4)])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            processes.run_process,
+            processes.edge_removal_process,
+            processes.edge_addition_process,
+            processes.combined_process,
+        ],
+        ids=["run_process", "edge_removal_process", "edge_addition_process", "combined_process"],
+    )
+    def test_non_config_is_named(self, run, value):
+        with pytest.raises(ConfigError) as info:
+            run(value)
+        assert str(info.value) == f"cfg must be a ProcessConfig, got {value!r}"
