@@ -263,14 +263,16 @@ class OrderedDag:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> OrderedDag:
-        """Parse the ``to_json`` format; bytes must be ASCII."""
+        """Parse the ``to_json`` format: ASCII, no field name repeated."""
         try:
             if isinstance(text, bytes):
                 text = text.decode("ascii")
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_unique_fields)
         except UnicodeDecodeError as exc:
             raise GraphError(f"graph JSON must be ASCII: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except GraphError:
+            raise
+        except (ValueError, RecursionError) as exc:  # nesting past the stack, digits past int's limit
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
             raise GraphError("graph JSON must be an object with exactly the fields 'n' and 'edges'")
@@ -309,6 +311,14 @@ def _check_graph(g: object) -> None:
     GraphError names it."""
     if not isinstance(g, OrderedDag):
         raise GraphError(f"g must be an OrderedDag, got {g!r}")
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """One JSON object's fields, or a GraphError if a name repeats."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        raise GraphError("graph JSON repeats a field name in one object")
+    return fields
 
 
 def empty_graph(n: int) -> OrderedDag:

@@ -3,22 +3,20 @@
 Every cell is cut into fixed blocks of ``_CHUNK`` trials.  Block k of a cell
 has one generator, keyed by (master seed, k), and the trials of the block take
 their draws from it in trial order; grid experiments give each cell the master
-seed derive_seed(master_seed, x, y, n).  The draws come in sub-batches of
-whole trials (``_draw_rows``): rows of the candidate indices, shuffled in
-place, one row per edge order, each equal to one ``permutation`` call.
-Every engine returns a sub-batch's final states as records of arrays,
-``_Batch``es, the package's one run state.  A sub-batch of at least
-``_kernel_min`` removal, addition or combined trials moves in lockstep
-(``processes._lockstep_runs``): under ``_DRAW_CAP`` a whole block is one
-sub-batch up to n = 23, or n = 16 for the combined process, and the kernel
-takes sub-batches up to n = 38 for removals and capped additions, n = 16 for
-(1, 1) additions and n = 32 for the combined process.  A smaller sub-batch
-runs as stacks of at most ``_STACK_CAP`` entries through the route every
-lone run takes (``processes._lone_runs``): the lemma passes of all a stack's
-rows at once, and for the combined process each hit trial's fill or trim on
-its own row.  Both engines take a config and drawn rows and return a record.
-Random trees are built in array form (``processes._tree_batch``).  All give
-equal final states on equal draws.  One function reads the statistics of any
+seed derive_seed(master_seed, x, y, n).  One loop routes a block's trials
+(``_block_states``): the next trials whose rows fit in ``_DRAW_CAP`` entries
+move in lockstep (``processes._lockstep_runs``) if they are at least
+``_kernel_min`` removal, addition or combined trials.  A whole block is one
+such sub-batch up to n = 23, or n = 16 for the combined process, and the
+kernel takes sub-batches up to n = 38 for removals and capped additions,
+n = 16 for (1, 1) additions and n = 32 for the combined process.  Other
+trials run in stacks of at most ``_STACK_CAP`` candidate entries through the
+route every lone run takes (``processes._lone_runs``): the lemma passes of
+all the stack's rows at once, and for the combined process each hit trial's
+fill or trim on its own row.  Random trees are built in array form
+(``processes._tree_batch``).  Every engine returns final states as records of
+arrays, ``_Batch``es, the package's one run state, and all give equal final
+states on equal draws.  One function reads the statistics of any
 record (``_record_sums``): success, edges and isolated vertices over all rows
 at once, and the longest paths by a column DP over the rows, or row by row
 (``_longest_path``) on a record of fewer than ``_DP_ROWS_PER_VERTEX * n``
@@ -59,6 +57,7 @@ from .processes import (
     _lockstep_runs,
     _lone_runs,
     _pair_ends,
+    _rng,
     _rows_per_run,
     _tree_batch,
 )
@@ -163,52 +162,32 @@ class TrialSummary:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _draw_rows(rng: np.random.Generator, cfg: ProcessConfig, trials: int) -> Iterator[np.ndarray]:
-    """Yield the draws of ``trials`` trials as arrays of rows: rows of n - 1
-    uniforms for the tree, else permutations of the C(n, 2) candidate-edge
-    indices, one row per trial or two for the combined process.  Row i
-    equals the i-th ``random(n - 1)`` / ``permutation(C(n, 2))`` call on
-    ``rng``: the candidate indices are shuffled in place, row by row.  An
-    array of at least ``_kernel_min`` trials is laid out step-major, as the
-    lockstep kernel reads it; the stacks read rows.  Each array holds whole
-    trials and at most ``_DRAW_CAP`` entries (one trial if its rows are
-    longer), which changes no row."""
-    kind, n = cfg.kind, cfg.n
-    width = n - 1 if kind is ProcessKind.RANDOM_TREE else n * (n - 1) // 2
-    per_trial, lockstep = _rows_per_run(kind), _kernel_min(cfg)
-    step = max(1, _DRAW_CAP // max(width * per_trial, 1))
-    for done in range(0, trials, step):
-        count = min(step, trials - done)
-        if kind is ProcessKind.RANDOM_TREE:
-            yield rng.random((count, width))
-        else:
-            rows = np.empty((count * per_trial, width), np.intp, order="F" if count >= lockstep else "C")
-            rows[...] = np.arange(width)
-            yield rng.permuted(rows, axis=1, out=rows)
-
-
 def _block_states(cfg: ProcessConfig, master_seed: int, start: int, stop: int) -> Iterator[_Batch]:
     """Records of the final states of trials ``start..stop-1`` of one cell, in
-    trial order, where ``start`` opens block ``start // _CHUNK``.  The block
-    has one generator, keyed (master_seed, block index), and each trial takes
-    its next rows in order: two for the combined process, whether or not its
-    second phase runs.  A sub-batch of ``_draw_rows`` with at least
-    ``_kernel_min`` removal, addition or combined trials runs in lockstep.  A
-    smaller one runs as lone runs (``_lone_runs``) in stacks of at most
-    ``_STACK_CAP`` candidate entries.  Random trees come in records of at
-    most ``_DRAW_CAP`` candidate entries."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, start // _CHUNK])))
-    per_trial, tree = _rows_per_run(cfg.kind), cfg.kind is ProcessKind.RANDOM_TREE
-    width = cfg.n * (cfg.n - 1) // 2
-    lockstep = _kernel_min(cfg) * per_trial
-    for rows in _draw_rows(rng, cfg, stop - start):
-        if not tree and len(rows) >= lockstep:  # drawn step-major
-            yield _lockstep_runs(cfg, rows)
-            continue
-        cap = _DRAW_CAP if tree else _STACK_CAP
-        size = max(1, cap // max(1, width)) * per_trial  # n = 1 has no candidates
-        for part in (rows[i : i + size] for i in range(0, len(rows), size)):
-            yield _tree_batch(cfg.n, part) if tree else _lone_runs(cfg, part)
+    trial order, where ``start`` opens block ``start // _CHUNK``.  Each trial
+    takes its next rows from the block's generator: n - 1 uniforms for the
+    tree, else the C(n, 2) candidate indices shuffled in place, one row per
+    edge order (two for the combined process, whether or not its second phase
+    runs), each equal to one ``random`` / ``permutation`` call.  Lockstep
+    sub-batches are drawn step-major, stacks row-major, and a sub-batch holds
+    one trial if its rows pass the cap.  Trees come in records of at most
+    ``_DRAW_CAP`` candidate entries."""
+    rng, tree = _rng([master_seed, start // _CHUNK]), cfg.kind is ProcessKind.RANDOM_TREE
+    width, per_trial, low = cfg.n * (cfg.n - 1) // 2, _rows_per_run(cfg.kind), _kernel_min(cfg)
+    draw = max(1, _DRAW_CAP // max(1, width * per_trial))
+    stack = max(1, _STACK_CAP // max(1, width))  # n = 1 has no candidates
+    while start < stop:
+        count = min(draw, stop - start)
+        if tree:
+            yield _tree_batch(cfg.n, rng.random((count, cfg.n - 1)))
+        else:
+            lockstep = count >= low
+            count = count if lockstep else min(stack, count)
+            rows = np.empty((count * per_trial, width), np.intp, order="F" if lockstep else "C")
+            rows[...] = np.arange(width)
+            rng.permuted(rows, axis=1, out=rows)
+            yield (_lockstep_runs if lockstep else _lone_runs)(cfg, rows)
+        start += count
 
 
 # Fewest edges per vertex at which _longest_path reads depths off bitsets
@@ -480,6 +459,14 @@ def _grid_cells(
     return cells
 
 
+def _entries(name: str, values: Iterable[object]) -> Iterator[object]:
+    """An iterator over ``values``, or a ConfigError naming ``name``."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be iterable, got {values!r}") from None
+
+
 def _pair(entry: object) -> tuple[int, int]:
     """One (x, y) entry of a table's pairs, or a ConfigError naming it."""
     try:
@@ -509,8 +496,9 @@ def table_experiment(
     fractional digits.  Each cell gets its own seed stream derived from
     (master_seed, x, y, n).
     """
-    n_values = list(map(_order, n_values))  # read once: it may be a one-shot iterator
-    cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in map(_pair, pairs) for n in n_values))
+    n_values = list(map(_order, _entries("n_values", n_values)))  # read once: it may be a one-shot iterator
+    pairs = map(_pair, _entries("pairs", pairs))
+    cells = _grid_cells(kind, master_seed, ((x, y, n) for x, y in pairs for n in n_values))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["pair,n,ratio"]
     for (cfg, _), (success, *_) in zip(cells, totals):
@@ -531,7 +519,7 @@ def growth_experiment(
 
     No curve fitting happens here; downstream tools consume the series.
     """
-    cells = _grid_cells(kind, master_seed, ((x, y, n) for n in n_values))
+    cells = _grid_cells(kind, master_seed, ((x, y, n) for n in _entries("n_values", n_values)))
     totals = _run_cells(cells, trials, parallelism)
     lines = ["n,mean_edges,mean_longest_path,mean_isolated"]
     for (cfg, _), (_, *sums) in zip(cells, totals):

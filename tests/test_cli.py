@@ -9,6 +9,8 @@ from taskdag import analysis, cli, harness
 from taskdag.cli import main
 from taskdag.graph import MAX_ORDER
 
+from .test_graph import _HOSTILE_JSON
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -498,3 +500,15 @@ class TestUsageErrors:
             main(["trials", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: taskdag trials")
+
+
+class TestHostileInput:
+    # analyze answers each with exit 2 and one JSON error line, not a traceback
+    @pytest.mark.parametrize("text", list(_HOSTILE_JSON.values()), ids=list(_HOSTILE_JSON))
+    def test_analyze_exits_2_with_one_json_line(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "GraphError"

@@ -226,3 +226,21 @@ class TestLinearExtensionsAgainstFilter:
         g = complete_graph(6)
         order = {v: v for v in range(1, 7)}
         assert all(order[a] < order[b] for a, b in g.edges())
+
+
+# inputs far under the CLI's size bound that json.loads itself cannot take,
+# or takes by silently keeping the last of a repeated field
+_HOSTILE_JSON = {
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "long-integer": '{"n": 1' + "0" * 5000 + ', "edges": []}',
+    "repeated-field": '{"n": 3, "edges": [[1, 2]], "n": 4}',
+}
+
+
+class TestHostileJson:
+    @pytest.mark.parametrize("text", list(_HOSTILE_JSON.values()), ids=list(_HOSTILE_JSON))
+    def test_is_a_graph_error(self, text):
+        with pytest.raises(GraphError):
+            OrderedDag.from_json(text)
+        with pytest.raises(GraphError):
+            OrderedDag.from_json(text.encode("ascii"))

@@ -93,6 +93,26 @@ class _SpyRng:
         return self.rng.random(shape)
 
 
+def _routed(monkeypatch, cfg, trials, seed):
+    """Run one block of ``trials`` trials of ``cfg`` on a ``_SpyRng(seed)``,
+    spying on the three engines: the generator, and per engine call its name,
+    its rows as lists and whether they are C- and F-contiguous, in order."""
+    spy, calls = _SpyRng(seed), []
+
+    def engine(name, real):
+        def call(first, rows):
+            calls.append((name, rows.tolist(), rows.flags["C_CONTIGUOUS"], rows.flags["F_CONTIGUOUS"]))
+            return real(first, rows)
+
+        return call
+
+    monkeypatch.setattr(harness, "_rng", lambda key: spy)
+    for name in ("_lockstep_runs", "_lone_runs", "_tree_batch"):
+        monkeypatch.setattr(harness, name, engine(name, getattr(harness, name)))
+    list(harness._block_states(cfg, 9, 0, trials))
+    return spy, calls
+
+
 class TestRunTrials:
     def test_point_mass_config(self):
         summary = run_trials(_cfg(1, 1, 3), 200, master_seed=1)
@@ -142,17 +162,18 @@ class TestRunTrials:
         assert (a.success_ratio, a.mean_edges) != (b.success_ratio, b.mean_edges)
 
     @pytest.mark.parametrize("n,trials", [(100, 1), (14, 512)])
-    def test_drawn_rows_equal_lone_permutations(self, n, trials):
+    def test_drawn_rows_equal_lone_permutations(self, n, trials, monkeypatch):
         # one row at n = 100, for a stack, and a whole block of 512 rows at
         # n = 14 under the cap, for the kernel, laid out step-major: each
         # row is shuffled in place and equals one permutation(C(n, 2)) call
-        spy, ref = _SpyRng(9), np.random.default_rng(9)
-        cfg = _cfg(2, 3, n, ProcessKind.ADDITION)
-        (rows,) = harness._draw_rows(spy, cfg, trials)
+        ref, cfg = np.random.default_rng(9), _cfg(2, 3, n, ProcessKind.ADDITION)
+        spy, calls = _routed(monkeypatch, cfg, trials, 9)
         assert spy.sizes == [trials * math.comb(n, 2)] and spy.in_place == [True]
         step_major = trials >= harness._kernel_min(cfg)
-        assert rows.flags["F_CONTIGUOUS" if step_major else "C_CONTIGUOUS"]
-        assert rows.tolist() == [ref.permutation(math.comb(n, 2)).tolist() for _ in range(trials)]
+        ((name, rows, c_order, f_order),) = calls
+        assert name == ("_lockstep_runs" if step_major else "_lone_runs")
+        assert f_order if step_major else c_order
+        assert rows == [ref.permutation(math.comb(n, 2)).tolist() for _ in range(trials)]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -216,21 +237,30 @@ class TestRunTrials:
         "kind,n",
         [(ProcessKind.REMOVAL, 50), (ProcessKind.COMBINED, 50), (ProcessKind.RANDOM_TREE, 300)],
     )
-    def test_draw_split_at_cap_keeps_rows(self, kind, n):
+    def test_draw_split_at_cap_keeps_rows(self, kind, n, monkeypatch):
         # 512 trials' rows of C(50, 2) = 1225 entries (two per combined trial,
         # or 299 for the tree) exceed the cap, so the draw is split, at trial
-        # boundaries, and every row still equals one unsplit call
-        spy, ref = _SpyRng(5), np.random.default_rng(5)
-        batches = list(harness._draw_rows(spy, _cfg(1, 1, n, kind), 512))
-        rows = [row.tolist() for batch in batches for row in batch]
+        # boundaries, each part within its cap: _STACK_CAP candidate entries
+        # for a stack, or _DRAW_CAP for the kernel and for the tree's records
+        # of C(n, 2) candidates; every row still equals one unsplit call
+        ref, width = np.random.default_rng(5), math.comb(n, 2)
+        cfg = _cfg(1, 1, n, kind, m=700 if kind is ProcessKind.COMBINED else None)
+        spy, calls = _routed(monkeypatch, cfg, 512, 5)
         per_trial = 2 if kind is ProcessKind.COMBINED else 1
         if kind is ProcessKind.RANDOM_TREE:
             expected = [ref.random(n - 1).tolist() for _ in range(512)]
         else:
-            expected = [ref.permutation(math.comb(n, 2)).tolist() for _ in range(512 * per_trial)]
-        assert rows == expected
-        assert all(len(batch) % per_trial == 0 for batch in batches)
-        assert len(spy.sizes) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**17
+            expected = [ref.permutation(width).tolist() for _ in range(512 * per_trial)]
+            assert spy.in_place == [True] * len(calls)
+        assert [row for _, rows, _, _ in calls for row in rows] == expected
+        assert spy.sizes == [len(rows) * len(rows[0]) for _, rows, _, _ in calls]
+        assert len(calls) > 1 and max(spy.sizes) <= harness._DRAW_CAP == 2**17
+        for name, rows, c_order, f_order in calls:
+            trials = len(rows) // per_trial
+            assert len(rows) % per_trial == 0
+            assert f_order if name == "_lockstep_runs" else c_order
+            cap = harness._STACK_CAP if name == "_lone_runs" else harness._DRAW_CAP
+            assert trials * width <= cap or trials == 1
 
     @pytest.mark.parametrize(
         "cfg,larger",
@@ -247,7 +277,7 @@ class TestRunTrials:
         # or after a full block at n = 7, and blocks of 1, 2 and one trial
         # under, at and over it at larger n: at n = 32 (a sub-batch holds 264
         # removal or addition trials), n = 40 (168, or 84 combined: never the
-        # kernel) and n = 50 (107: never); for (1, 1) additions at n = 14 and
+        # kernel) and n = 50 (106: never); for (1, 1) additions at n = 14 and
         # 16, whose blocks reach it, and n = 17, whose blocks never do.  All
         # give the bytes of one-row stacks alone, serially and in the pool
         low = harness._kernel_min(cfg)
@@ -298,8 +328,8 @@ class TestRunTrials:
     def test_lone_sub_batches_never_take_the_per_run_passes(self, kind, monkeypatch):
         # removal and addition trials below the kernel minimum run as stacks,
         # neither in lockstep nor with a per-row second phase: (1, 1) and
-        # capped points at n = 7, 40 and 100, and the 107-trial sub-batches
-        # of a two-block cell at n = 50
+        # capped points at n = 7, 40 and 100, and the stacks of a
+        # two-block cell at n = 50
         def refuse(*args, **kwargs):
             raise AssertionError("a lockstep pass or a per-row second phase was called")
 
@@ -411,6 +441,34 @@ class TestRunTrials:
             "mean_longest_path",
             "mean_isolated",
         }
+
+    def test_kernel_and_stacks_share_a_block(self, monkeypatch):
+        # removals (1, 1) at n = 36: 512 trials' rows of 630 entries make
+        # two kernel sub-batches of 208 trials, and the 96-trial tail, under
+        # the kernel minimum of 157, runs as stacks of at most
+        # _STACK_CAP // 630 = 26 trials; the bytes equal one-row stacks alone
+        cfg = _cfg(1, 1, 36)
+        _, calls = _routed(monkeypatch, cfg, 512, 6)
+        kernel = [len(rows) for name, rows, _, _ in calls if name == "_lockstep_runs"]
+        stacks = [len(rows) for name, rows, _, _ in calls if name == "_lone_runs"]
+        assert kernel == [208, 208] and [name for name, *_ in calls[:2]] == ["_lockstep_runs"] * 2
+        assert sum(stacks) == 96 and max(stacks) <= harness._STACK_CAP // 630 == 26
+        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_KERNEL_MIN", 10**9)
+            patch.setattr(harness, "_lone_runs", _row_by_row)
+            alone = run_trials(cfg, 512, master_seed=6).to_json()
+        for parallelism in (1, 2):
+            assert run_trials(cfg, 512, 6, parallelism).to_json() == alone, parallelism
+
+    def test_stacks_run_back_to_back(self, monkeypatch):
+        # removals (1, 1) at n = 50 never take the kernel; a 512-trial block
+        # runs as stacks of _STACK_CAP // 1225 = 13 trials, with no smaller
+        # stack where one _DRAW_CAP draw of 106 trials would end
+        _, calls = _routed(monkeypatch, _cfg(1, 1, 50), 512, 6)
+        stacks = [len(rows) for name, rows, _, _ in calls]
+        assert set(name for name, *_ in calls) == {"_lone_runs"} and sum(stacks) == 512
+        assert stacks[:-1] == [harness._STACK_CAP // 1225] * (len(stacks) - 1) == [13] * 39
 
 
 class TestLanes:
@@ -836,3 +894,19 @@ class TestObjectArguments:
         with pytest.raises(ConfigError) as info:
             run_trials(value, 10, 1)
         assert str(info.value) == f"cfg must be a ProcessConfig, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "call,named",
+        [
+            (lambda: table_experiment(ProcessKind.REMOVAL, None, [5], 2, 1), "pairs"),
+            (lambda: table_experiment(ProcessKind.REMOVAL, 3, [5], 2, 1), "pairs"),
+            (lambda: table_experiment(ProcessKind.REMOVAL, [(1, 2)], None, 2, 1), "n_values"),
+            (lambda: table_experiment(ProcessKind.REMOVAL, [(1, 2)], 5, 2, 1), "n_values"),
+            (lambda: growth_experiment(ProcessKind.REMOVAL, 1, 1, None, 2, 1), "n_values"),
+            (lambda: growth_experiment(ProcessKind.REMOVAL, 1, 1, 5, 2, 1), "n_values"),
+        ],
+        ids=["table-pairs-none", "table-pairs-int", "table-n-none", "table-n-int", "growth-n-none", "growth-n-int"],
+    )
+    def test_experiments_name_a_non_sequence(self, call, named):
+        with pytest.raises(ConfigError, match=f"^{named} must be iterable, got "):
+            call()
